@@ -4,15 +4,15 @@ from .accounting import (Budget, PrivacyLedger, compose_and_convert,
                          gaussian_rdp, server_budget,
                          subsampled_gaussian_rdp, third_party_epsilon)
 from .blocks import (BlockLayout, BlockStats, ConfigurationError, block_mean,
-                     broadcast_blocks, l2_norm)
+                     broadcast_blocks)
 from .data import (FederatedDataset, dirichlet_partition, load_csv,
                    make_blobs, make_client_quadratics, quadratic_client_data)
 from .diagnostics import (BiasProbeResult, MetricRecord, bias_probe,
-                          client_drift, cross_client_var_v, moment_histogram)
-from .dp import DPConfig, NoiseStream, clip, clip_batch, noisy_batch_mean
+                          client_drift, cross_client_var_v)
+from .dp import DPConfig, NoiseStream, clip_batch, noisy_batch_mean
 from .federation import (ClientOptions, ClientReport, RoundState,
                          payload_count, run_client, run_round, sample_clients)
-from .models import (LogisticModel, MLP2Model, Model, QuadraticModel, Sample,
+from .models import (LogisticModel, MLP2Model, Model, QuadraticModel,
                      build_model)
 from .optimizer import (AdamWParams, DPAdamWState, DivergenceError,
                         corrected_preconditioner, init_round, local_step,

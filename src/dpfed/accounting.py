@@ -39,9 +39,9 @@ class Budget:
 
 @dataclass
 class PrivacyLedger:
-    """Sequence of (noise multiplier, sampling rate, step count) events."""
+    """Step counts per (noise multiplier, sampling rate), in insertion order."""
 
-    events: list[tuple[float, float, int]] = field(default_factory=list)
+    steps: dict[tuple[float, float], int] = field(default_factory=dict)
     order_grid: tuple[float, ...] = DEFAULT_ORDER_GRID
 
     def add_event(self, sigma: float, q: float, steps: int) -> None:
@@ -52,7 +52,8 @@ class PrivacyLedger:
         if steps < 0:
             raise ConfigurationError("steps must be >= 0")
         if steps:
-            self.events.append((float(sigma), float(q), int(steps)))
+            key = (float(sigma), float(q))
+            self.steps[key] = self.steps.get(key, 0) + int(steps)
 
 
 def gaussian_rdp(order: float, sigma: float) -> float:
@@ -98,20 +99,17 @@ def _event_rdp(order: float, sigma: float, q: float) -> float:
 def compose_and_convert(ledger: PrivacyLedger, delta: float) -> Budget:
     """Compose the ledger in RDP and convert to an (epsilon, delta) budget.
 
-    Events with equal (sigma, q) are merged by summing their integer step
-    counts before scaling, so composition is exactly additive.
+    The ledger sums integer step counts per (sigma, q) before scaling, so
+    composition is exactly additive.
     """
     if not (0 < delta < 1):
         raise ConfigurationError("delta must lie in (0, 1)")
-    if not ledger.events:
+    if not ledger.steps:
         return Budget(0.0, delta)
-    merged: dict[tuple[float, float], int] = {}
-    for sigma, q, steps in ledger.events:
-        merged[(sigma, q)] = merged.get((sigma, q), 0) + steps
     best = math.inf
     for order in ledger.order_grid:
         total = sum(steps * _event_rdp(order, sigma, q)
-                    for (sigma, q), steps in merged.items())
+                    for (sigma, q), steps in ledger.steps.items())
         best = min(best, total + math.log(1.0 / delta) / (order - 1))
     return Budget(best, delta)
 

@@ -16,20 +16,6 @@ class ConfigurationError(ValueError):
     """Raised for inconsistent dimensions or invalid layouts."""
 
 
-def as_param_vector(values) -> np.ndarray:
-    """Coerce to a finite 1-D float64 array."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ConfigurationError(f"expected 1-D vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigurationError("parameter vector contains non-finite entries")
-    return arr
-
-
-def l2_norm(v: np.ndarray) -> float:
-    return float(np.linalg.norm(v))
-
-
 @dataclass(frozen=True)
 class BlockLayout:
     """Partition of [0, dim) into named contiguous blocks.

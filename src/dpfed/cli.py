@@ -12,6 +12,7 @@ from dataclasses import fields
 from .accounting import (PrivacyLedger, compose_and_convert,
                          third_party_epsilon)
 from .blocks import ConfigurationError
+from .optimizer import DivergenceError
 from .runner import RunConfig, compare, config_from_strings, parse_config_file
 
 
@@ -79,9 +80,9 @@ def main(argv=None) -> int:
                         args.sample_rate, t, args.local_steps, args.delta,
                         args.noise_multiplier)
                     print(f"{t},{eps:.12g},{eps_ref:.12g}")
-    except ConfigurationError as exc:
+    except (ConfigurationError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, ConfigurationError) else 1
     return 0
 
 

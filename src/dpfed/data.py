@@ -25,14 +25,6 @@ class FederatedDataset:
     num_classes: int
     alpha: float
 
-    @property
-    def num_clients(self) -> int:
-        return len(self.clients)
-
-    @property
-    def total_samples(self) -> int:
-        return sum(len(y) for _, y in self.clients)
-
 
 def dirichlet_partition(X: np.ndarray, y: np.ndarray, num_clients: int,
                         alpha: float, stream: NoiseStream) -> FederatedDataset:
@@ -102,14 +94,21 @@ def quadratic_client_data(centers: np.ndarray, samples_per_client: int,
 
 
 def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Tabular ingestion; header must be f1..fp,label."""
+    """Tabular ingestion; header must be f1..fp,label, labels ints >= 0."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[-1] != "label" or any(
+        header = next(reader, [])
+        if not header or header[-1] != "label" or any(
                 h != f"f{i + 1}" for i, h in enumerate(header[:-1])):
             raise ConfigurationError("CSV header must be f1..fp,label")
         rows = [row for row in reader if row]
-    X = np.array([[float(v) for v in row[:-1]] for row in rows])
-    y = np.array([int(float(row[-1])) for row in rows])
-    return X, y
+    if any(len(row) != len(header) for row in rows):
+        raise ConfigurationError(f"every CSV row must have {len(header)} fields")
+    try:
+        X = np.array([[float(v) for v in row[:-1]] for row in rows])
+        labels = np.array([float(row[-1]) for row in rows])
+    except ValueError:
+        raise ConfigurationError("CSV fields must be numbers") from None
+    if not np.all((labels >= 0) & (labels % 1 == 0)):
+        raise ConfigurationError("CSV labels must be integers >= 0")
+    return X, labels.astype(np.int64)

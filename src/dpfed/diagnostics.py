@@ -1,6 +1,5 @@
 """Round-level measurements: cross-client moment variance, client drift,
-moment histograms, and Monte-Carlo probes of the DP-induced second-moment
-bias.
+and Monte-Carlo probes of the DP-induced second-moment bias.
 
 Drift is reported as the mean squared distance of client endpoints to
 their mean, a translation-invariant choice. The cross-client variance is
@@ -9,7 +8,7 @@ quantity that block aggregation is meant to stabilize.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +29,6 @@ class MetricRecord:
     downlink_floats: int
     eps_rdp: float
     eps_paper: float
-    hist_m: np.ndarray | None = None
-    hist_sqrt_v: np.ndarray | None = None
 
 
 def cross_client_var_v(v_vectors: list[np.ndarray]) -> float:
@@ -49,12 +46,6 @@ def client_drift(endpoints: list[np.ndarray]) -> float:
     stacked = np.stack(endpoints)
     centered = stacked - stacked.mean(axis=0, keepdims=True)
     return float(np.mean(np.sum(centered * centered, axis=1)))
-
-
-def moment_histogram(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Fixed-bin counts; edges are pinned per run so variants compare."""
-    counts, _ = np.histogram(values, bins=edges)
-    return counts
 
 
 @dataclass

@@ -70,31 +70,31 @@ class NoiseStream:
         return self.rng(key).standard_normal(size)
 
 
-def clip(g: np.ndarray, clip_norm: float) -> np.ndarray:
-    """Rescale g to L2 norm at most clip_norm; no-op below the threshold.
-
-    The rescale loop guarantees the recomputed norm of the output is
-    <= clip_norm, which makes the operation exactly idempotent.
-    """
-    if clip_norm <= 0:
-        raise ConfigurationError("clip_norm must be > 0")
-    g = np.asarray(g, dtype=np.float64)
-    if not np.all(np.isfinite(g)):
-        raise ConfigurationError("gradient contains non-finite entries")
-    norm = np.linalg.norm(g)
-    if norm <= clip_norm:
-        return g.copy()
-    out = g * (clip_norm / norm)
-    n = np.linalg.norm(out)
-    while n > clip_norm:  # guard against round-up past the threshold
-        out = out * (clip_norm / n)
-        n = np.linalg.norm(out)
-    return out
+def _row_norms(g: np.ndarray) -> np.ndarray:
+    # Batched 1x1 matmuls run the same dot as 1-D np.linalg.norm, so each
+    # norm is bitwise equal to it; norm(axis=1) and einsum are not.
+    return np.sqrt((g[:, None, :] @ g[:, :, None])[:, 0, 0])
 
 
 def clip_batch(grads: np.ndarray, clip_norm: float) -> np.ndarray:
-    """Row-wise clip of an (n, d) gradient matrix."""
-    return np.stack([clip(row, clip_norm) for row in np.asarray(grads, dtype=np.float64)])
+    """Rescale each row of an (n, d) matrix to L2 norm at most clip_norm.
+
+    Rows below the threshold are copied unchanged. The rescale loop runs
+    until every recomputed norm is <= clip_norm, which makes the
+    operation exactly idempotent.
+    """
+    if clip_norm <= 0:
+        raise ConfigurationError("clip_norm must be > 0")
+    out = np.array(grads, dtype=np.float64)
+    if not np.all(np.isfinite(out)):
+        raise ConfigurationError("gradient contains non-finite entries")
+    norms = _row_norms(out)
+    over = norms > clip_norm
+    while np.any(over):  # repeats only where rescaling rounded up past C
+        out[over] *= (clip_norm / norms[over])[:, None]
+        norms[over] = _row_norms(out[over])
+        over = norms > clip_norm
+    return out
 
 
 def noisy_batch_mean(clipped: np.ndarray, cfg: DPConfig,

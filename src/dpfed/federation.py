@@ -7,7 +7,7 @@ client-id order, so parallel and serial execution agree bit for bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,6 @@ class ClientReport:
     client_id: int
     delta: np.ndarray
     block_v: BlockStats
-    uplink_floats: int
     # Observables for diagnostics; not part of the uplink payload.
     v_full: np.ndarray | None = None
     theta_end: np.ndarray | None = None
@@ -112,10 +111,8 @@ def run_client(model: Model, round_state: RoundState, client_id: int,
             round_state.delta_g if variant == "dp_fedadamw" else None, opt)
     delta = theta - round_state.theta
     stats = block_mean(np.maximum(state.v, 0.0), model.layout)
-    uplink, _ = payload_count(variant, model.d, model.layout.num_blocks)
     return ClientReport(client_id=client_id, delta=delta, block_v=stats,
-                        uplink_floats=uplink, v_full=state.v.copy(),
-                        theta_end=theta)
+                        v_full=state.v.copy(), theta_end=theta)
 
 
 def aggregate(round_state: RoundState, reports: list[ClientReport],

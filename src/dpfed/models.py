@@ -19,12 +19,6 @@ import numpy as np
 from .blocks import BlockLayout, ConfigurationError
 
 
-@dataclass(frozen=True)
-class Sample:
-    features: np.ndarray
-    label: int
-
-
 def _softmax(z: np.ndarray) -> np.ndarray:
     z = z - np.max(z, axis=-1, keepdims=True)
     e = np.exp(z)
@@ -42,12 +36,6 @@ class Model:
     kind: str
     d: int
     layout: BlockLayout
-
-    def loss(self, theta: np.ndarray, sample: Sample) -> float:
-        raise NotImplementedError
-
-    def per_sample_grad(self, theta: np.ndarray, sample: Sample) -> np.ndarray:
-        raise NotImplementedError
 
     def batch_loss(self, theta, X, y) -> float:
         raise NotImplementedError
@@ -85,15 +73,6 @@ class QuadraticModel(Model):
             raise ConfigurationError("curvature must be positive, length d")
         self.layout = BlockLayout.from_sizes([("all", self.d)])
 
-    def loss(self, theta, sample):
-        self._check_dim(theta)
-        r = theta - sample.features
-        return float(0.5 * np.dot(self.curvature * r, r))
-
-    def per_sample_grad(self, theta, sample):
-        self._check_dim(theta)
-        return self.curvature * (theta - sample.features)
-
     def batch_loss(self, theta, X, y):
         self._check_dim(theta)
         r = theta[None, :] - X
@@ -120,20 +99,6 @@ class LogisticModel(Model):
     def _unpack(self, theta):
         p, c = self.num_features, self.num_classes
         return theta[:c * p].reshape(c, p), theta[c * p:]
-
-    def loss(self, theta, sample):
-        self._check_dim(theta)
-        W, b = self._unpack(theta)
-        logits = W @ sample.features + b
-        return float(-_log_softmax(logits)[sample.label])
-
-    def per_sample_grad(self, theta, sample):
-        self._check_dim(theta)
-        W, b = self._unpack(theta)
-        probs = _softmax(W @ sample.features + b)
-        err = probs.copy()
-        err[sample.label] -= 1.0
-        return np.concatenate([np.outer(err, sample.features).ravel(), err])
 
     def batch_loss(self, theta, X, y):
         self._check_dim(theta)
@@ -177,25 +142,6 @@ class MLP2Model(Model):
         W2 = theta[i:i + c * h].reshape(c, h); i += c * h
         b2 = theta[i:]
         return W1, b1, W2, b2
-
-    def loss(self, theta, sample):
-        self._check_dim(theta)
-        W1, b1, W2, b2 = self._unpack(theta)
-        a1 = np.tanh(W1 @ sample.features + b1)
-        return float(-_log_softmax(W2 @ a1 + b2)[sample.label])
-
-    def per_sample_grad(self, theta, sample):
-        self._check_dim(theta)
-        W1, b1, W2, b2 = self._unpack(theta)
-        x = sample.features
-        a1 = np.tanh(W1 @ x + b1)
-        err = _softmax(W2 @ a1 + b2)
-        err[sample.label] -= 1.0
-        dz1 = (W2.T @ err) * (1.0 - a1 * a1)
-        return np.concatenate([
-            np.outer(dz1, x).ravel(), dz1,
-            np.outer(err, a1).ravel(), err,
-        ])
 
     def batch_loss(self, theta, X, y):
         self._check_dim(theta)

@@ -33,6 +33,7 @@ METRICS_COLUMNS = ("t", "global_loss", "global_acc", "var_v", "drift",
 _NON_SEMANTIC_FIELDS = ("output_dir",)
 
 _BOOL_FIELDS = {"warm_start", "bias_correction", "identity_preconditioner"}
+_PARSERS = {"int": int, "float": float}  # keyed by string annotations
 
 
 @dataclass(frozen=True)
@@ -125,10 +126,11 @@ def config_from_strings(values: dict[str, str]) -> RunConfig:
             if val.lower() not in ("true", "false", "1", "0"):
                 raise ConfigurationError(f"{key} must be true/false")
             kwargs[key] = val.lower() in ("true", "1")
-        elif field_types[key] in ("int", int):
-            kwargs[key] = int(val)
-        elif field_types[key] in ("float", float):
-            kwargs[key] = float(val)
+        elif field_types[key] in _PARSERS:
+            try:
+                kwargs[key] = _PARSERS[field_types[key]](val)
+            except ValueError:
+                raise ConfigurationError(f"{key}: cannot parse {val!r}") from None
         else:
             kwargs[key] = val
     return RunConfig(**kwargs)

@@ -17,10 +17,10 @@ from dpfed.accounting import (PrivacyLedger, compose_and_convert,
                               subsampled_gaussian_rdp)
 from dpfed.data import make_client_quadratics, quadratic_client_data
 from dpfed.diagnostics import bias_probe
-from dpfed.dp import DPConfig, NoiseStream, clip
+from dpfed.dp import DPConfig, NoiseStream, clip_batch
 from dpfed.federation import (ClientOptions, RoundState, payload_count,
                               run_client, run_round)
-from dpfed.models import Sample, build_model
+from dpfed.models import build_model
 from dpfed.optimizer import AdamWParams, corrected_preconditioner
 from dpfed.runner import RunConfig, run
 
@@ -92,18 +92,19 @@ def test_criterion_04_gradient_oracle():
         for _ in range(100):
             theta = rng.standard_normal(m.d)
             if m.kind == "quadratic":
-                s = Sample(rng.standard_normal(m.d), 0)
+                X, y = rng.standard_normal((1, m.d)), np.zeros(1, dtype=int)
             else:
-                s = Sample(rng.standard_normal(m.num_features),
-                           int(rng.integers(m.num_classes)))
-            g = m.per_sample_grad(theta, s)
+                X = rng.standard_normal((1, m.num_features))
+                y = np.array([rng.integers(m.num_classes)])
+            g = m.per_sample_grads(theta, X, y)[0]
             fd = np.empty(m.d)
             h = 1e-6
             for j in range(m.d):
                 tp, tm = theta.copy(), theta.copy()
                 tp[j] += h
                 tm[j] -= h
-                fd[j] = (m.loss(tp, s) - m.loss(tm, s)) / (2 * h)
+                fd[j] = (m.batch_loss(tp, X, y)
+                         - m.batch_loss(tm, X, y)) / (2 * h)
             worst = max(worst, np.max(np.abs(g - fd) / (1 + np.abs(fd))))
     elapsed = time.perf_counter() - start
     check(4, worst < 1e-5 and elapsed < 10,
@@ -118,11 +119,11 @@ def test_criterion_05_clipping_contract():
     dims = rng.integers(1, 20, 100_000)
     for scale, d in zip(scales, dims):
         g = scale * rng.standard_normal(d)
-        c1 = clip(g, C)
+        c1 = clip_batch(g[None, :], C)[0]
         if np.linalg.norm(c1) > C:
             ok_norm = False
             break
-        if not np.array_equal(clip(c1, C), c1):
+        if not np.array_equal(clip_batch(c1[None, :], C)[0], c1):
             ok_idem = False
             break
     check(5, ok_norm and ok_idem,

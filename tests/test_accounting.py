@@ -129,7 +129,11 @@ def test_ledger_event_validation():
     with pytest.raises(ConfigurationError):
         ledger.add_event(1.0, 1.5, 10)
     ledger.add_event(1.0, 0.1, 0)  # no-op
-    assert not ledger.events
+    assert ledger.steps == {}
+    ledger.add_event(1.0, 0.1, 3)
+    ledger.add_event(2.0, 0.1, 1)
+    ledger.add_event(1.0, 0.1, 4)
+    assert list(ledger.steps.items()) == [((1.0, 0.1), 7), ((2.0, 0.1), 1)]
 
 
 def test_third_party_epsilon_structure():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpfed.blocks import (BlockLayout, BlockStats, ConfigurationError,
-                          block_mean, broadcast_blocks, l2_norm)
+                          block_mean, broadcast_blocks)
 
 
 def layout_ab():
@@ -48,12 +48,6 @@ def test_layout_validation():
         BlockLayout(("a",), (1, 3))
 
 
-def test_l2_norm_examples():
-    assert l2_norm(np.array([3.0, 4.0])) == 5.0
-    assert l2_norm(np.zeros(3)) == 0.0
-    assert l2_norm(np.array([-2.5])) == 2.5
-
-
 @st.composite
 def vector_and_layout(draw):
     sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
@@ -86,12 +80,3 @@ def test_block_mean_within_block_permutation_invariant(vl, rnd):
     a = block_mean(v, layout).per_block
     b = block_mean(shuffled, layout).per_block
     assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
-
-
-@given(st.floats(-1e3, 1e3, allow_nan=False),
-       st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=8))
-@settings(max_examples=100, deadline=None)
-def test_l2_norm_absolute_homogeneity(a, vals):
-    v = np.array(vals)
-    assert l2_norm(a * v) == pytest.approx(abs(a) * l2_norm(v), rel=1e-12,
-                                           abs=1e-12)

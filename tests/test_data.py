@@ -14,7 +14,7 @@ def blob_data(seed=0, n=600, classes=4, p=3):
 def test_partition_is_exact():
     X, y = blob_data()
     fed = dirichlet_partition(X, y, 5, 0.5, NoiseStream(1))
-    assert fed.total_samples == len(y)
+    assert sum(len(yc) for _, yc in fed.clients) == len(y)
     seen = np.concatenate([c[0] for c in fed.clients])
     assert seen.shape == X.shape
     # disjoint exact cover: multiset of rows matches the global set
@@ -97,7 +97,7 @@ def test_heterogeneity_knob_monotone():
 def test_quadratic_client_data_shapes():
     centers = make_client_quadratics(3, 4, 1.0, NoiseStream(0))
     fed = quadratic_client_data(centers, 12, NoiseStream(0), jitter=0.05)
-    assert fed.num_clients == 4
+    assert len(fed.clients) == 4
     for (Xc, yc), center in zip(fed.clients, centers):
         assert Xc.shape == (12, 3)
         assert np.linalg.norm(Xc.mean(axis=0) - center) < 0.1
@@ -116,3 +116,29 @@ def test_csv_bad_header(tmp_path):
     path.write_text("a,b,label\n1,2,0\n")
     with pytest.raises(ConfigurationError):
         load_csv(path)
+
+
+MALFORMED_CSV = {
+    "empty_file": "",
+    "short_row": "f1,f2,label\n0.5,1.0,0\n1.5,2.0\n",
+    "long_row": "f1,f2,label\n0.5,1.0,0,7\n",
+    "negative_label": "f1,f2,label\n0.5,1.0,-1\n",
+    "fractional_label": "f1,f2,label\n0.5,1.0,1.5\n",
+    "nan_label": "f1,f2,label\n0.5,1.0,nan\n",
+    "text_feature": "f1,f2,label\n0.5,abc,1\n",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_CSV.values(), ids=MALFORMED_CSV)
+def test_csv_malformed_rejected(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError):
+        load_csv(path)
+
+
+def test_csv_integral_float_labels_accepted(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("f1,label\n0.5,2.0\n1.5,0\n")
+    X, y = load_csv(path)
+    assert np.array_equal(y, [2, 0]) and y.dtype.kind == "i"

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from dpfed.blocks import ConfigurationError
-from dpfed.diagnostics import (bias_probe, client_drift, cross_client_var_v,
-                               moment_histogram)
+from dpfed.diagnostics import bias_probe, client_drift, cross_client_var_v
 from dpfed.dp import DPConfig, NoiseStream
 
 BETA2 = 0.999
@@ -51,13 +50,6 @@ def test_drift_translation_invariant():
     a = client_drift(pts)
     b = client_drift([p + shift for p in pts])
     assert a == pytest.approx(b, rel=1e-9)
-
-
-def test_histogram_mass():
-    vals = np.random.default_rng(2).standard_normal(1000)
-    edges = np.linspace(-10, 10, 41)
-    counts = moment_histogram(vals, edges)
-    assert counts.sum() == 1000
 
 
 def test_bias_probe_zero_noise_deterministic():

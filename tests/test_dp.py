@@ -4,16 +4,52 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpfed.blocks import ConfigurationError
-from dpfed.dp import DPConfig, NoiseStream, clip, clip_batch, noisy_batch_mean
+from dpfed.dp import DPConfig, NoiseStream, clip_batch, noisy_batch_mean
 
 
 def cfg(C=0.1, sigma=1.0, s=1.0, R=10):
     return DPConfig(C, sigma, s, R)
 
 
+def reference_clip(g, clip_norm):
+    """Straight-line per-row clip: the oracle for the vectorized clip_batch."""
+    norm = np.linalg.norm(g)
+    if norm <= clip_norm:
+        return g.copy()
+    out = g * (clip_norm / norm)
+    n = np.linalg.norm(out)
+    while n > clip_norm:
+        out = out * (clip_norm / n)
+        n = np.linalg.norm(out)
+    return out
+
+
+def clip_one(g, C):
+    return clip_batch(np.asarray(g, dtype=np.float64)[None, :], C)[0]
+
+
+@pytest.mark.parametrize("d", [5, 210, 506])
+def test_clip_batch_matches_reference_bitwise(d):
+    rng = np.random.default_rng(d)
+    C = 0.7
+    n = 2000
+    grads = rng.standard_normal((n, d))
+    scales = 10.0 ** rng.uniform(-3, 3, n)  # row norms span 1e-3..1e3
+    grads *= (scales / np.linalg.norm(grads, axis=1))[:, None]
+    grads[:20] = 0.0
+    for i in range(20, 60):  # rows rescaled to C; most land exactly on it
+        row = rng.standard_normal(d)
+        grads[i] = reference_clip(row * (C / np.linalg.norm(row)), C)
+    assert sum(np.linalg.norm(g) == C for g in grads) >= 1
+    out = clip_batch(grads, C)
+    expected = np.stack([reference_clip(g, C) for g in grads])
+    assert np.array_equal(out, expected)
+    assert np.sum(np.any(out != grads, axis=1)) > n // 4  # many rows rescaled
+
+
 def test_clip_shrinks_to_threshold():
     g = np.array([0.12, 0.16])  # norm 0.2
-    out = clip(g, 0.1)
+    out = clip_one(g, 0.1)
     assert np.linalg.norm(out) == pytest.approx(0.1, rel=1e-12)
     cos = np.dot(out, g) / (np.linalg.norm(out) * np.linalg.norm(g))
     assert cos == pytest.approx(1.0, abs=1e-12)
@@ -21,16 +57,31 @@ def test_clip_shrinks_to_threshold():
 
 def test_clip_noop_below_threshold():
     g = np.array([0.03, 0.04])  # norm 0.05
-    assert np.array_equal(clip(g, 0.1), g)
+    assert np.array_equal(clip_one(g, 0.1), g)
+
+
+def test_clip_returns_a_copy():
+    g = np.array([[0.03, 0.04], [3.0, 4.0]])
+    before = g.copy()
+    out = clip_batch(g, 0.1)
+    out[0, 0] = 9.0
+    assert np.array_equal(g, before)
 
 
 def test_clip_zero():
-    assert np.array_equal(clip(np.zeros(3), 0.1), np.zeros(3))
+    assert np.array_equal(clip_one(np.zeros(3), 0.1), np.zeros(3))
 
 
 def test_clip_rejects_nonfinite():
     with pytest.raises(ConfigurationError):
-        clip(np.array([np.nan, 1.0]), 0.1)
+        clip_one(np.array([np.nan, 1.0]), 0.1)
+    with pytest.raises(ConfigurationError):
+        clip_batch(np.array([[0.0, 1.0], [np.inf, 0.0]]), 0.1)
+
+
+def test_clip_rejects_nonpositive_threshold():
+    with pytest.raises(ConfigurationError):
+        clip_batch(np.ones((2, 3)), 0.0)
 
 
 @given(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=10),
@@ -38,10 +89,11 @@ def test_clip_rejects_nonfinite():
 @settings(max_examples=200, deadline=None)
 def test_clip_never_increases_norm_and_idempotent(vals, C):
     g = np.array(vals)
-    once = clip(g, C)
+    once = clip_one(g, C)
     assert np.linalg.norm(once) <= C or np.linalg.norm(once) <= np.linalg.norm(g)
     assert np.linalg.norm(once) <= C + 0.0
-    assert np.array_equal(clip(once, C), once)
+    assert np.array_equal(clip_one(once, C), once)
+    assert np.array_equal(once, reference_clip(g, C))
 
 
 def test_zero_noise_is_exact_mean():

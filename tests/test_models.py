@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dpfed.blocks import ConfigurationError
-from dpfed.models import MLP2Model, Sample, build_model
+from dpfed.models import build_model
 
 RNG = np.random.default_rng(12345)
 
@@ -20,11 +20,12 @@ def central_difference(f, theta, coords, step=1e-6):
     return out
 
 
-def random_sample(model, rng):
+def random_batch(model, rng, n=1):
+    """(X, y) with n rows: centers for the quadratic, labeled points else."""
     if model.kind == "quadratic":
-        return Sample(rng.standard_normal(model.d), 0)
-    return Sample(rng.standard_normal(model.num_features),
-                  int(rng.integers(model.num_classes)))
+        return rng.standard_normal((n, model.d)), np.zeros(n, dtype=np.int64)
+    return (rng.standard_normal((n, model.num_features)),
+            rng.integers(model.num_classes, size=n))
 
 
 def make(kind):
@@ -36,13 +37,14 @@ def make(kind):
 def test_quadratic_loss_at_minimum():
     m = make("quadratic")
     a = RNG.standard_normal(m.d)
-    assert m.loss(a.copy(), Sample(a, 0)) == 0.0
+    assert m.batch_loss(a.copy(), a[None, :], np.zeros(1, dtype=int)) == 0.0
 
 
 def test_logistic_loss_at_zero_is_log_classes():
     m = make("logistic")
-    s = random_sample(m, RNG)
-    assert m.loss(np.zeros(m.d), s) == pytest.approx(math.log(3), rel=1e-12)
+    X, y = random_batch(m, RNG)
+    assert m.batch_loss(np.zeros(m.d), X, y) == pytest.approx(math.log(3),
+                                                              rel=1e-12)
 
 
 def test_mlp2_loss_matches_independent_forward():
@@ -50,34 +52,34 @@ def test_mlp2_loss_matches_independent_forward():
     m = make("mlp2")
     rng = np.random.default_rng(0)
     theta = m.init_params(rng)
-    s = random_sample(m, rng)
+    X, y = random_batch(m, rng)
     p, h, c = 5, 4, 3
     i = 0
     W1 = theta[i:i + h * p].reshape(h, p); i += h * p
     b1 = theta[i:i + h]; i += h
     W2 = theta[i:i + c * h].reshape(c, h); i += c * h
     b2 = theta[i:]
-    hidden = np.tanh(W1.dot(s.features) + b1)
+    hidden = np.tanh(W1.dot(X[0]) + b1)
     logits = W2.dot(hidden) + b2
     probs = np.exp(logits) / np.exp(logits).sum()
-    expected = -math.log(probs[s.label])
-    assert m.loss(theta, s) == pytest.approx(expected, rel=1e-12)
+    expected = -math.log(probs[y[0]])
+    assert m.batch_loss(theta, X, y) == pytest.approx(expected, rel=1e-12)
 
 
 def test_quadratic_grad_analytic():
     m = make("quadratic")
     theta = RNG.standard_normal(m.d)
-    s = random_sample(m, RNG)
-    assert np.allclose(m.per_sample_grad(theta, s), theta - s.features)
+    X, y = random_batch(m, RNG)
+    assert np.allclose(m.per_sample_grads(theta, X, y)[0], theta - X[0])
 
 
 def test_logistic_grad_at_zero_structure():
     m = make("logistic")
-    s = random_sample(m, RNG)
-    g = m.per_sample_grad(np.zeros(m.d), s)
+    X, y = random_batch(m, RNG)
+    g = m.per_sample_grads(np.zeros(m.d), X, y)[0]
     err = np.full(3, 1.0 / 3.0)
-    err[s.label] -= 1.0
-    expected = np.concatenate([np.outer(err, s.features).ravel(), err])
+    err[y[0]] -= 1.0
+    expected = np.concatenate([np.outer(err, X[0]).ravel(), err])
     assert np.allclose(g, expected, rtol=1e-12)
 
 
@@ -88,10 +90,11 @@ def test_gradient_matches_finite_differences(kind):
     checked = 0
     while checked < 100:
         theta = rng.standard_normal(m.d)
-        s = random_sample(m, rng)
-        g = m.per_sample_grad(theta, s)
+        X, y = random_batch(m, rng)
+        g = m.per_sample_grads(theta, X, y)[0]
         coords = rng.choice(m.d, size=min(5, m.d), replace=False)
-        fd = central_difference(lambda th: m.loss(th, s), theta, coords)
+        fd = central_difference(lambda th: m.batch_loss(th, X, y), theta,
+                                coords)
         for j, fdj in fd.items():
             assert abs(g[j] - fdj) / (1 + abs(fdj)) < 1e-5
             checked += 1
@@ -99,16 +102,21 @@ def test_gradient_matches_finite_differences(kind):
 
 @pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp2"])
 def test_batched_grads_match_per_sample(kind):
+    # Row i of a multi-row call must be the gradient of sample i alone:
+    # a finite-difference check on every coordinate catches both a wrong
+    # gradient and another sample leaking into the row.
     m = make(kind)
     rng = np.random.default_rng(11)
     theta = rng.standard_normal(m.d)
-    samples = [random_sample(m, rng) for _ in range(8)]
-    X = np.stack([s.features for s in samples])
-    y = np.array([s.label for s in samples])
+    X, y = random_batch(m, rng, n=8)
     batched = m.per_sample_grads(theta, X, y)
-    for i, s in enumerate(samples):
-        assert np.allclose(batched[i], m.per_sample_grad(theta, s),
-                           rtol=1e-12, atol=1e-14)
+    assert batched.shape == (8, m.d)
+    for i in range(8):
+        fd = central_difference(
+            lambda th: m.batch_loss(th, X[i:i + 1], y[i:i + 1]), theta,
+            range(m.d))
+        for j, fdj in fd.items():
+            assert abs(batched[i, j] - fdj) / (1 + abs(fdj)) < 1e-5
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp2"])
@@ -116,10 +124,9 @@ def test_batch_loss_is_mean_of_losses(kind):
     m = make(kind)
     rng = np.random.default_rng(13)
     theta = rng.standard_normal(m.d) * 0.3
-    samples = [random_sample(m, rng) for _ in range(6)]
-    X = np.stack([s.features for s in samples])
-    y = np.array([s.label for s in samples])
-    mean_loss = np.mean([m.loss(theta, s) for s in samples])
+    X, y = random_batch(m, rng, n=6)
+    mean_loss = np.mean([m.batch_loss(theta, X[i:i + 1], y[i:i + 1])
+                         for i in range(6)])
     assert m.batch_loss(theta, X, y) == pytest.approx(mean_loss, rel=1e-12)
 
 
@@ -128,15 +135,19 @@ def test_quadratic_average_minimizer_is_mean_center():
     # average of centers; used as convergence ground truth elsewhere.
     m = make("quadratic")
     centers = RNG.standard_normal((4, m.d))
+    y = np.zeros(4, dtype=int)
     theta_star = centers.mean(axis=0)
-    base = np.mean([m.loss(theta_star, Sample(c, 0)) for c in centers])
+    base = m.batch_loss(theta_star, centers, y)
     for _ in range(10):
         other = theta_star + 0.1 * RNG.standard_normal(m.d)
-        perturbed = np.mean([m.loss(other, Sample(c, 0)) for c in centers])
-        assert perturbed > base
+        assert m.batch_loss(other, centers, y) > base
 
 
 def test_dimension_mismatch_rejected():
-    m = make("logistic")
-    with pytest.raises(ConfigurationError):
-        m.loss(np.zeros(m.d + 1), random_sample(m, RNG))
+    for kind in ("quadratic", "logistic", "mlp2"):
+        m = make(kind)
+        X, y = random_batch(m, RNG)
+        with pytest.raises(ConfigurationError):
+            m.batch_loss(np.zeros(m.d + 1), X, y)
+        with pytest.raises(ConfigurationError):
+            m.per_sample_grads(np.zeros(m.d + 1), X, y)

@@ -1,9 +1,12 @@
 import json
 import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpfed.blocks import ConfigurationError
 from dpfed.cli import main as cli_main
@@ -151,6 +154,25 @@ def test_parse_config_errors(tmp_path):
         config_from_strings({"not_a_key": "1"})
     with pytest.raises(ConfigurationError):
         config_from_strings({"warm_start": "maybe"})
+    with pytest.raises(ConfigurationError):
+        config_from_strings({"rounds": "abc"})
+    with pytest.raises(ConfigurationError):
+        config_from_strings({"rounds": "2.5"})
+    with pytest.raises(ConfigurationError):
+        config_from_strings({"lr": "fast"})
+
+
+@given(st.dictionaries(
+    st.sampled_from([f.name for f in fields(RunConfig)]),
+    st.one_of(st.text(max_size=12), st.integers().map(str),
+              st.floats().map(str))))
+@settings(max_examples=300, deadline=None)
+def test_config_from_strings_returns_config_or_configuration_error(values):
+    try:
+        cfg = config_from_strings(values)
+    except ConfigurationError:
+        return
+    assert isinstance(cfg, RunConfig)
 
 
 def test_shipped_default_config_parses():
@@ -235,3 +257,23 @@ def test_cli_invalid_config_exit_code(capsys):
     rc = cli_main(["run", "--variant", "bogus"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_unparsable_flag_exit_code(capsys):
+    rc = cli_main(["run", "--rounds", "abc"])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_divergence_exit_code(tmp_path, capsys):
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = cli_main(["run", "--model", "quadratic", "--dataset", "quadratics",
+                       "--dim", "3", "--num_clients", "3", "--rounds", "2",
+                       "--local_steps", "2", "--sample_rate", "0.5",
+                       "--samples_per_client", "10", "--lr", "1e308",
+                       "--gamma", "1e308",
+                       "--output_dir", str(tmp_path / "out")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: non-finite parameters")
+    assert "final_loss=" not in captured.out
