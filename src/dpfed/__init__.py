@@ -3,7 +3,7 @@
 from .accounting import (Budget, PrivacyLedger, compose_and_convert,
                          gaussian_rdp, server_budget,
                          subsampled_gaussian_rdp, third_party_epsilon)
-from .blocks import (BlockLayout, BlockStats, ConfigurationError, block_mean,
+from .blocks import (BlockLayout, ConfigurationError, block_mean,
                      broadcast_blocks)
 from .data import (FederatedDataset, dirichlet_partition, load_csv,
                    make_blobs, make_client_quadratics, quadratic_client_data)
@@ -16,7 +16,7 @@ from .models import (LogisticModel, MLP2Model, Model, QuadraticModel,
                      build_model)
 from .optimizer import (AdamWParams, DPAdamWState, DivergenceError,
                         corrected_preconditioner, init_round, local_step,
-                        moment_update, sgd_local_step)
+                        moment_update)
 from .runner import RunConfig, RunSummary, compare, parse_config_file, run
 
 __version__ = "0.1.0"

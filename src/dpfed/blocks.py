@@ -63,34 +63,17 @@ class BlockLayout:
         return [slice(lo, hi) for lo, hi in zip(self.bounds, self.bounds[1:])]
 
 
-@dataclass(frozen=True)
-class BlockStats:
-    """One scalar per block (block means of a second-moment vector)."""
-
-    per_block: np.ndarray
-    layout: BlockLayout
-
-    def __post_init__(self):
-        object.__setattr__(self, "per_block",
-                           np.asarray(self.per_block, dtype=np.float64))
-        if self.per_block.shape != (self.layout.num_blocks,):
-            raise ConfigurationError("per_block length must equal block count")
-
-
-def block_mean(v: np.ndarray, layout: BlockLayout) -> BlockStats:
-    """Arithmetic mean of v within each block of the layout."""
+def block_mean(v: np.ndarray, layout: BlockLayout) -> np.ndarray:
+    """Arithmetic mean of v within each block of the layout, shape (B,)."""
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (layout.dim,):
         raise ConfigurationError(
             f"vector dim {v.shape} does not match layout dim {layout.dim}")
-    means = np.array([v[s].mean() for s in layout.slices()])
-    return BlockStats(means, layout)
+    return np.array([v[s].mean() for s in layout.slices()])
 
 
-def broadcast_blocks(stats: BlockStats) -> np.ndarray:
+def broadcast_blocks(means: np.ndarray, layout: BlockLayout) -> np.ndarray:
     """Expand block means back to a full vector, constant within each block."""
-    return np.repeat(stats.per_block, stats.layout.sizes)
-
-
-def zero_stats(layout: BlockLayout) -> BlockStats:
-    return BlockStats(np.zeros(layout.num_blocks), layout)
+    if np.shape(means) != (layout.num_blocks,):
+        raise ConfigurationError("need one mean per block")
+    return np.repeat(means, layout.sizes)

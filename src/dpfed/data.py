@@ -19,11 +19,9 @@ MAX_PARTITION_RETRIES = 100
 
 @dataclass
 class FederatedDataset:
-    """Per-client sample arrays plus partition metadata."""
+    """Per-client (features, labels) arrays."""
 
     clients: list[tuple[np.ndarray, np.ndarray]]
-    num_classes: int
-    alpha: float
 
 
 def dirichlet_partition(X: np.ndarray, y: np.ndarray, num_clients: int,
@@ -54,7 +52,7 @@ def dirichlet_partition(X: np.ndarray, y: np.ndarray, num_clients: int,
         if all(assignment):
             clients = [(X[np.sort(ids)], y[np.sort(ids)])
                        for ids in map(np.asarray, assignment)]
-            return FederatedDataset(clients, len(classes), alpha)
+            return FederatedDataset(clients)
     raise ConfigurationError(
         f"could not produce non-empty clients in {MAX_PARTITION_RETRIES} draws")
 
@@ -90,11 +88,12 @@ def quadratic_client_data(centers: np.ndarray, samples_per_client: int,
         X = center[None, :] + jitter * rng.standard_normal(
             (samples_per_client, len(center)))
         clients.append((X, np.zeros(samples_per_client, dtype=np.int64)))
-    return FederatedDataset(clients, num_classes=1, alpha=float("inf"))
+    return FederatedDataset(clients)
 
 
 def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Tabular ingestion; header must be f1..fp,label, labels ints >= 0."""
+    """Tabular ingestion; header must be f1..fp,label, features finite,
+    labels ints >= 0 with every class 0..max present."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -109,6 +108,10 @@ def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
         labels = np.array([float(row[-1]) for row in rows])
     except ValueError:
         raise ConfigurationError("CSV fields must be numbers") from None
+    if not np.all(np.isfinite(X)):
+        raise ConfigurationError("CSV features must be finite")
     if not np.all((labels >= 0) & (labels % 1 == 0)):
         raise ConfigurationError("CSV labels must be integers >= 0")
+    if len(np.unique(labels)) != labels.max(initial=-1) + 1:
+        raise ConfigurationError("CSV labels must cover every class 0..max")
     return X, labels.astype(np.int64)

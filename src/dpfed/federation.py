@@ -11,14 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import (BlockLayout, BlockStats, ConfigurationError, block_mean,
-                     broadcast_blocks, zero_stats)
+from .blocks import (BlockLayout, ConfigurationError, block_mean,
+                     broadcast_blocks)
 from .dp import (DOMAIN_BATCH, DOMAIN_CLIENTS, DPConfig, NoiseStream,
                  clip_batch, noisy_batch_mean)
 from .models import Model
 from .optimizer import (AdamWParams, corrected_preconditioner, init_round,
-                        local_step, moment_update, sgd_local_step)
+                        local_step, moment_update)
 
+# The variant names; each maps to its communication strategy.
 STRATEGY_BY_VARIANT = {
     "dp_fedadamw": "agg_mean_v",
     "dp_local_adamw": "noagg",
@@ -31,7 +32,7 @@ class RoundState:
     """Server-side state entering round t."""
 
     theta: np.ndarray
-    v_bar: BlockStats
+    v_bar: np.ndarray  # (B,) block means of the clients' second moments
     delta_g: np.ndarray
     t: int = 0
 
@@ -40,7 +41,7 @@ class RoundState:
         # First round: no alignment signal and an all-zero warm start,
         # so round 0 reduces to the local baseline.
         return cls(theta=np.asarray(theta, dtype=np.float64),
-                   v_bar=zero_stats(layout),
+                   v_bar=np.zeros(layout.num_blocks),
                    delta_g=np.zeros(len(theta)), t=0)
 
 
@@ -50,7 +51,7 @@ class ClientReport:
 
     client_id: int
     delta: np.ndarray
-    block_v: BlockStats
+    block_v: np.ndarray  # (B,) block means of the final second moment
     # Observables for diagnostics; not part of the uplink payload.
     v_full: np.ndarray | None = None
     theta_end: np.ndarray | None = None
@@ -81,12 +82,19 @@ def run_client(model: Model, round_state: RoundState, client_id: int,
                stream: NoiseStream,
                options: ClientOptions = ClientOptions()) -> ClientReport:
     """K private local steps of one client; returns its report."""
+    if variant not in STRATEGY_BY_VARIANT:
+        raise ConfigurationError(f"unknown variant {variant!r}")
+    # The variant's mechanisms, resolved once: only dp_fedadamw warm-starts,
+    # removes the noise bias and aligns; dp_fedavg_sgd steps along g itself.
+    fedadamw = variant == "dp_fedadamw"
+    sgd = variant == "dp_fedavg_sgd"
+    v0 = (broadcast_blocks(round_state.v_bar, model.layout)
+          if fedadamw and options.warm_start else None)
+    tau = dp_cfg.noise_std if fedadamw and options.bias_correction else 0.0
+    delta_g = round_state.delta_g if fedadamw else None
+    state = init_round(model.d, opt, v0)
     t = round_state.t
     theta = round_state.theta.copy()
-    v_broadcast = broadcast_blocks(round_state.v_bar)
-    state = init_round(model.d, opt, variant,
-                       v_broadcast=v_broadcast if variant == "dp_fedadamw" else None,
-                       warm_start=options.warm_start)
     n = len(y)
     if n != dp_cfg.client_dataset_size:
         raise ConfigurationError("dp_cfg dataset size does not match client data")
@@ -96,22 +104,16 @@ def run_client(model: Model, round_state: RoundState, client_id: int,
         grads = model.per_sample_grads(theta, X[idx], y[idx])
         clipped = clip_batch(grads, dp_cfg.clip_norm)
         g = noisy_batch_mean(clipped, dp_cfg, stream, key=(t, client_id, k))
-        if variant == "dp_fedavg_sgd":
-            theta = sgd_local_step(theta, g, opt.lr, opt.weight_decay)
-            continue
-        m_hat, v_hat = moment_update(state, g)
-        if options.identity_preconditioner:
-            precond = np.ones(model.d)
-        elif variant == "dp_fedadamw" and options.bias_correction:
-            precond = corrected_preconditioner(v_hat, dp_cfg.noise_std, opt.eps)
+        if sgd:
+            m_hat, precond = g, 1.0
         else:
-            precond = corrected_preconditioner(v_hat, 0.0, opt.eps)
-        theta = local_step(
-            theta, m_hat, precond,
-            round_state.delta_g if variant == "dp_fedadamw" else None, opt)
+            m_hat, v_hat = moment_update(state, g)
+            precond = (1.0 if options.identity_preconditioner
+                       else corrected_preconditioner(v_hat, tau, opt.eps))
+        theta = local_step(theta, m_hat, precond, delta_g, opt)
     delta = theta - round_state.theta
-    stats = block_mean(np.maximum(state.v, 0.0), model.layout)
-    return ClientReport(client_id=client_id, delta=delta, block_v=stats,
+    block_v = block_mean(np.maximum(state.v, 0.0), model.layout)
+    return ClientReport(client_id=client_id, delta=delta, block_v=block_v,
                         v_full=state.v.copy(), theta_end=theta)
 
 
@@ -123,14 +125,13 @@ def aggregate(round_state: RoundState, reports: list[ClientReport],
     reports = sorted(reports, key=lambda r: r.client_id)
     S = len(reports)
     delta_sum = np.zeros_like(round_state.theta)
-    v_sum = np.zeros(reports[0].block_v.layout.num_blocks)
+    v_sum = np.zeros_like(reports[0].block_v)
     for r in reports:
         delta_sum = delta_sum + r.delta
-        v_sum = v_sum + r.block_v.per_block
-    mean_delta = delta_sum / S
+        v_sum = v_sum + r.block_v
     return RoundState(
-        theta=round_state.theta + mean_delta,
-        v_bar=BlockStats(v_sum / S, reports[0].block_v.layout),
+        theta=round_state.theta + delta_sum / S,
+        v_bar=v_sum / S,
         delta_g=-delta_sum / (S * local_steps * lr),
         t=round_state.t + 1,
     )

@@ -1,9 +1,10 @@
 """Client-side DP-AdamW: moment updates, bias corrections, aligned step.
 
-Covers both the aggregated variant (warm-started second moment, noise
-bias correction, alignment toward the previous round's global descent
-direction) and the plain local-AdamW baseline, plus a DP-SGD step for
-the FedAvg baseline.
+The building blocks take their mechanisms as arguments (a warm-start
+vector, the noise standard deviation to subtract, an alignment
+direction); which ones a variant uses is decided by the client loop in
+``federation.run_client``. With m_hat = g and a preconditioner of 1.0,
+``local_step`` is the plain DP-SGD step of the FedAvg baseline.
 
 Known erratum handling: the source update rule prints the weight-decay
 term with a sign that would grow weights; this implementation applies
@@ -16,8 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import ConfigurationError
-
-VARIANTS = ("dp_fedadamw", "dp_local_adamw", "dp_fedavg_sgd")
 
 
 class DivergenceError(RuntimeError):
@@ -52,24 +51,15 @@ class DPAdamWState:
     params: AdamWParams
 
 
-def init_round(dim: int, params: AdamWParams, variant: str,
-               v_broadcast: np.ndarray | None = None,
-               warm_start: bool = True) -> DPAdamWState:
-    """Fresh state at the start of a round.
-
-    ``dp_fedadamw`` warm-starts v from the broadcast block means (when
-    enabled and available); the local baseline always starts from zero.
-    """
-    if variant not in VARIANTS:
-        raise ConfigurationError(f"unknown variant {variant!r}")
-    v = np.zeros(dim)
-    if variant == "dp_fedadamw" and warm_start and v_broadcast is not None:
-        v_broadcast = np.asarray(v_broadcast, dtype=np.float64)
-        if v_broadcast.shape != (dim,):
-            raise ConfigurationError("v broadcast dim mismatch")
-        if np.any(v_broadcast < 0):
-            raise ConfigurationError("v broadcast must be non-negative")
-        v = v_broadcast.copy()
+def init_round(dim: int, params: AdamWParams,
+               v_broadcast: np.ndarray | None = None) -> DPAdamWState:
+    """Fresh state at the start of a round; v starts at v_broadcast or 0."""
+    v = (np.zeros(dim) if v_broadcast is None
+         else np.array(v_broadcast, dtype=np.float64))
+    if v.shape != (dim,):
+        raise ConfigurationError("v broadcast dim mismatch")
+    if np.any(v < 0):
+        raise ConfigurationError("v broadcast must be non-negative")
     return DPAdamWState(m=np.zeros(dim), v=v, k=0, params=params)
 
 
@@ -95,8 +85,9 @@ def corrected_preconditioner(v_hat: np.ndarray, noise_std: float,
     return 1.0 / (np.sqrt(arg) + eps)
 
 
-def local_step(theta: np.ndarray, m_hat: np.ndarray, precond: np.ndarray,
-               delta_g: np.ndarray | None, params: AdamWParams) -> np.ndarray:
+def local_step(theta: np.ndarray, m_hat: np.ndarray,
+               precond: np.ndarray | float, delta_g: np.ndarray | None,
+               params: AdamWParams) -> np.ndarray:
     """One aligned AdamW step with decoupled weight decay."""
     update = m_hat * precond
     if params.align_coef != 0.0:
@@ -111,15 +102,4 @@ def local_step(theta: np.ndarray, m_hat: np.ndarray, precond: np.ndarray,
             "non-finite parameters after local step "
             f"(|theta|_max={np.max(np.abs(theta)):.3e}, "
             f"|update|_max={np.max(np.abs(update)):.3e})")
-    return new_theta
-
-
-def sgd_local_step(theta: np.ndarray, g: np.ndarray, lr: float,
-                   weight_decay: float = 0.0) -> np.ndarray:
-    """Plain (DP-)SGD step with optional decoupled decay."""
-    new_theta = theta - lr * g
-    if weight_decay != 0.0:
-        new_theta = new_theta - lr * weight_decay * theta
-    if not np.all(np.isfinite(new_theta)):
-        raise DivergenceError("non-finite parameters after SGD step")
     return new_theta

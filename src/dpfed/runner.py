@@ -22,9 +22,10 @@ from .data import (FederatedDataset, dirichlet_partition, load_csv,
                    make_blobs, make_client_quadratics, quadratic_client_data)
 from .diagnostics import MetricRecord, client_drift, cross_client_var_v
 from .dp import DOMAIN_INIT, DPConfig, NoiseStream
-from .federation import (ClientOptions, RoundState, payload_count, run_round)
+from .federation import (STRATEGY_BY_VARIANT, ClientOptions, RoundState,
+                         payload_count, run_round)
 from .models import build_model
-from .optimizer import VARIANTS, AdamWParams
+from .optimizer import AdamWParams, DivergenceError
 
 METRICS_COLUMNS = ("t", "global_loss", "global_acc", "var_v", "drift",
                    "uplink", "downlink", "eps_rdp", "eps_paper")
@@ -71,7 +72,7 @@ class RunConfig:
     output_dir: str = "runs/out"
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
+        if self.variant not in STRATEGY_BY_VARIANT:
             raise ConfigurationError(f"unknown variant {self.variant!r}")
         if self.model not in ("quadratic", "logistic", "mlp2"):
             raise ConfigurationError(f"unknown model {self.model!r}")
@@ -170,9 +171,8 @@ def _build_problem(config: RunConfig, stream: NoiseStream):
         else:
             X, y = load_csv(config.dataset)
         fed = dirichlet_partition(X, y, config.num_clients, config.alpha, stream)
-        num_classes = int(np.max(np.concatenate([c[1] for c in fed.clients])) + 1)
         model = build_model(config.model, num_features=X.shape[1],
-                            num_classes=num_classes, hidden=config.hidden)
+                            num_classes=int(y.max()) + 1, hidden=config.hidden)
     dp_cfgs = [DPConfig(config.clip_norm, config.noise_multiplier,
                         config.sample_rate, len(y_i))
                for _, y_i in fed.clients]
@@ -189,13 +189,13 @@ def _global_metrics(model, fed: FederatedDataset, theta) -> tuple[float, float]:
 
 
 def run(config: RunConfig) -> RunSummary:
-    """Execute T rounds, writing metrics.csv and summary.json."""
+    """Execute T rounds, writing metrics.csv and summary.json; a diverged
+    run leaves only metrics.csv, with the rounds completed before it."""
     start = time.perf_counter()
     out_dir = os.environ.get("OUTPUT_DIR", config.output_dir)
 
     stream = NoiseStream(config.seed)
     model, fed, dp_cfgs = _build_problem(config, stream)
-    os.makedirs(out_dir, exist_ok=True)
     theta0 = model.init_params(stream.rng((DOMAIN_INIT,)))
     state = RoundState.initial(theta0, model.layout)
     opt = AdamWParams(lr=config.lr, beta1=config.beta1, beta2=config.beta2,
@@ -213,16 +213,22 @@ def run(config: RunConfig) -> RunSummary:
     eps_rdp = 0.0
     eps_paper = 0.0
     for _ in range(config.rounds):
-        state, reports = run_round(
-            state, model, fed.clients, dp_cfgs, opt, config.variant,
-            config.local_steps, config.selected_clients, stream, options)
+        try:
+            state, reports = run_round(
+                state, model, fed.clients, dp_cfgs, opt, config.variant,
+                config.local_steps, config.selected_clients, stream, options)
+        except DivergenceError:
+            _write_metrics_csv(out_dir, records)
+            raise
         if config.noise_multiplier > 0:
             ledger.add_event(config.noise_multiplier, config.sample_rate,
                              config.local_steps)
             eps_rdp = compose_and_convert(ledger, config.delta).epsilon
-        eps_paper = third_party_epsilon(
-            config.sample_rate, state.t, config.local_steps, config.delta,
-            config.noise_multiplier) if config.noise_multiplier > 0 else 0.0
+            eps_paper = third_party_epsilon(
+                config.sample_rate, state.t, config.local_steps, config.delta,
+                config.noise_multiplier)
+        else:  # released without noise: no finite guarantee
+            eps_rdp = eps_paper = math.inf
         loss, acc = _global_metrics(model, fed, state.theta)
         many = len(reports) >= 2
         records.append(MetricRecord(
@@ -236,27 +242,33 @@ def run(config: RunConfig) -> RunSummary:
             eps_rdp=eps_rdp, eps_paper=eps_paper))
 
     final_loss, final_acc = _global_metrics(model, fed, state.theta)
-    _write_metrics_csv(os.path.join(out_dir, "metrics.csv"), records)
+    _write_metrics_csv(out_dir, records)
     summary = RunSummary(final_loss=final_loss, final_accuracy=final_acc,
                          eps_rdp=eps_rdp, eps_paper=eps_paper,
                          wall_time_s=time.perf_counter() - start,
                          config_hash=config.config_hash(), metrics=records)
-    _write_summary_json(os.path.join(out_dir, "summary.json"), config, summary)
+    _write_summary_json(out_dir, config, summary)
     return summary
 
 
-def _write_metrics_csv(path: str, records: list[MetricRecord]) -> None:
+def _write_text(out_dir: str, name: str, text: str) -> None:
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8",
+              newline="\n") as fh:
+        fh.write(text)
+
+
+def _write_metrics_csv(out_dir: str, records: list[MetricRecord]) -> None:
     lines = [",".join(METRICS_COLUMNS)]
     for r in records:
         lines.append(",".join([
             str(r.t), _fmt(r.global_loss), _fmt(r.global_accuracy),
             _fmt(r.var_v), _fmt(r.drift), str(r.uplink_floats),
             str(r.downlink_floats), _fmt(r.eps_rdp), _fmt(r.eps_paper)]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(out_dir, "metrics.csv", "\n".join(lines) + "\n")
 
 
-def _write_summary_json(path: str, config: RunConfig,
+def _write_summary_json(out_dir: str, config: RunConfig,
                         summary: RunSummary) -> None:
     payload = {
         "config_hash": summary.config_hash,
@@ -269,9 +281,8 @@ def _write_summary_json(path: str, config: RunConfig,
         "eps_rdp": summary.eps_rdp,
         "eps_paper": summary.eps_paper,
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, allow_nan=True)
-        fh.write("\n")
+    _write_text(out_dir, "summary.json",
+                json.dumps(payload, indent=2, allow_nan=True) + "\n")
 
 
 def compare(configs: list[RunConfig], seeds: list[int],
@@ -311,7 +322,6 @@ def compare(configs: list[RunConfig], seeds: list[int],
                      "loss_std": float(np.std(losses)),
                      "accuracy_std": float(np.std(accs))})
     if output_dir:
-        os.makedirs(output_dir, exist_ok=True)
         cols = ("config", "config_hash", "seed", "kind", "final_loss",
                 "final_accuracy", "loss_std", "accuracy_std")
         lines = [",".join(cols)]
@@ -319,7 +329,5 @@ def compare(configs: list[RunConfig], seeds: list[int],
             lines.append(",".join(
                 _fmt(row[c]) if isinstance(row.get(c), float)
                 else str(row.get(c, "")) for c in cols))
-        with open(os.path.join(output_dir, "comparison.csv"), "w",
-                  encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_text(output_dir, "comparison.csv", "\n".join(lines) + "\n")
     return rows

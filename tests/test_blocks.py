@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpfed.blocks import (BlockLayout, BlockStats, ConfigurationError,
-                          block_mean, broadcast_blocks)
+from dpfed.blocks import (BlockLayout, ConfigurationError, block_mean,
+                          broadcast_blocks)
 
 
 def layout_ab():
@@ -12,15 +12,14 @@ def layout_ab():
 
 
 def test_block_mean_example():
-    stats = block_mean(np.array([1.0, 2.0, 3.0, 4.0]), layout_ab())
-    assert np.allclose(stats.per_block, [1.5, 3.5])
+    means = block_mean(np.array([1.0, 2.0, 3.0, 4.0]), layout_ab())
+    assert means.shape == (2,) and np.allclose(means, [1.5, 3.5])
 
 
 def test_block_mean_zeros_and_constant():
-    assert np.all(block_mean(np.zeros(4), layout_ab()).per_block == 0)
+    assert np.all(block_mean(np.zeros(4), layout_ab()) == 0)
     c = 2.75
-    stats = block_mean(np.full(4, c), layout_ab())
-    assert np.all(stats.per_block == c)
+    assert np.all(block_mean(np.full(4, c), layout_ab()) == c)
 
 
 def test_block_mean_dim_mismatch():
@@ -29,13 +28,18 @@ def test_block_mean_dim_mismatch():
 
 
 def test_broadcast_example():
-    stats = BlockStats(np.array([1.5, 3.5]), layout_ab())
-    assert np.array_equal(broadcast_blocks(stats), [1.5, 1.5, 3.5, 3.5])
+    out = broadcast_blocks(np.array([1.5, 3.5]), layout_ab())
+    assert np.array_equal(out, [1.5, 1.5, 3.5, 3.5])
+
+
+def test_broadcast_needs_one_mean_per_block():
+    with pytest.raises(ConfigurationError):
+        broadcast_blocks(np.array([1.5, 3.5, 0.0]), layout_ab())
 
 
 def test_broadcast_single_block_constant():
     layout = BlockLayout.from_sizes([("all", 6)])
-    out = broadcast_blocks(BlockStats(np.array([0.25]), layout))
+    out = broadcast_blocks(np.array([0.25]), layout)
     assert np.all(out == 0.25)
 
 
@@ -62,7 +66,7 @@ def vector_and_layout(draw):
 @settings(max_examples=100, deadline=None)
 def test_broadcast_preserves_block_sums(vl):
     v, layout = vl
-    recon = broadcast_blocks(block_mean(v, layout))
+    recon = broadcast_blocks(block_mean(v, layout), layout)
     for s in layout.slices():
         expected = v[s].sum()
         assert abs(recon[s].sum() - expected) <= 1e-12 * max(1.0, abs(expected))
@@ -77,6 +81,6 @@ def test_block_mean_within_block_permutation_invariant(vl, rnd):
         seg = list(shuffled[s])
         rnd.shuffle(seg)
         shuffled[s] = seg
-    a = block_mean(v, layout).per_block
-    b = block_mean(shuffled, layout).per_block
+    a = block_mean(v, layout)
+    b = block_mean(shuffled, layout)
     assert np.allclose(a, b, rtol=1e-12, atol=1e-15)

@@ -126,6 +126,9 @@ MALFORMED_CSV = {
     "fractional_label": "f1,f2,label\n0.5,1.0,1.5\n",
     "nan_label": "f1,f2,label\n0.5,1.0,nan\n",
     "text_feature": "f1,f2,label\n0.5,abc,1\n",
+    "nan_feature": "f1,f2,label\n0.5,1.0,0\n0.5,nan,1\n",
+    "inf_feature": "f1,f2,label\n-inf,1.0,0\n",
+    "skipped_class": "f1,label\n0.5,0\n1.5,1\n2.5,5000\n",
 }
 
 
@@ -139,6 +142,6 @@ def test_csv_malformed_rejected(tmp_path, text):
 
 def test_csv_integral_float_labels_accepted(tmp_path):
     path = tmp_path / "data.csv"
-    path.write_text("f1,label\n0.5,2.0\n1.5,0\n")
+    path.write_text("f1,label\n0.5,2.0\n1.5,0\n2.5,1\n")
     X, y = load_csv(path)
-    assert np.array_equal(y, [2, 0]) and y.dtype.kind == "i"
+    assert np.array_equal(y, [2, 0, 1]) and y.dtype.kind == "i"

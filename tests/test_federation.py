@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dpfed.blocks import BlockStats, ConfigurationError
+from dpfed.blocks import ConfigurationError
 from dpfed.dp import DPConfig, NoiseStream
 from dpfed.federation import (ClientOptions, ClientReport, RoundState,
                               aggregate, payload_count, run_client, run_round,
@@ -54,9 +54,7 @@ def test_sample_clients_uniform_frequency():
 def test_run_round_zero_deltas_leave_state():
     model, data, cfgs, _ = quadratic_setup()
     state = RoundState.initial(np.zeros(3), model.layout)
-    reports = [ClientReport(i, np.zeros(3),
-                            BlockStats(np.zeros(1), model.layout), 3)
-               for i in range(2)]
+    reports = [ClientReport(i, np.zeros(3), np.zeros(1)) for i in range(2)]
     new = aggregate(state, reports, local_steps=4, lr=0.1)
     assert np.array_equal(new.theta, state.theta)
     assert np.all(new.delta_g == 0)
@@ -68,7 +66,7 @@ def test_delta_g_cancellation():
     state = RoundState.initial(np.zeros(3), model.layout)
     u = np.array([1.0, -2.0, 0.5])
     eta = 0.25
-    rep = ClientReport(0, -eta * u, BlockStats(np.zeros(1), model.layout), 3)
+    rep = ClientReport(0, -eta * u, np.zeros(1))
     new = aggregate(state, [rep], local_steps=1, lr=eta)
     assert np.allclose(new.delta_g, u, rtol=1e-12)
     assert np.allclose(new.theta, -eta * u, rtol=1e-12)
@@ -98,10 +96,9 @@ def test_aggregation_linearity_power_of_two_scale():
     model, data, cfgs, _ = quadratic_setup(num_clients=3)
     state = RoundState.initial(np.zeros(3), model.layout)
     rng = np.random.default_rng(2)
-    reports = [ClientReport(i, rng.standard_normal(3),
-                            BlockStats(np.zeros(1), model.layout), 3)
+    reports = [ClientReport(i, rng.standard_normal(3), np.zeros(1))
                for i in range(3)]
-    scaled = [ClientReport(r.client_id, 2.0 * r.delta, r.block_v, 3)
+    scaled = [ClientReport(r.client_id, 2.0 * r.delta, r.block_v)
               for r in reports]
     base = aggregate(state, reports, 4, 0.1)
     doubled = aggregate(state, scaled, 4, 0.1)
@@ -131,6 +128,41 @@ def test_client_failure_aborts_round():
     with pytest.raises(ConfigurationError):
         run_client(model, state, 0, bad[0][0], bad[0][1], cfgs[0],
                    AdamWParams(lr=0.1), "dp_fedavg_sgd", 1, NoiseStream(0))
+
+
+def client_reports(variant, round_state, opt, sigma=1.0):
+    model, data, cfgs, _ = quadratic_setup(sigma=sigma)
+    return [run_client(model, round_state, i, X, y, cfgs[i], opt, variant, 3,
+                       NoiseStream(7)) for i, (X, y) in enumerate(data)]
+
+
+def reports_equal(a, b):
+    return all(ra.client_id == rb.client_id
+               and all(np.array_equal(getattr(ra, f), getattr(rb, f))
+                       for f in ("delta", "block_v", "v_full", "theta_end"))
+               for ra, rb in zip(a, b))
+
+
+@pytest.mark.parametrize("variant", ["dp_local_adamw", "dp_fedavg_sgd"])
+def test_baselines_ignore_broadcast_and_direction(variant):
+    # Only dp_fedadamw reads the broadcast block means and the alignment
+    # direction; the baselines must give bitwise the reports they give
+    # from a blank round state.
+    theta = np.array([0.5, -0.5, 1.0])
+    blank = RoundState(theta, np.zeros(1), np.zeros(3), t=2)
+    rich = RoundState(theta, np.full(1, 4.0), np.array([1.0, -2.0, 3.0]), t=2)
+    opt = AdamWParams(lr=0.05)
+    assert reports_equal(client_reports(variant, blank, opt),
+                         client_reports(variant, rich, opt))
+    aligned = AdamWParams(lr=0.05, align_coef=0.5)
+    assert not reports_equal(client_reports("dp_fedadamw", blank, aligned),
+                             client_reports("dp_fedadamw", rich, aligned))
+
+
+def test_unknown_variant_rejected_by_run_client():
+    state = RoundState(np.zeros(3), np.zeros(1), np.zeros(3))
+    with pytest.raises(ConfigurationError, match="unknown variant"):
+        client_reports("dp_fedyogi", state, AdamWParams(lr=0.1))
 
 
 def test_payload_counts():
@@ -166,7 +198,7 @@ def test_warm_start_and_alignment_flow_through():
     stream = NoiseStream(4)
     state, reports = run_round(state, model, data, cfgs, opt, "dp_fedadamw",
                                3, 2, stream)
-    assert np.any(state.v_bar.per_block > 0)
+    assert state.v_bar.shape == (1,) and np.all(state.v_bar > 0)
     state2, _ = run_round(state, model, data, cfgs, opt, "dp_fedadamw",
                           3, 2, stream)
     assert state2.t == 2

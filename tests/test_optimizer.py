@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from dpfed.blocks import BlockLayout, BlockStats, broadcast_blocks
+from dpfed.blocks import BlockLayout, ConfigurationError, broadcast_blocks
 from dpfed.dp import DPConfig
 from dpfed.optimizer import (AdamWParams, DivergenceError,
                              corrected_preconditioner, init_round, local_step,
-                             moment_update, sgd_local_step)
+                             moment_update)
 
 
 def params(**kw):
@@ -15,25 +15,27 @@ def params(**kw):
 
 
 def test_init_round_zero_broadcast():
-    st = init_round(4, params(), "dp_fedadamw", v_broadcast=np.zeros(4))
+    st = init_round(4, params(), v_broadcast=np.zeros(4))
     assert np.all(st.m == 0) and np.all(st.v == 0) and st.k == 0
 
 
 def test_init_round_warm_start_from_block_means():
     layout = BlockLayout.from_sizes([("a", 2), ("b", 2)])
-    vb = broadcast_blocks(BlockStats(np.array([1.5, 3.5]), layout))
-    st = init_round(4, params(), "dp_fedadamw", v_broadcast=vb)
+    vb = broadcast_blocks(np.array([1.5, 3.5]), layout)
+    st = init_round(4, params(), v_broadcast=vb)
     assert np.array_equal(st.v, [1.5, 1.5, 3.5, 3.5])
+    assert st.v is not vb
 
 
-def test_local_variant_ignores_broadcast():
-    st = init_round(4, params(), "dp_local_adamw",
-                    v_broadcast=np.full(4, 9.0))
-    assert np.all(st.v == 0)
+def test_init_round_rejects_bad_broadcast():
+    with pytest.raises(ConfigurationError):
+        init_round(4, params(), v_broadcast=np.zeros(3))
+    with pytest.raises(ConfigurationError):
+        init_round(2, params(), v_broadcast=np.array([1.0, -1.0]))
 
 
 def test_first_step_bias_correction_identity():
-    st = init_round(3, params(), "dp_local_adamw")
+    st = init_round(3, params())
     g = np.array([0.1, -0.2, 0.3])
     m_hat, v_hat = moment_update(st, g)
     assert np.allclose(m_hat, g, rtol=1e-12)
@@ -41,7 +43,7 @@ def test_first_step_bias_correction_identity():
 
 
 def test_constant_gradient_limit():
-    st = init_round(2, params(), "dp_local_adamw")
+    st = init_round(2, params())
     g = np.array([0.5, -1.0])
     for _ in range(20_000):
         m_hat, v_hat = moment_update(st, g)
@@ -105,7 +107,7 @@ def test_local_step_matches_straight_line_oracle():
     delta_g = rng.standard_normal(4)
     g = 0.05 * rng.standard_normal(4)
 
-    st = init_round(4, p, "dp_fedadamw")
+    st = init_round(4, p)
     m_hat, v_hat = moment_update(st, g)
     precond = corrected_preconditioner(v_hat, cfg.noise_std, p.eps)
     got = local_step(theta, m_hat, precond, delta_g, p)
@@ -127,10 +129,16 @@ def test_local_step_divergence_detected():
                    np.array([1e8]), None, params(lr=1e8))
 
 
+# The FedAvg baseline's SGD step: local_step with m_hat = g and a
+# preconditioner of 1.0.
 def test_sgd_step_basics():
     theta = np.array([1.0, 2.0])
-    assert np.array_equal(sgd_local_step(theta, np.zeros(2), 0.1), theta)
-    assert np.array_equal(sgd_local_step(theta, np.ones(2), 0.0), theta)
+    p = params(lr=0.1, weight_decay=0.01)
+    assert np.array_equal(local_step(theta, np.zeros(2), 1.0, None,
+                                     params(lr=0.1)), theta)
+    g = np.array([0.3, -0.7])
+    assert np.array_equal(local_step(theta, g, 1.0, None, p),
+                          theta - p.lr * g - p.lr * p.weight_decay * theta)
 
 
 def test_sgd_quadratic_loss_nonincreasing():
@@ -141,4 +149,4 @@ def test_sgd_quadratic_loss_nonincreasing():
         loss = 0.5 * np.sum((theta - center) ** 2)
         assert loss <= prev
         prev = loss
-        theta = sgd_local_step(theta, theta - center, 0.1)
+        theta = local_step(theta, theta - center, 1.0, None, params(lr=0.1))

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpfed import runner
 from dpfed.blocks import ConfigurationError
 from dpfed.cli import main as cli_main
+from dpfed.optimizer import DivergenceError
 from dpfed.runner import (METRICS_COLUMNS, RunConfig, compare,
                           config_from_strings, parse_config_file, run)
 
@@ -32,6 +34,51 @@ def test_zero_rounds_run(tmp_path):
     csv = (tmp_path / "out" / "metrics.csv").read_text()
     assert csv == ",".join(METRICS_COLUMNS) + "\n"  # header only
     assert (tmp_path / "out" / "summary.json").exists()
+
+
+def test_zero_noise_reports_infinite_epsilon(tmp_path, capsys):
+    # Without noise nothing is private: a run of >= 1 round must not
+    # claim a finite epsilon, in any artifact or on the command line.
+    summary = run(small_config(tmp_path, noise_multiplier=0.0))
+    assert summary.eps_rdp == math.inf and summary.eps_paper == math.inf
+    assert all(r.eps_rdp == math.inf and r.eps_paper == math.inf
+               for r in summary.metrics)
+    rows = (tmp_path / "out" / "metrics.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[-2:] for row in rows] == [["inf", "inf"]] * 2
+    text = (tmp_path / "out" / "summary.json").read_text()
+    assert '"eps_rdp": Infinity' in text and '"eps_paper": Infinity' in text
+    assert json.loads(text)["eps_rdp"] == math.inf
+    zero = run(small_config(tmp_path, noise_multiplier=0.0, rounds=0))
+    assert zero.eps_rdp == 0.0 and zero.eps_paper == 0.0
+    rc = cli_main(["run", "--model", "quadratic", "--dataset", "quadratics",
+                   "--dim", "3", "--num_clients", "3", "--rounds", "1",
+                   "--local_steps", "1", "--sample_rate", "0.5",
+                   "--samples_per_client", "10", "--noise_multiplier", "0",
+                   "--output_dir", str(tmp_path / "cli")])
+    assert rc == 0
+    assert "eps_rdp=inf eps_paper=inf" in capsys.readouterr().out
+
+
+def test_divergence_keeps_completed_rounds(tmp_path, monkeypatch):
+    full = run(small_config(tmp_path, rounds=4,
+                            output_dir=str(tmp_path / "a")))
+    assert len(full.metrics) == 4
+    expected = (tmp_path / "a" / "metrics.csv").read_text().splitlines(True)
+    calls = []
+    real_run_round = runner.run_round
+
+    def diverge_on_third_call(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise DivergenceError("non-finite parameters (injected)")
+        return real_run_round(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "run_round", diverge_on_third_call)
+    with pytest.raises(DivergenceError):
+        run(small_config(tmp_path, rounds=4, output_dir=str(tmp_path / "b")))
+    got = (tmp_path / "b" / "metrics.csv").read_text()
+    assert got == "".join(expected[:3])  # header + the 2 completed rounds
+    assert not (tmp_path / "b" / "summary.json").exists()
 
 
 def test_rerun_byte_identical(tmp_path):
@@ -121,8 +168,19 @@ def test_config_validation():
         RunConfig(rounds=-1)
 
 
-def test_mismatched_model_dataset_writes_nothing(tmp_path):
-    cfg = small_config(tmp_path, model="quadratic", dataset="blobs")
+INVALID_AT_RUN = {
+    "model_dataset": dict(model="quadratic", dataset="blobs"),
+    "beta1": dict(beta1=1.5),
+    "gamma": dict(gamma=-1.0),
+    "adam_eps": dict(adam_eps=0.0),
+    "weight_decay": dict(weight_decay=-1.0),
+}
+
+
+@pytest.mark.parametrize("kw", INVALID_AT_RUN.values(), ids=INVALID_AT_RUN)
+def test_mismatched_model_dataset_writes_nothing(tmp_path, kw):
+    # Rejected by run(), not by RunConfig: no output directory may appear.
+    cfg = small_config(tmp_path, **kw)
     with pytest.raises(ConfigurationError):
         run(cfg)
     assert not (tmp_path / "out").exists()
