@@ -39,10 +39,17 @@ class Budget:
 
 @dataclass
 class PrivacyLedger:
-    """Step counts per (noise multiplier, sampling rate), in insertion order."""
+    """Step counts per (noise multiplier, sampling rate), in insertion order.
+
+    The per-step RDP curve of a key (one value per order of ``order_grid``)
+    is computed the first time ``add_event`` sees the key and kept for the
+    life of the ledger, so ``order_grid`` must not change after that.
+    """
 
     steps: dict[tuple[float, float], int] = field(default_factory=dict)
     order_grid: tuple[float, ...] = DEFAULT_ORDER_GRID
+    _curves: dict[tuple[float, float], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def add_event(self, sigma: float, q: float, steps: int) -> None:
         if sigma <= 0:
@@ -54,6 +61,15 @@ class PrivacyLedger:
         if steps:
             key = (float(sigma), float(q))
             self.steps[key] = self.steps.get(key, 0) + int(steps)
+            self.curve(key)
+
+    def curve(self, key: tuple[float, float]) -> np.ndarray:
+        """Per-step RDP of the (sigma, q) key at each order of the grid."""
+        if key not in self._curves:
+            sigma, q = key
+            self._curves[key] = np.array(
+                [_event_rdp(order, sigma, q) for order in self.order_grid])
+        return self._curves[key]
 
 
 def gaussian_rdp(order: float, sigma: float) -> float:
@@ -99,19 +115,17 @@ def _event_rdp(order: float, sigma: float, q: float) -> float:
 def compose_and_convert(ledger: PrivacyLedger, delta: float) -> Budget:
     """Compose the ledger in RDP and convert to an (epsilon, delta) budget.
 
-    The ledger sums integer step counts per (sigma, q) before scaling, so
-    composition is exactly additive.
+    The ledger sums integer step counts per (sigma, q) before scaling the
+    key's per-step RDP curve, so composition is exactly additive.
     """
     if not (0 < delta < 1):
         raise ConfigurationError("delta must lie in (0, 1)")
     if not ledger.steps:
         return Budget(0.0, delta)
-    best = math.inf
-    for order in ledger.order_grid:
-        total = sum(steps * _event_rdp(order, sigma, q)
-                    for (sigma, q), steps in ledger.steps.items())
-        best = min(best, total + math.log(1.0 / delta) / (order - 1))
-    return Budget(best, delta)
+    total = sum(steps * ledger.curve(key) for key, steps in ledger.steps.items())
+    orders = np.asarray(ledger.order_grid, dtype=np.float64)
+    eps = total + math.log(1.0 / delta) / (orders - 1)
+    return Budget(float(eps.min()), delta)
 
 
 def third_party_epsilon(s: float, rounds: int, local_steps: int,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +23,12 @@ class FederatedDataset:
     """Per-client (features, labels) arrays."""
 
     clients: list[tuple[np.ndarray, np.ndarray]]
+
+    @cached_property
+    def pooled(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every client's rows in client order, concatenated on first use."""
+        return (np.concatenate([c[0] for c in self.clients]),
+                np.concatenate([c[1] for c in self.clients]))
 
 
 def dirichlet_partition(X: np.ndarray, y: np.ndarray, num_clients: int,
@@ -101,6 +108,8 @@ def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
                 h != f"f{i + 1}" for i, h in enumerate(header[:-1])):
             raise ConfigurationError("CSV header must be f1..fp,label")
         rows = [row for row in reader if row]
+    if not rows:
+        raise ConfigurationError("CSV has no data rows")
     if any(len(row) != len(header) for row in rows):
         raise ConfigurationError(f"every CSV row must have {len(header)} fields")
     try:

@@ -35,10 +35,11 @@ class AdamWParams:
     def __post_init__(self):
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigurationError("betas must lie in [0, 1)")
-        if self.eps <= 0 or self.lr <= 0:
-            raise ConfigurationError("lr and eps must be > 0")
-        if self.weight_decay < 0 or self.align_coef < 0:
-            raise ConfigurationError("weight_decay and align_coef must be >= 0")
+        if not (self.eps > 0 and self.lr > 0):  # NaN fails too
+            raise ConfigurationError("lr and eps (adam_eps) must be > 0")
+        if not (self.weight_decay >= 0 and self.align_coef >= 0):
+            raise ConfigurationError(
+                "weight_decay and align_coef (gamma) must be >= 0")
 
 
 @dataclass

@@ -84,8 +84,13 @@ class RunConfig:
             raise ConfigurationError("sample_rate must be in (0, 1]")
         if not (0 < self.delta < 1):
             raise ConfigurationError("delta must lie in (0, 1)")
-        if self.alpha <= 0 or self.lr <= 0:
-            raise ConfigurationError("alpha and lr must be > 0")
+        if not self.alpha > 0:  # NaN fails too
+            raise ConfigurationError("alpha must be > 0")
+        # The optimizer's checks (lr, betas, adam_eps, weight_decay and
+        # gamma) for every variant: a bad value fails here, before any
+        # data is built.
+        AdamWParams(self.lr, self.beta1, self.beta2, self.adam_eps,
+                    self.weight_decay, self.gamma)
 
     @property
     def selected_clients(self) -> int:
@@ -180,8 +185,7 @@ def _build_problem(config: RunConfig, stream: NoiseStream):
 
 
 def _global_metrics(model, fed: FederatedDataset, theta) -> tuple[float, float]:
-    X = np.concatenate([c[0] for c in fed.clients])
-    y = np.concatenate([c[1] for c in fed.clients])
+    X, y = fed.pooled
     loss = model.batch_loss(theta, X, y)
     pred = model.predict(theta, X)
     acc = float("nan") if pred is None else float(np.mean(pred == y))
@@ -241,7 +245,11 @@ def run(config: RunConfig) -> RunSummary:
             downlink_floats=per_client_payload[1] * len(reports),
             eps_rdp=eps_rdp, eps_paper=eps_paper))
 
-    final_loss, final_acc = _global_metrics(model, fed, state.theta)
+    if records:  # theta has not moved since the last round's evaluation
+        last = records[-1]
+        final_loss, final_acc = last.global_loss, last.global_accuracy
+    else:
+        final_loss, final_acc = _global_metrics(model, fed, state.theta)
     _write_metrics_csv(out_dir, records)
     summary = RunSummary(final_loss=final_loss, final_accuracy=final_acc,
                          eps_rdp=eps_rdp, eps_paper=eps_paper,

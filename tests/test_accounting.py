@@ -5,11 +5,28 @@ import pytest
 from scipy import integrate
 from scipy.stats import norm
 
+from dpfed import accounting
 from dpfed.accounting import (DEFAULT_ORDER_GRID, Budget, PrivacyLedger,
                               compose_and_convert, gaussian_rdp,
                               server_budget, subsampled_gaussian_rdp,
                               third_party_epsilon)
 from dpfed.blocks import ConfigurationError
+
+
+def reference_event_rdp(order, sigma, q):
+    if q == 1.0:
+        return gaussian_rdp(order, sigma)
+    return subsampled_gaussian_rdp(max(2, math.ceil(order)), sigma, q)
+
+
+def reference_compose_and_convert(ledger, delta):
+    """Per-order loop: rebuilds every key's RDP at every order, each call."""
+    best = math.inf
+    for order in ledger.order_grid:
+        total = sum(steps * reference_event_rdp(order, sigma, q)
+                    for (sigma, q), steps in ledger.steps.items())
+        best = min(best, total + math.log(1.0 / delta) / (order - 1))
+    return best
 
 
 def test_gaussian_rdp_values():
@@ -73,6 +90,52 @@ def test_composition_additivity_exact():
     merged.add_event(1.2, 0.05, 100)
     assert (compose_and_convert(split, delta).epsilon
             == compose_and_convert(merged, delta).epsilon)
+
+
+LEDGER_EVENTS = {
+    "one_key": [(1.1, 0.05, 5)],
+    "full_batch": [(2.0, 1.0, 3)],
+    "repeated_key": [(0.9, 0.2, 4)] * 7,
+    "multi_key": [(1.0, 0.1, 3), (2.0, 1.0, 1), (0.7, 0.01, 50),
+                  (1.0, 0.1, 4), (3.0, 0.5, 2), (0.7, 0.01, 1)],
+}
+
+
+@pytest.mark.parametrize("events", LEDGER_EVENTS.values(), ids=LEDGER_EVENTS)
+def test_compose_matches_reference_bitwise(events):
+    ledger = PrivacyLedger()
+    for sigma, q, steps in events:
+        ledger.add_event(sigma, q, steps)
+        for delta in (1e-5, 1e-3, 0.1):
+            got = compose_and_convert(ledger, delta).epsilon
+            assert got == reference_compose_and_convert(ledger, delta)
+            assert type(got) is float
+
+
+def test_custom_order_grid_matches_reference():
+    custom = PrivacyLedger(order_grid=(1.5, 3, 7.5, 20, 100.0))
+    default = PrivacyLedger()
+    for ledger in (custom, default):
+        ledger.add_event(1.3, 0.05, 10)
+        ledger.add_event(2.0, 1.0, 2)
+    eps = compose_and_convert(custom, 1e-5).epsilon
+    assert eps == reference_compose_and_convert(custom, 1e-5)
+    assert eps > compose_and_convert(default, 1e-5).epsilon  # coarser grid
+
+
+def test_rdp_curve_computed_once_per_key(monkeypatch):
+    calls = []
+
+    def counted(order, sigma, q):
+        calls.append(order)
+        return subsampled_gaussian_rdp(order, sigma, q)
+
+    monkeypatch.setattr(accounting, "subsampled_gaussian_rdp", counted)
+    ledger = PrivacyLedger()
+    for _ in range(50):
+        ledger.add_event(1.0, 0.1, 5)
+        compose_and_convert(ledger, 1e-5)
+    assert 0 < len(calls) <= len(ledger.order_grid)
 
 
 def test_empty_ledger_zero_epsilon():

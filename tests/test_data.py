@@ -15,7 +15,10 @@ def test_partition_is_exact():
     X, y = blob_data()
     fed = dirichlet_partition(X, y, 5, 0.5, NoiseStream(1))
     assert sum(len(yc) for _, yc in fed.clients) == len(y)
-    seen = np.concatenate([c[0] for c in fed.clients])
+    seen, seen_y = fed.pooled  # the evaluation set: clients in order
+    assert np.array_equal(seen, np.concatenate([c[0] for c in fed.clients]))
+    assert np.array_equal(seen_y, np.concatenate([c[1] for c in fed.clients]))
+    assert fed.pooled[0] is seen  # built once
     assert seen.shape == X.shape
     # disjoint exact cover: multiset of rows matches the global set
     order_a = np.lexsort(X.T)
@@ -120,6 +123,7 @@ def test_csv_bad_header(tmp_path):
 
 MALFORMED_CSV = {
     "empty_file": "",
+    "header_only": "f1,f2,label\n",
     "short_row": "f1,f2,label\n0.5,1.0,0\n1.5,2.0\n",
     "long_row": "f1,f2,label\n0.5,1.0,0,7\n",
     "negative_label": "f1,f2,label\n0.5,1.0,-1\n",

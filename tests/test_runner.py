@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dpfed import runner
 from dpfed.blocks import ConfigurationError
 from dpfed.cli import main as cli_main
+from dpfed.federation import STRATEGY_BY_VARIANT
 from dpfed.optimizer import DivergenceError
 from dpfed.runner import (METRICS_COLUMNS, RunConfig, compare,
                           config_from_strings, parse_config_file, run)
@@ -168,21 +169,36 @@ def test_config_validation():
         RunConfig(rounds=-1)
 
 
-INVALID_AT_RUN = {
+INVALID_CONFIG = {
     "model_dataset": dict(model="quadratic", dataset="blobs"),
     "beta1": dict(beta1=1.5),
     "gamma": dict(gamma=-1.0),
+    "gamma_nan": dict(gamma=float("nan")),
     "adam_eps": dict(adam_eps=0.0),
     "weight_decay": dict(weight_decay=-1.0),
 }
 
 
-@pytest.mark.parametrize("kw", INVALID_AT_RUN.values(), ids=INVALID_AT_RUN)
+@pytest.mark.parametrize("kw", INVALID_CONFIG.values(), ids=INVALID_CONFIG)
 def test_mismatched_model_dataset_writes_nothing(tmp_path, kw):
-    # Rejected by run(), not by RunConfig: no output directory may appear.
-    cfg = small_config(tmp_path, **kw)
+    # Rejected by RunConfig (optimizer settings) or by run() (model and
+    # dataset): either way no output directory may appear.
     with pytest.raises(ConfigurationError):
-        run(cfg)
+        run(small_config(tmp_path, **kw))
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("variant", sorted(STRATEGY_BY_VARIANT))
+def test_cli_optimizer_settings_checked_for_every_variant(tmp_path, capsys,
+                                                          variant):
+    rc = cli_main(["run", "--variant", variant, "--gamma", "-1",
+                   "--model", "quadratic", "--dataset", "quadratics",
+                   "--dim", "3", "--num_clients", "3", "--rounds", "1",
+                   "--local_steps", "1", "--sample_rate", "0.5",
+                   "--samples_per_client", "10",
+                   "--output_dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "gamma" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
