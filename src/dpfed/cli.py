@@ -69,6 +69,8 @@ def main(argv=None) -> int:
             compare(configs, seeds, axes=axes, output_dir=args.output_dir)
             print(f"wrote {args.output_dir}/comparison.csv")
         elif args.command == "account":
+            if args.every < 1:
+                raise ConfigurationError("--every must be >= 1")
             ledger = PrivacyLedger()
             print("round,eps_rdp,eps_paper")
             for t in range(1, args.rounds + 1):

@@ -56,13 +56,14 @@ class BiasProbeResult:
     se_v_corrected: np.ndarray
 
 
-def bias_probe(cfg: DPConfig, g: np.ndarray, k_steps: int, n_mc: int,
-               beta2: float, stream: NoiseStream,
+def bias_probe(cfg: DPConfig, batch_size: int, g: np.ndarray, k_steps: int,
+               n_mc: int, beta2: float, stream: NoiseStream,
                key: tuple[int, ...] = (97,)) -> BiasProbeResult:
-    """Monte-Carlo estimate of E[v] after k steps of constant gradient g.
+    """Monte-Carlo estimate of E[v] after k steps of constant gradient g,
+    privatized as a mean over batches of ``batch_size`` rows.
 
     Requires the clipping-inactive regime (||g|| < C): only there does the
-    additive shift (sigma*C/(sR))^2 describe the DP bias exactly. With
+    additive shift (sigma*C/b)^2 describe the DP bias exactly. With
     sigma = 0 the recursion is deterministic and mean_v equals
     (1 - beta2^k) * g*g up to floating round-off.
     """
@@ -70,7 +71,7 @@ def bias_probe(cfg: DPConfig, g: np.ndarray, k_steps: int, n_mc: int,
     if np.linalg.norm(g) >= cfg.clip_norm:
         raise ConfigurationError(
             "bias probe needs ||g|| < C (clipping-inactive regime)")
-    tau = cfg.noise_std
+    tau = cfg.noise_std(batch_size)
     runs = 1 if tau == 0.0 else int(n_mc)
     rng = stream.rng(key)
     v = np.zeros((runs, len(g)))

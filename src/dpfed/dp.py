@@ -2,9 +2,10 @@
 
 The privatized gradient of one local step is the mean of clipped
 per-sample gradients plus Gaussian noise with per-coordinate standard
-deviation ``sigma * C / batch_size``. Noise draws are keyed by
-(run seed, round, client, step) so trajectories are reproducible and
-clients can run concurrently on disjoint streams.
+deviation ``sigma * C / b``, where b = floor(s * R) for a client of R
+rows. Noise draws are keyed by (run seed, round, client, step) so
+trajectories are reproducible and clients can run concurrently on
+disjoint streams.
 """
 from __future__ import annotations
 
@@ -25,12 +26,11 @@ DOMAIN_DATA = 4
 
 @dataclass(frozen=True)
 class DPConfig:
-    """Clipping and noise parameters of the per-step DP mechanism."""
+    """The run's per-step DP mechanism (C, sigma, s); one per run."""
 
     clip_norm: float
     noise_multiplier: float
     sample_rate: float = 1.0
-    client_dataset_size: int = 1
 
     def __post_init__(self):
         if not (self.clip_norm > 0 and math.isfinite(self.clip_norm)):
@@ -39,17 +39,20 @@ class DPConfig:
             raise ConfigurationError("noise_multiplier must be finite and >= 0")
         if not (0 < self.sample_rate <= 1):
             raise ConfigurationError("sample_rate must be in (0, 1]")
-        if self.batch_size < 1:
-            raise ConfigurationError("floor(sample_rate * dataset_size) must be >= 1")
 
-    @property
-    def batch_size(self) -> int:
-        return int(self.sample_rate * self.client_dataset_size)
+    def batch_size(self, num_rows: int) -> int:
+        """floor(s * R) for a client of R rows; it must be >= 1."""
+        b = int(self.sample_rate * num_rows)
+        if b < 1:
+            raise ConfigurationError(
+                f"floor(sample_rate * {num_rows} rows) must be >= 1")
+        return b
 
-    @property
-    def noise_std(self) -> float:
-        """Per-coordinate std of the noise on the batch mean: sigma*C/(sR)."""
-        return self.noise_multiplier * self.clip_norm / self.batch_size
+    def noise_std(self, batch_size: int) -> float:
+        """Per-coordinate std of the noise on a batch mean: sigma*C/b."""
+        if batch_size < 1:
+            raise ConfigurationError("batch size must be >= 1")
+        return self.noise_multiplier * self.clip_norm / batch_size
 
 
 class NoiseStream:
@@ -97,27 +100,23 @@ def clip_batch(grads: np.ndarray, clip_norm: float) -> np.ndarray:
     return out
 
 
-def noisy_batch_mean(clipped: np.ndarray, cfg: DPConfig,
+def noisy_batch_mean(grads: np.ndarray, cfg: DPConfig,
                      noise: NoiseStream | None,
                      key: tuple[int, ...] = ()) -> np.ndarray:
-    """Mean of clipped gradients plus keyed Gaussian noise.
+    """Mean of the clipped per-sample gradients plus keyed Gaussian noise.
 
-    Summation runs over per-coordinate sorted values, so the result is
-    exactly invariant under permutation of the batch.
+    The rows are clipped here, so the guarantee does not rest on the
+    caller. Summation runs over per-coordinate sorted values, so the
+    result is exactly invariant under permutation of the batch.
     """
-    clipped = np.asarray(clipped, dtype=np.float64)
-    if clipped.ndim != 2 or clipped.shape[0] == 0:
+    grads = np.asarray(grads, dtype=np.float64)
+    if grads.ndim != 2 or grads.shape[0] == 0:
         raise ConfigurationError("expected non-empty (n, d) batch of gradients")
-    if clipped.shape[0] != cfg.batch_size:
-        raise ConfigurationError(
-            f"batch size {clipped.shape[0]} != floor(s*R) = {cfg.batch_size}")
-    norms = np.linalg.norm(clipped, axis=1)
-    if np.any(norms > cfg.clip_norm + 1e-9):
-        raise ConfigurationError("noisy_batch_mean received unclipped gradients")
-    mean = np.sum(np.sort(clipped, axis=0), axis=0) / cfg.batch_size
+    clipped = clip_batch(grads, cfg.clip_norm)
+    b, d = clipped.shape
+    mean = np.sum(np.sort(clipped, axis=0), axis=0) / b
     if cfg.noise_multiplier > 0:
         if noise is None:
             raise ConfigurationError("noise stream required when sigma > 0")
-        mean = mean + cfg.noise_std * noise.normal((DOMAIN_NOISE, *key),
-                                                   clipped.shape[1])
+        mean = mean + cfg.noise_std(b) * noise.normal((DOMAIN_NOISE, *key), d)
     return mean

@@ -14,7 +14,7 @@ import numpy as np
 from .blocks import (BlockLayout, ConfigurationError, block_mean,
                      broadcast_blocks)
 from .dp import (DOMAIN_BATCH, DOMAIN_CLIENTS, DPConfig, NoiseStream,
-                 clip_batch, noisy_batch_mean)
+                 noisy_batch_mean)
 from .models import Model
 from .optimizer import (AdamWParams, corrected_preconditioner, init_round,
                         local_step, moment_update)
@@ -81,29 +81,28 @@ def run_client(model: Model, round_state: RoundState, client_id: int,
                opt: AdamWParams, variant: str, local_steps: int,
                stream: NoiseStream,
                options: ClientOptions = ClientOptions()) -> ClientReport:
-    """K private local steps of one client; returns its report."""
+    """K private local steps of one client; returns its report. Its batch
+    size floor(s * len(y)) and noise std follow from its row count."""
     if variant not in STRATEGY_BY_VARIANT:
         raise ConfigurationError(f"unknown variant {variant!r}")
+    n = len(y)
+    b = dp_cfg.batch_size(n)
     # The variant's mechanisms, resolved once: only dp_fedadamw warm-starts,
     # removes the noise bias and aligns; dp_fedavg_sgd steps along g itself.
     fedadamw = variant == "dp_fedadamw"
     sgd = variant == "dp_fedavg_sgd"
     v0 = (broadcast_blocks(round_state.v_bar, model.layout)
           if fedadamw and options.warm_start else None)
-    tau = dp_cfg.noise_std if fedadamw and options.bias_correction else 0.0
+    tau = dp_cfg.noise_std(b) if fedadamw and options.bias_correction else 0.0
     delta_g = round_state.delta_g if fedadamw else None
     state = init_round(model.d, opt, v0)
     t = round_state.t
     theta = round_state.theta.copy()
-    n = len(y)
-    if n != dp_cfg.client_dataset_size:
-        raise ConfigurationError("dp_cfg dataset size does not match client data")
     for k in range(1, local_steps + 1):
         rng = stream.rng((DOMAIN_BATCH, t, client_id, k))
-        idx = np.sort(rng.choice(n, size=dp_cfg.batch_size, replace=False))
+        idx = np.sort(rng.choice(n, size=b, replace=False))
         grads = model.per_sample_grads(theta, X[idx], y[idx])
-        clipped = clip_batch(grads, dp_cfg.clip_norm)
-        g = noisy_batch_mean(clipped, dp_cfg, stream, key=(t, client_id, k))
+        g = noisy_batch_mean(grads, dp_cfg, stream, key=(t, client_id, k))
         if sgd:
             m_hat, precond = g, 1.0
         else:
@@ -139,7 +138,7 @@ def aggregate(round_state: RoundState, reports: list[ClientReport],
 
 def run_round(round_state: RoundState, model: Model,
               client_data: list[tuple[np.ndarray, np.ndarray]],
-              dp_cfgs: list[DPConfig], opt: AdamWParams, variant: str,
+              dp_cfg: DPConfig, opt: AdamWParams, variant: str,
               local_steps: int, num_selected: int, stream: NoiseStream,
               options: ClientOptions = ClientOptions(),
               ) -> tuple[RoundState, list[ClientReport]]:
@@ -150,7 +149,7 @@ def run_round(round_state: RoundState, model: Model,
     for cid in selected:
         X, y = client_data[cid]
         reports.append(run_client(model, round_state, int(cid), X, y,
-                                  dp_cfgs[cid], opt, variant, local_steps,
+                                  dp_cfg, opt, variant, local_steps,
                                   stream, options))
     new_state = aggregate(round_state, reports, local_steps, opt.lr)
     return new_state, reports

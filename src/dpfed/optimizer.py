@@ -89,11 +89,10 @@ def corrected_preconditioner(v_hat: np.ndarray, noise_std: float,
 def local_step(theta: np.ndarray, m_hat: np.ndarray,
                precond: np.ndarray | float, delta_g: np.ndarray | None,
                params: AdamWParams) -> np.ndarray:
-    """One aligned AdamW step with decoupled weight decay."""
+    """One AdamW step with decoupled weight decay; it adds
+    align_coef * delta_g only when a direction is given."""
     update = m_hat * precond
-    if params.align_coef != 0.0:
-        if delta_g is None:
-            raise ConfigurationError("alignment enabled but no direction given")
+    if delta_g is not None and params.align_coef != 0.0:
         update = update + params.align_coef * delta_g
     new_theta = theta - params.lr * update
     if params.weight_decay != 0.0:

@@ -12,7 +12,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -80,17 +80,23 @@ class RunConfig:
             raise ConfigurationError("participation must be in (0, 1]")
         if self.rounds < 0 or self.local_steps < 1 or self.num_clients < 1:
             raise ConfigurationError("invalid rounds / local_steps / clients")
-        if not (0 < self.sample_rate <= 1):
-            raise ConfigurationError("sample_rate must be in (0, 1]")
         if not (0 < self.delta < 1):
             raise ConfigurationError("delta must lie in (0, 1)")
         if not self.alpha > 0:  # NaN fails too
             raise ConfigurationError("alpha must be > 0")
         # The optimizer's checks (lr, betas, adam_eps, weight_decay and
-        # gamma) for every variant: a bad value fails here, before any
-        # data is built.
-        AdamWParams(self.lr, self.beta1, self.beta2, self.adam_eps,
-                    self.weight_decay, self.gamma)
+        # gamma) and the DP mechanism's (clip_norm, noise_multiplier,
+        # sample_rate) for every variant: a bad value fails here, before
+        # any data is built.
+        self.adamw_params()
+        self.dp_config()
+
+    def adamw_params(self) -> AdamWParams:
+        return AdamWParams(self.lr, self.beta1, self.beta2, self.adam_eps,
+                           self.weight_decay, self.gamma)
+
+    def dp_config(self) -> DPConfig:
+        return DPConfig(self.clip_norm, self.noise_multiplier, self.sample_rate)
 
     @property
     def selected_clients(self) -> int:
@@ -153,12 +159,8 @@ class RunSummary:
     metrics: list[MetricRecord]
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _build_problem(config: RunConfig, stream: NoiseStream):
-    """Model plus per-client datasets and DP configs."""
+    """Model, per-client datasets and the run's DP mechanism."""
     if config.model == "quadratic":
         if config.dataset != "quadratics":
             raise ConfigurationError("quadratic model requires dataset=quadratics")
@@ -178,10 +180,10 @@ def _build_problem(config: RunConfig, stream: NoiseStream):
         fed = dirichlet_partition(X, y, config.num_clients, config.alpha, stream)
         model = build_model(config.model, num_features=X.shape[1],
                             num_classes=int(y.max()) + 1, hidden=config.hidden)
-    dp_cfgs = [DPConfig(config.clip_norm, config.noise_multiplier,
-                        config.sample_rate, len(y_i))
-               for _, y_i in fed.clients]
-    return model, fed, dp_cfgs
+    dp_cfg = config.dp_config()
+    for _, y_i in fed.clients:  # a client without one full batch fails here
+        dp_cfg.batch_size(len(y_i))
+    return model, fed, dp_cfg
 
 
 def _global_metrics(model, fed: FederatedDataset, theta) -> tuple[float, float]:
@@ -199,13 +201,10 @@ def run(config: RunConfig) -> RunSummary:
     out_dir = os.environ.get("OUTPUT_DIR", config.output_dir)
 
     stream = NoiseStream(config.seed)
-    model, fed, dp_cfgs = _build_problem(config, stream)
+    model, fed, dp_cfg = _build_problem(config, stream)
     theta0 = model.init_params(stream.rng((DOMAIN_INIT,)))
     state = RoundState.initial(theta0, model.layout)
-    opt = AdamWParams(lr=config.lr, beta1=config.beta1, beta2=config.beta2,
-                      eps=config.adam_eps, weight_decay=config.weight_decay,
-                      align_coef=(config.gamma
-                                  if config.variant == "dp_fedadamw" else 0.0))
+    opt = config.adamw_params()
     options = ClientOptions(warm_start=config.warm_start,
                             bias_correction=config.bias_correction,
                             identity_preconditioner=config.identity_preconditioner)
@@ -219,10 +218,11 @@ def run(config: RunConfig) -> RunSummary:
     for _ in range(config.rounds):
         try:
             state, reports = run_round(
-                state, model, fed.clients, dp_cfgs, opt, config.variant,
+                state, model, fed.clients, dp_cfg, opt, config.variant,
                 config.local_steps, config.selected_clients, stream, options)
         except DivergenceError:
-            _write_metrics_csv(out_dir, records)
+            _write_csv(out_dir, "metrics.csv", METRICS_COLUMNS,
+                       map(astuple, records))
             raise
         if config.noise_multiplier > 0:
             ledger.add_event(config.noise_multiplier, config.sample_rate,
@@ -250,7 +250,7 @@ def run(config: RunConfig) -> RunSummary:
         final_loss, final_acc = last.global_loss, last.global_accuracy
     else:
         final_loss, final_acc = _global_metrics(model, fed, state.theta)
-    _write_metrics_csv(out_dir, records)
+    _write_csv(out_dir, "metrics.csv", METRICS_COLUMNS, map(astuple, records))
     summary = RunSummary(final_loss=final_loss, final_accuracy=final_acc,
                          eps_rdp=eps_rdp, eps_paper=eps_paper,
                          wall_time_s=time.perf_counter() - start,
@@ -266,14 +266,12 @@ def _write_text(out_dir: str, name: str, text: str) -> None:
         fh.write(text)
 
 
-def _write_metrics_csv(out_dir: str, records: list[MetricRecord]) -> None:
-    lines = [",".join(METRICS_COLUMNS)]
-    for r in records:
-        lines.append(",".join([
-            str(r.t), _fmt(r.global_loss), _fmt(r.global_accuracy),
-            _fmt(r.var_v), _fmt(r.drift), str(r.uplink_floats),
-            str(r.downlink_floats), _fmt(r.eps_rdp), _fmt(r.eps_paper)]))
-    _write_text(out_dir, "metrics.csv", "\n".join(lines) + "\n")
+def _write_csv(out_dir: str, name: str, columns, rows) -> None:
+    """Header plus one line per row; floats keep 17 significant digits."""
+    lines = [",".join(columns)]
+    lines += [",".join(format(float(x), ".17g") if isinstance(x, float)
+                       else str(x) for x in row) for row in rows]
+    _write_text(out_dir, name, "\n".join(lines) + "\n")
 
 
 def _write_summary_json(out_dir: str, config: RunConfig,
@@ -332,10 +330,6 @@ def compare(configs: list[RunConfig], seeds: list[int],
     if output_dir:
         cols = ("config", "config_hash", "seed", "kind", "final_loss",
                 "final_accuracy", "loss_std", "accuracy_std")
-        lines = [",".join(cols)]
-        for row in rows:
-            lines.append(",".join(
-                _fmt(row[c]) if isinstance(row.get(c), float)
-                else str(row.get(c, "")) for c in cols))
-        _write_text(output_dir, "comparison.csv", "\n".join(lines) + "\n")
+        _write_csv(output_dir, "comparison.csv", cols,
+                   ([row.get(c, "") for c in cols] for row in rows))
     return rows

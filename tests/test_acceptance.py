@@ -25,8 +25,8 @@ from dpfed.optimizer import AdamWParams, corrected_preconditioner
 from dpfed.runner import RunConfig, run
 
 BETA2 = 0.999
-PROBE_CFG = DPConfig(clip_norm=0.1, noise_multiplier=1.0, sample_rate=1.0,
-                     client_dataset_size=10)  # tau = sigma*C/(sR) = 0.01
+PROBE_CFG = DPConfig(clip_norm=0.1, noise_multiplier=1.0, sample_rate=1.0)
+PROBE_B = 10                                 # tau = sigma*C/b = 0.01
 PROBE_G = np.array([0.05, 0.05, -0.05])      # ||g|| < C, clipping inactive
 PROBE_K, PROBE_MC = 50, 20_000
 
@@ -37,7 +37,7 @@ def check(criterion, passed, detail=""):
 
 
 def probe():
-    return bias_probe(PROBE_CFG, PROBE_G, PROBE_K, PROBE_MC, BETA2,
+    return bias_probe(PROBE_CFG, PROBE_B, PROBE_G, PROBE_K, PROBE_MC, BETA2,
                       NoiseStream(0))
 
 
@@ -46,7 +46,7 @@ def test_criterion_01_bias_identity():
     res = probe()
     elapsed = time.perf_counter() - start
     denom = 1.0 - BETA2 ** PROBE_K
-    tau2 = PROBE_CFG.noise_std ** 2
+    tau2 = PROBE_CFG.noise_std(PROBE_B) ** 2
     shift = res.mean_v / denom - PROBE_G * PROBE_G
     se = res.se_v / denom
     dev = np.abs(shift - tau2)
@@ -281,12 +281,11 @@ def _reduction_problem():
     stream = NoiseStream(7)
     centers = make_client_quadratics(4, 3, 1.0, stream)
     fed = quadratic_client_data(centers, 20, stream, 0.1)
-    dp_cfgs = [DPConfig(1.0, 0.0, 0.5, 20) for _ in range(3)]
-    return model, fed.clients, dp_cfgs, stream
+    return model, fed.clients, DPConfig(1.0, 0.0, 0.5), stream
 
 
 def test_criterion_12_reductions():
-    model, data, dp_cfgs, stream = _reduction_problem()
+    model, data, dp_cfg, stream = _reduction_problem()
     theta0 = model.init_params(stream.rng((3,)))
     opt = AdamWParams(lr=0.05, beta2=0.9, eps=1e-2, weight_decay=0.0,
                       align_coef=0.0)
@@ -298,7 +297,7 @@ def test_criterion_12_reductions():
         state = RoundState.initial(theta0, model.layout)
         thetas = []
         for _ in range(5):
-            state, _ = run_round(state, model, data, dp_cfgs, opt, variant,
+            state, _ = run_round(state, model, data, dp_cfg, opt, variant,
                                  5, 3, stream, options)
             thetas.append(state.theta.copy())
         trajectories[variant] = thetas
@@ -312,9 +311,9 @@ def test_criterion_12_reductions():
     state = RoundState.initial(theta0, model.layout)
     max_step_err = 0.0
     for k in range(1, 6):
-        adam_like = run_client(model, state, 0, *data[0], dp_cfgs[0], sgd_opt,
+        adam_like = run_client(model, state, 0, *data[0], dp_cfg, sgd_opt,
                                "dp_fedadamw", k, stream, id_options)
-        sgd = run_client(model, state, 0, *data[0], dp_cfgs[0], sgd_opt,
+        sgd = run_client(model, state, 0, *data[0], dp_cfg, sgd_opt,
                          "dp_fedavg_sgd", k, stream)
         max_step_err = max(max_step_err, float(np.max(np.abs(
             adam_like.theta_end - sgd.theta_end))))

@@ -35,3 +35,11 @@ def test_tracer_wraps_every_traced_function(tmp_path):
     calls = tracer.summary(1)
     assert calls["federation.run_client"][0] == 2
     assert calls["optimizer.local_step"][0] == 4
+    # noisy_batch_mean clips its own batch: one clip_batch call inside
+    # each of its calls, so its self time excludes the clip.
+    assert calls["dp.noisy_batch_mean"][0] == 4
+    assert calls["dp.clip_batch"][0] == 4
+    names = {idx: tracing.SPAN_NAMES[n] for idx, n, *_ in tracer.spans}
+    clip_parents = {names[span[4]] for span in tracer.spans
+                    if names[span[0]] == "dp.clip_batch"}
+    assert clip_parents == {"dp.noisy_batch_mean"}

@@ -53,21 +53,21 @@ def test_drift_translation_invariant():
 
 
 def test_bias_probe_zero_noise_deterministic():
-    cfg = DPConfig(0.1, 0.0, 1.0, 10)
+    cfg = DPConfig(0.1, 0.0, 1.0)
     g = np.array([0.05, -0.03])
     k = 25
-    res = bias_probe(cfg, g, k, 10_000, BETA2, NoiseStream(0))
+    res = bias_probe(cfg, 10, g, k, 10_000, BETA2, NoiseStream(0))
     assert np.allclose(res.mean_v, (1 - BETA2**k) * g * g, rtol=1e-12)
     assert np.allclose(res.mean_v_corrected, g * g, rtol=1e-12)
 
 
 def test_bias_probe_detects_noise_shift():
     # The Challenge-2 identity: E[v]/(1-beta2^k) exceeds g*g by tau^2.
-    cfg = DPConfig(0.1, 1.0, 1.0, 10)
-    tau2 = cfg.noise_std**2
+    cfg = DPConfig(0.1, 1.0, 1.0)
+    tau2 = cfg.noise_std(10)**2
     g = np.array([0.05, 0.05])
     k, n_mc = 50, 10_000
-    res = bias_probe(cfg, g, k, n_mc, BETA2, NoiseStream(1))
+    res = bias_probe(cfg, 10, g, k, n_mc, BETA2, NoiseStream(1))
     shift = res.mean_v / (1 - BETA2**k) - g * g
     se = res.se_v / (1 - BETA2**k)
     assert np.all(np.abs(shift - tau2) < 5 * se)
@@ -76,6 +76,7 @@ def test_bias_probe_detects_noise_shift():
 
 
 def test_bias_probe_rejects_active_clipping():
-    cfg = DPConfig(0.1, 1.0, 1.0, 10)
+    cfg = DPConfig(0.1, 1.0, 1.0)
     with pytest.raises(ConfigurationError):
-        bias_probe(cfg, np.array([0.2, 0.2]), 10, 1000, BETA2, NoiseStream(0))
+        bias_probe(cfg, 10, np.array([0.2, 0.2]), 10, 1000, BETA2,
+                   NoiseStream(0))

@@ -7,8 +7,8 @@ from dpfed.blocks import ConfigurationError
 from dpfed.dp import DPConfig, NoiseStream, clip_batch, noisy_batch_mean
 
 
-def cfg(C=0.1, sigma=1.0, s=1.0, R=10):
-    return DPConfig(C, sigma, s, R)
+def cfg(C=0.1, sigma=1.0, s=1.0):
+    return DPConfig(C, sigma, s)
 
 
 def reference_clip(g, clip_norm):
@@ -99,16 +99,14 @@ def test_clip_never_increases_norm_and_idempotent(vals, C):
 def test_zero_noise_is_exact_mean():
     rng = np.random.default_rng(0)
     grads = rng.standard_normal((10, 4)) * 0.01
-    c = cfg(sigma=0.0)
-    out = noisy_batch_mean(clip_batch(grads, c.clip_norm), c, None)
+    out = noisy_batch_mean(grads, cfg(sigma=0.0), None)  # no row is clipped
     assert np.allclose(out, grads.mean(axis=0), rtol=1e-12, atol=1e-15)
 
 
 def test_zero_noise_large_clip_equals_plain_batch_gradient():
     rng = np.random.default_rng(1)
     grads = rng.standard_normal((10, 4))
-    c = DPConfig(1e6, 0.0, 1.0, 10)
-    out = noisy_batch_mean(clip_batch(grads, c.clip_norm), c, None)
+    out = noisy_batch_mean(grads, DPConfig(1e6, 0.0, 1.0), None)
     assert np.allclose(out, grads.mean(axis=0), rtol=1e-12)
 
 
@@ -132,10 +130,20 @@ def test_determinism_and_key_separation():
     assert not np.array_equal(a, c)
 
 
-def test_unclipped_input_rejected():
-    grads = np.full((10, 4), 1.0)
-    with pytest.raises(ConfigurationError):
-        noisy_batch_mean(grads, cfg(), NoiseStream(0))
+def test_noisy_batch_mean_clips_its_batch():
+    # Raw per-sample gradients, most rows far above C: the mechanism must
+    # clip them itself, giving bitwise what a pre-clipped batch gives.
+    rng = np.random.default_rng(4)
+    raw = rng.standard_normal((10, 5)) * 10.0 ** rng.uniform(-3, 2, (10, 1))
+    c = cfg(C=0.1)
+    assert np.sum(np.linalg.norm(raw, axis=1) > c.clip_norm) >= 5
+    stream = NoiseStream(5)
+    assert np.array_equal(
+        noisy_batch_mean(raw, c, stream, key=(0, 1, 2)),
+        noisy_batch_mean(clip_batch(raw, c.clip_norm), c, stream,
+                         key=(0, 1, 2)))
+    exact = noisy_batch_mean(raw, cfg(C=0.1, sigma=0.0), None)
+    assert np.linalg.norm(exact) <= 0.1
 
 
 def test_empty_batch_rejected():
@@ -143,21 +151,16 @@ def test_empty_batch_rejected():
         noisy_batch_mean(np.zeros((0, 3)), cfg(), NoiseStream(0))
 
 
-def test_wrong_batch_size_rejected():
-    with pytest.raises(ConfigurationError):
-        noisy_batch_mean(np.zeros((5, 3)), cfg(), NoiseStream(0))
-
-
 def test_monte_carlo_mean_and_variance():
     # CLT oracle: over 1e5 keyed draws the empirical mean stays within
     # 4 sigma/sqrt(n) of the clean mean and the per-coordinate variance
     # within 5% of (sigma*C/(sR))^2.
     n_draws = 100_000
-    c = cfg(C=0.1, sigma=1.0, s=1.0, R=10)
+    c = cfg(C=0.1, sigma=1.0, s=1.0)
     g = np.full((10, 2), 0.01)
     stream = NoiseStream(11)
     rng = stream.rng((0, 99))
-    tau = c.noise_std
+    tau = c.noise_std(10)
     clean = g.mean(axis=0)
     outs = clean[None, :] + tau * rng.standard_normal((n_draws, 2))
     # single draw through the public path, same distribution family
@@ -172,10 +175,10 @@ def test_monte_carlo_mean_and_variance():
 def test_monte_carlo_through_public_path():
     # Unbiasedness of the public operation itself, 20k keyed draws.
     n_draws = 20_000
-    c = cfg(C=0.1, sigma=1.0, s=1.0, R=10)
+    c = cfg(C=0.1, sigma=1.0, s=1.0)
     g = np.full((10, 2), 0.01)
     stream = NoiseStream(13)
-    tau = c.noise_std
+    tau = c.noise_std(10)
     acc = np.zeros(2)
     acc2 = np.zeros(2)
     for i in range(n_draws):
@@ -190,15 +193,25 @@ def test_monte_carlo_through_public_path():
 
 def test_config_validation():
     with pytest.raises(ConfigurationError):
-        DPConfig(0.0, 1.0, 1.0, 10)
+        DPConfig(0.0, 1.0, 1.0)
     with pytest.raises(ConfigurationError):
-        DPConfig(0.1, -1.0, 1.0, 10)
+        DPConfig(0.1, -1.0, 1.0)
     with pytest.raises(ConfigurationError):
-        DPConfig(0.1, 1.0, 0.0, 10)
+        DPConfig(0.1, 1.0, 0.0)
     with pytest.raises(ConfigurationError):
-        DPConfig(0.1, 1.0, 0.01, 10)  # floor(s*R) = 0
+        DPConfig(0.1, 1.0, 0.01).batch_size(10)  # floor(s*R) = 0
+    with pytest.raises(ConfigurationError):
+        cfg().noise_std(0)
+
+
+def test_batch_size_is_floor_of_s_times_rows():
+    c = cfg(s=0.2)
+    assert [c.batch_size(R) for R in (5, 9, 10, 49, 408)] == [1, 1, 2, 9, 81]
+    with pytest.raises(ConfigurationError):
+        c.batch_size(4)
 
 
 def test_noise_std_formula():
-    assert cfg(C=0.1, sigma=1.0, s=1.0, R=10).noise_std == pytest.approx(0.01)
-    assert cfg(C=0.2, sigma=2.0, s=0.5, R=20).noise_std == pytest.approx(0.04)
+    assert cfg(C=0.1, sigma=1.0, s=1.0).noise_std(10) == pytest.approx(0.01)
+    c = cfg(C=0.2, sigma=2.0, s=0.5)
+    assert c.noise_std(c.batch_size(20)) == pytest.approx(0.04)

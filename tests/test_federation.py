@@ -16,8 +16,7 @@ def quadratic_setup(num_clients=2, dim=3, sigma=0.0, seed=0):
     centers = rng.standard_normal((num_clients, dim))
     data = [(np.tile(c, (10, 1)), np.zeros(10, dtype=np.int64))
             for c in centers]
-    cfgs = [DPConfig(10.0, sigma, 1.0, 10) for _ in range(num_clients)]
-    return model, data, cfgs, centers
+    return model, data, DPConfig(10.0, sigma, 1.0), centers
 
 
 def test_sample_clients_all():
@@ -52,7 +51,7 @@ def test_sample_clients_uniform_frequency():
 
 
 def test_run_round_zero_deltas_leave_state():
-    model, data, cfgs, _ = quadratic_setup()
+    model, data, cfg, _ = quadratic_setup()
     state = RoundState.initial(np.zeros(3), model.layout)
     reports = [ClientReport(i, np.zeros(3), np.zeros(1)) for i in range(2)]
     new = aggregate(state, reports, local_steps=4, lr=0.1)
@@ -75,12 +74,12 @@ def test_delta_g_cancellation():
 def test_run_round_matches_hand_computed_quadratic():
     # Two clients, one plain-SGD local step, no noise: every quantity of
     # the round has a closed form computed independently here.
-    model, data, cfgs, centers = quadratic_setup(sigma=0.0)
+    model, data, cfg, centers = quadratic_setup(sigma=0.0)
     theta0 = np.array([0.5, -0.5, 1.0])
     state = RoundState.initial(theta0, model.layout)
     opt = AdamWParams(lr=0.1)
     stream = NoiseStream(0)
-    new_state, reports = run_round(state, model, data, cfgs, opt,
+    new_state, reports = run_round(state, model, data, cfg, opt,
                                    "dp_fedavg_sgd", 1, 2, stream)
     # gradient of client i at theta0 is theta0 - center_i, clipped (C=10,
     # inactive), so delta_i = -lr * (theta0 - center_i)
@@ -93,7 +92,7 @@ def test_run_round_matches_hand_computed_quadratic():
 
 
 def test_aggregation_linearity_power_of_two_scale():
-    model, data, cfgs, _ = quadratic_setup(num_clients=3)
+    model, data, cfg, _ = quadratic_setup(num_clients=3)
     state = RoundState.initial(np.zeros(3), model.layout)
     rng = np.random.default_rng(2)
     reports = [ClientReport(i, rng.standard_normal(3), np.zeros(1))
@@ -108,31 +107,32 @@ def test_aggregation_linearity_power_of_two_scale():
 
 
 def test_round_trajectory_deterministic():
-    model, data, cfgs, _ = quadratic_setup(sigma=1.0)
+    model, data, cfg, _ = quadratic_setup(sigma=1.0)
     opt = AdamWParams(lr=0.01, align_coef=0.5)
     outs = []
     for _ in range(2):
         state = RoundState.initial(np.zeros(3), model.layout)
         stream = NoiseStream(9)
         for _ in range(3):
-            state, _ = run_round(state, model, data, cfgs, opt,
+            state, _ = run_round(state, model, data, cfg, opt,
                                  "dp_fedadamw", 2, 2, stream)
         outs.append(state.theta.copy())
     assert np.array_equal(outs[0], outs[1])
 
 
 def test_client_failure_aborts_round():
-    model, data, cfgs, _ = quadratic_setup()
+    model, data, _, _ = quadratic_setup()
     state = RoundState.initial(np.zeros(3), model.layout)
-    bad = [(data[0][0], data[0][1][:5])]  # dataset size mismatch
-    with pytest.raises(ConfigurationError):
-        run_client(model, state, 0, bad[0][0], bad[0][1], cfgs[0],
-                   AdamWParams(lr=0.1), "dp_fedavg_sgd", 1, NoiseStream(0))
+    X, y = data[1]
+    small = [data[0], (X[:4], y[:4])]  # floor(0.2 * 4) = 0: no batch
+    with pytest.raises(ConfigurationError, match="must be >= 1"):
+        run_round(state, model, small, DPConfig(10.0, 0.0, 0.2),
+                  AdamWParams(lr=0.1), "dp_fedavg_sgd", 1, 2, NoiseStream(0))
 
 
 def client_reports(variant, round_state, opt, sigma=1.0):
-    model, data, cfgs, _ = quadratic_setup(sigma=sigma)
-    return [run_client(model, round_state, i, X, y, cfgs[i], opt, variant, 3,
+    model, data, cfg, _ = quadratic_setup(sigma=sigma)
+    return [run_client(model, round_state, i, X, y, cfg, opt, variant, 3,
                        NoiseStream(7)) for i, (X, y) in enumerate(data)]
 
 
@@ -147,14 +147,15 @@ def reports_equal(a, b):
 def test_baselines_ignore_broadcast_and_direction(variant):
     # Only dp_fedadamw reads the broadcast block means and the alignment
     # direction; the baselines must give bitwise the reports they give
-    # from a blank round state.
+    # from a blank round state, and ignore the alignment coefficient.
     theta = np.array([0.5, -0.5, 1.0])
     blank = RoundState(theta, np.zeros(1), np.zeros(3), t=2)
     rich = RoundState(theta, np.full(1, 4.0), np.array([1.0, -2.0, 3.0]), t=2)
     opt = AdamWParams(lr=0.05)
-    assert reports_equal(client_reports(variant, blank, opt),
-                         client_reports(variant, rich, opt))
     aligned = AdamWParams(lr=0.05, align_coef=0.5)
+    plain = client_reports(variant, blank, opt)
+    assert reports_equal(plain, client_reports(variant, rich, opt))
+    assert reports_equal(plain, client_reports(variant, rich, aligned))
     assert not reports_equal(client_reports("dp_fedadamw", blank, aligned),
                              client_reports("dp_fedadamw", rich, aligned))
 
@@ -192,13 +193,13 @@ def test_payload_invalid():
 
 
 def test_warm_start_and_alignment_flow_through():
-    model, data, cfgs, _ = quadratic_setup(sigma=1.0)
+    model, data, cfg, _ = quadratic_setup(sigma=1.0)
     opt = AdamWParams(lr=0.01, align_coef=0.5)
     state = RoundState.initial(np.zeros(3), model.layout)
     stream = NoiseStream(4)
-    state, reports = run_round(state, model, data, cfgs, opt, "dp_fedadamw",
+    state, reports = run_round(state, model, data, cfg, opt, "dp_fedadamw",
                                3, 2, stream)
     assert state.v_bar.shape == (1,) and np.all(state.v_bar > 0)
-    state2, _ = run_round(state, model, data, cfgs, opt, "dp_fedadamw",
+    state2, _ = run_round(state, model, data, cfg, opt, "dp_fedadamw",
                           3, 2, stream)
     assert state2.t == 2

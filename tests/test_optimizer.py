@@ -68,9 +68,9 @@ def test_preconditioner_zero_noise_reduces_to_vanilla_bitwise():
 
 def test_preconditioner_direct_substitution():
     # sigma=1, C=0.1, sR=10 -> correction 1e-4; v_hat = 0.0101
-    cfg = DPConfig(0.1, 1.0, 1.0, 10)
+    cfg = DPConfig(0.1, 1.0, 1.0)
     eps = 1e-8
-    out = corrected_preconditioner(np.array([0.0101]), cfg.noise_std, eps)
+    out = corrected_preconditioner(np.array([0.0101]), cfg.noise_std(10), eps)
     assert out[0] == pytest.approx(1.0 / (0.1 + eps), rel=1e-12)
 
 
@@ -90,6 +90,17 @@ def test_local_step_reduces_to_adamw_without_extras():
     assert np.array_equal(out, theta - p.lr * m_hat * precond)
 
 
+def test_local_step_aligns_only_with_a_direction():
+    theta = np.array([1.0, -2.0])
+    m_hat = np.array([0.3, 0.1])
+    plain = local_step(theta, m_hat, 2.0, None, params())
+    assert np.array_equal(
+        local_step(theta, m_hat, 2.0, None, params(align_coef=0.5)), plain)
+    delta_g = np.array([1.0, 1.0])
+    aligned = local_step(theta, m_hat, 2.0, delta_g, params(align_coef=0.5))
+    assert np.array_equal(aligned, theta - 0.1 * (m_hat * 2.0 + 0.5 * delta_g))
+
+
 def test_local_step_pure_decay():
     p = params(weight_decay=0.01)
     theta = np.array([1.0, -2.0])
@@ -102,21 +113,21 @@ def test_local_step_matches_straight_line_oracle():
     # compared bitwise on a fixed seed-0 instance.
     rng = np.random.default_rng(0)
     p = params(lr=0.05, weight_decay=0.01, align_coef=0.5)
-    cfg = DPConfig(0.1, 1.0, 1.0, 10)
+    tau = DPConfig(0.1, 1.0, 1.0).noise_std(10)
     theta = rng.standard_normal(4)
     delta_g = rng.standard_normal(4)
     g = 0.05 * rng.standard_normal(4)
 
     st = init_round(4, p)
     m_hat, v_hat = moment_update(st, g)
-    precond = corrected_preconditioner(v_hat, cfg.noise_std, p.eps)
+    precond = corrected_preconditioner(v_hat, tau, p.eps)
     got = local_step(theta, m_hat, precond, delta_g, p)
 
     m = (1 - p.beta1) * g
     v = (1 - p.beta2) * (g * g)
     mh = m / (1 - p.beta1)
     vh = v / (1 - p.beta2)
-    tau2 = cfg.noise_std * cfg.noise_std
+    tau2 = tau * tau
     pc = 1.0 / (np.sqrt(np.maximum(vh - tau2, 0.0)) + p.eps)
     expected = theta - p.lr * (mh * pc + p.align_coef * delta_g)
     expected = expected - p.lr * p.weight_decay * theta

@@ -169,6 +169,24 @@ def test_config_validation():
         RunConfig(rounds=-1)
 
 
+DP_SETTINGS = {
+    "clip_norm_zero": dict(clip_norm=0.0),
+    "clip_norm_negative": dict(clip_norm=-1.0),
+    "clip_norm_nan": dict(clip_norm=float("nan")),
+    "clip_norm_inf": dict(clip_norm=float("inf")),
+    "sigma_negative": dict(noise_multiplier=-1.0),
+    "sigma_nan": dict(noise_multiplier=float("nan")),
+    "sigma_inf": dict(noise_multiplier=float("inf")),
+    "sample_rate_nan": dict(sample_rate=float("nan")),
+}
+
+
+@pytest.mark.parametrize("kw", DP_SETTINGS.values(), ids=DP_SETTINGS)
+def test_dp_settings_checked_when_config_is_built(kw):
+    with pytest.raises(ConfigurationError):
+        RunConfig(**kw)
+
+
 INVALID_CONFIG = {
     "model_dataset": dict(model="quadratic", dataset="blobs"),
     "beta1": dict(beta1=1.5),
@@ -176,13 +194,15 @@ INVALID_CONFIG = {
     "gamma_nan": dict(gamma=float("nan")),
     "adam_eps": dict(adam_eps=0.0),
     "weight_decay": dict(weight_decay=-1.0),
+    "no_batch": dict(samples_per_client=1),  # floor(0.5 * 1) = 0
 }
 
 
 @pytest.mark.parametrize("kw", INVALID_CONFIG.values(), ids=INVALID_CONFIG)
 def test_mismatched_model_dataset_writes_nothing(tmp_path, kw):
     # Rejected by RunConfig (optimizer settings) or by run() (model and
-    # dataset): either way no output directory may appear.
+    # dataset, a client without one batch): either way no output
+    # directory may appear.
     with pytest.raises(ConfigurationError):
         run(small_config(tmp_path, **kw))
     assert not (tmp_path / "out").exists()
@@ -325,6 +345,16 @@ def test_cli_account_table(capsys):
     assert [int(l.split(",")[0]) for l in lines[1:]] == [2, 4]
     eps = [float(l.split(",")[1]) for l in lines[1:]]
     assert 0 < eps[0] < eps[1]
+
+
+@pytest.mark.parametrize("every", ["0", "-1"])
+def test_cli_account_every_must_be_positive(capsys, every):
+    rc = cli_main(["account", "--noise_multiplier", "1.0",
+                   "--sample_rate", "0.1", "--local_steps", "1",
+                   "--rounds", "3", "--every", every])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
 
 
 def test_cli_invalid_config_exit_code(capsys):
