@@ -5,7 +5,7 @@ Per-order RDP values compose additively over steps; conversion to
 are accounted with the Poisson-subsampling bound at rate q = s, the
 ubiquitous DP-SGD approximation. The closed forms of the source analysis
 (third-party and server-side budgets) are computed alongside as
-clearly-labeled asymptotic reference numbers, never as tight guarantees.
+clearly-labeled asymptotic reference numbers, never as guarantees.
 """
 from __future__ import annotations
 
@@ -52,7 +52,7 @@ class PrivacyLedger:
         default_factory=dict, init=False, repr=False, compare=False)
 
     def add_event(self, sigma: float, q: float, steps: int) -> None:
-        if sigma <= 0:
+        if not sigma > 0:  # NaN fails too
             raise ConfigurationError("accounted events need sigma > 0")
         if not (0 < q <= 1):
             raise ConfigurationError("sampling rate must be in (0, 1]")
@@ -132,8 +132,10 @@ def third_party_epsilon(s: float, rounds: int, local_steps: int,
                         delta: float, sigma: float) -> float:
     """Closed-form third-party budget, asymptotic constant taken as 1.
 
-    epsilon = s * sqrt(T K log(2/delta) log(2T/delta)) / sigma. Reported
-    as a reference number only; the composed RDP bound is authoritative.
+    epsilon = s * sqrt(T K log(2/delta) log(2T/delta)) / sigma. It is an
+    asymptotic reference, not a bound: it can understate the privacy loss
+    (s = 0.01, sigma = 1, T = 10, K = 1, delta = 1e-5 give 0.421, the
+    composed RDP bound 1.457). Only the RDP bound is a guarantee.
     """
     if sigma <= 0:
         raise ConfigurationError("sigma must be > 0")

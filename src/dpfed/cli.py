@@ -9,11 +9,11 @@ import argparse
 import sys
 from dataclasses import fields
 
-from .accounting import (PrivacyLedger, compose_and_convert,
-                         third_party_epsilon)
+from .accounting import PrivacyLedger
 from .blocks import ConfigurationError
 from .optimizer import DivergenceError
-from .runner import RunConfig, compare, config_from_strings, parse_config_file
+from .runner import (RunConfig, account_round, compare, config_from_strings,
+                     parse_config_file)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -22,9 +22,10 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> RunConfig:
-    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)
-                 if getattr(args, f.name) is not None}
-    if args.config:
+    names = {f.name for f in fields(RunConfig)}
+    overrides = {k: v for k, v in vars(args).items()
+                 if k in names and v is not None}
+    if getattr(args, "config", None):
         return parse_config_file(args.config, overrides)
     return config_from_strings({k: str(v) for k, v in overrides.items()})
 
@@ -44,11 +45,9 @@ def main(argv=None) -> int:
     p_cmp.add_argument("--output_dir", required=True)
 
     p_acc = sub.add_parser("account", help="print a budget table as CSV")
-    p_acc.add_argument("--noise_multiplier", type=float, required=True)
-    p_acc.add_argument("--sample_rate", type=float, required=True)
-    p_acc.add_argument("--local_steps", type=int, required=True)
-    p_acc.add_argument("--rounds", type=int, required=True)
-    p_acc.add_argument("--delta", type=float, default=1e-5)
+    for key in ("noise_multiplier", "sample_rate", "local_steps", "rounds"):
+        p_acc.add_argument(f"--{key}", required=True)
+    p_acc.add_argument("--delta", default="1e-5")
     p_acc.add_argument("--every", type=int, default=1,
                        help="print one row every this many rounds")
 
@@ -71,17 +70,15 @@ def main(argv=None) -> int:
         elif args.command == "account":
             if args.every < 1:
                 raise ConfigurationError("--every must be >= 1")
+            # Its flags are config keys, parsed and checked as a run's are.
+            cfg = _config_from_args(args)
             ledger = PrivacyLedger()
-            print("round,eps_rdp,eps_paper")
-            for t in range(1, args.rounds + 1):
-                ledger.add_event(args.noise_multiplier, args.sample_rate,
-                                 args.local_steps)
-                if t % args.every == 0 or t == args.rounds:
-                    eps = compose_and_convert(ledger, args.delta).epsilon
-                    eps_ref = third_party_epsilon(
-                        args.sample_rate, t, args.local_steps, args.delta,
-                        args.noise_multiplier)
-                    print(f"{t},{eps:.12g},{eps_ref:.12g}")
+            rows = ["round,eps_rdp,eps_paper"]
+            for t in range(1, cfg.rounds + 1):
+                eps, eps_ref = account_round(cfg, ledger, t)
+                if t % args.every == 0 or t == cfg.rounds:
+                    rows.append(f"{t},{eps:.12g},{eps_ref:.12g}")
+            print("\n".join(rows))
     except (ConfigurationError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigurationError) else 1

@@ -3,9 +3,9 @@
 The privatized gradient of one local step is the mean of clipped
 per-sample gradients plus Gaussian noise with per-coordinate standard
 deviation ``sigma * C / b``, where b = floor(s * R) for a client of R
-rows. Noise draws are keyed by (run seed, round, client, step) so
-trajectories are reproducible and clients can run concurrently on
-disjoint streams.
+rows. A client's batches and noise in one round come from one generator
+keyed by (run seed, round, client), so trajectories are reproducible and
+clients can run in any order on disjoint streams.
 """
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ import numpy as np
 from .blocks import ConfigurationError
 
 # Domain tags keeping keyed RNG streams disjoint across uses of one seed.
-DOMAIN_NOISE = 0
 DOMAIN_BATCH = 1
 DOMAIN_CLIENTS = 2
 DOMAIN_INIT = 3
@@ -36,7 +35,7 @@ class DPConfig:
         if not (self.clip_norm > 0 and math.isfinite(self.clip_norm)):
             raise ConfigurationError("clip_norm must be finite and > 0")
         if not (self.noise_multiplier >= 0 and math.isfinite(self.noise_multiplier)):
-            raise ConfigurationError("noise_multiplier must be finite and >= 0")
+            raise ConfigurationError("noise_multiplier (sigma) must be finite and >= 0")
         if not (0 < self.sample_rate <= 1):
             raise ConfigurationError("sample_rate must be in (0, 1]")
 
@@ -56,9 +55,9 @@ class DPConfig:
 
 
 class NoiseStream:
-    """Deterministic Gaussian draws keyed by integer tuples.
+    """Deterministic generators keyed by integer tuples.
 
-    Identical (seed, key) pairs reproduce the same vector; distinct keys
+    Identical (seed, key) pairs reproduce the same stream; distinct keys
     yield independent streams.
     """
 
@@ -68,9 +67,6 @@ class NoiseStream:
     def rng(self, key: tuple[int, ...]) -> np.random.Generator:
         return np.random.default_rng(
             np.random.SeedSequence([self.run_seed, *(int(k) for k in key)]))
-
-    def normal(self, key: tuple[int, ...], size: int) -> np.ndarray:
-        return self.rng(key).standard_normal(size)
 
 
 def _row_norms(g: np.ndarray) -> np.ndarray:
@@ -101,22 +97,20 @@ def clip_batch(grads: np.ndarray, clip_norm: float) -> np.ndarray:
 
 
 def noisy_batch_mean(grads: np.ndarray, cfg: DPConfig,
-                     noise: NoiseStream | None,
-                     key: tuple[int, ...] = ()) -> np.ndarray:
-    """Mean of the clipped per-sample gradients plus keyed Gaussian noise.
+                     rng: np.random.Generator | None) -> np.ndarray:
+    """Mean of the clipped per-sample gradients plus Gaussian noise from rng.
 
     The rows are clipped here, so the guarantee does not rest on the
-    caller. Summation runs over per-coordinate sorted values, so the
-    result is exactly invariant under permutation of the batch.
+    caller. They are summed in the order given.
     """
     grads = np.asarray(grads, dtype=np.float64)
     if grads.ndim != 2 or grads.shape[0] == 0:
         raise ConfigurationError("expected non-empty (n, d) batch of gradients")
     clipped = clip_batch(grads, cfg.clip_norm)
     b, d = clipped.shape
-    mean = np.sum(np.sort(clipped, axis=0), axis=0) / b
+    mean = np.sum(clipped, axis=0) / b
     if cfg.noise_multiplier > 0:
-        if noise is None:
-            raise ConfigurationError("noise stream required when sigma > 0")
-        mean = mean + cfg.noise_std(b) * noise.normal((DOMAIN_NOISE, *key), d)
+        if rng is None:
+            raise ConfigurationError("a generator is required when sigma > 0")
+        mean = mean + cfg.noise_std(b) * rng.standard_normal(d)
     return mean

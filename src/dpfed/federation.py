@@ -82,7 +82,8 @@ def run_client(model: Model, round_state: RoundState, client_id: int,
                stream: NoiseStream,
                options: ClientOptions = ClientOptions()) -> ClientReport:
     """K private local steps of one client; returns its report. Its batch
-    size floor(s * len(y)) and noise std follow from its row count."""
+    size floor(s * len(y)) and noise std follow from its row count; its
+    K batches and noise vectors come from one generator keyed (t, client)."""
     if variant not in STRATEGY_BY_VARIANT:
         raise ConfigurationError(f"unknown variant {variant!r}")
     n = len(y)
@@ -96,13 +97,12 @@ def run_client(model: Model, round_state: RoundState, client_id: int,
     tau = dp_cfg.noise_std(b) if fedadamw and options.bias_correction else 0.0
     delta_g = round_state.delta_g if fedadamw else None
     state = init_round(model.d, opt, v0)
-    t = round_state.t
     theta = round_state.theta.copy()
-    for k in range(1, local_steps + 1):
-        rng = stream.rng((DOMAIN_BATCH, t, client_id, k))
+    rng = stream.rng((DOMAIN_BATCH, round_state.t, client_id))
+    for _ in range(local_steps):
         idx = np.sort(rng.choice(n, size=b, replace=False))
         grads = model.per_sample_grads(theta, X[idx], y[idx])
-        g = noisy_batch_mean(grads, dp_cfg, stream, key=(t, client_id, k))
+        g = noisy_batch_mean(grads, dp_cfg, rng)
         if sgd:
             m_hat, precond = g, 1.0
         else:

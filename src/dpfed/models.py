@@ -111,7 +111,7 @@ class LogisticModel(Model):
         W, b = self._unpack(theta)
         err = _softmax(X @ W.T + b)
         err[np.arange(len(y)), y] -= 1.0
-        gw = np.einsum("nc,np->ncp", err, X).reshape(len(y), -1)
+        gw = np.einsum("nc,np->ncp", err, X).reshape(len(y), W.size)
         return np.concatenate([gw, err], axis=1)
 
     def predict(self, theta, X):
@@ -158,8 +158,8 @@ class MLP2Model(Model):
         err = _softmax(a1 @ W2.T + b2)
         err[np.arange(n), y] -= 1.0
         dz1 = (err @ W2) * (1.0 - a1 * a1)
-        gW1 = np.einsum("nh,np->nhp", dz1, X).reshape(n, -1)
-        gW2 = np.einsum("nc,nh->nch", err, a1).reshape(n, -1)
+        gW1 = np.einsum("nh,np->nhp", dz1, X).reshape(n, W1.size)
+        gW2 = np.einsum("nc,nh->nch", err, a1).reshape(n, W2.size)
         return np.concatenate([gW1, dz1, gW2, err], axis=1)
 
     def predict(self, theta, X):

@@ -186,6 +186,19 @@ def _build_problem(config: RunConfig, stream: NoiseStream):
     return model, fed, dp_cfg
 
 
+def account_round(config: RunConfig, ledger: PrivacyLedger,
+                  t: int) -> tuple[float, float]:
+    """Charge round t's K steps to the ledger; (eps_rdp, eps_paper) after
+    it. A round released without noise (sigma = 0) has no finite guarantee."""
+    if config.noise_multiplier == 0:
+        return math.inf, math.inf
+    ledger.add_event(config.noise_multiplier, config.sample_rate,
+                     config.local_steps)
+    return (compose_and_convert(ledger, config.delta).epsilon,
+            third_party_epsilon(config.sample_rate, t, config.local_steps,
+                                config.delta, config.noise_multiplier))
+
+
 def _global_metrics(model, fed: FederatedDataset, theta) -> tuple[float, float]:
     X, y = fed.pooled
     loss = model.batch_loss(theta, X, y)
@@ -224,15 +237,7 @@ def run(config: RunConfig) -> RunSummary:
             _write_csv(out_dir, "metrics.csv", METRICS_COLUMNS,
                        map(astuple, records))
             raise
-        if config.noise_multiplier > 0:
-            ledger.add_event(config.noise_multiplier, config.sample_rate,
-                             config.local_steps)
-            eps_rdp = compose_and_convert(ledger, config.delta).epsilon
-            eps_paper = third_party_epsilon(
-                config.sample_rate, state.t, config.local_steps, config.delta,
-                config.noise_multiplier)
-        else:  # released without noise: no finite guarantee
-            eps_rdp = eps_paper = math.inf
+        eps_rdp, eps_paper = account_round(config, ledger, state.t)
         loss, acc = _global_metrics(model, fed, state.theta)
         many = len(reports) >= 2
         records.append(MetricRecord(

@@ -187,8 +187,9 @@ def test_order_grid_span():
 
 def test_ledger_event_validation():
     ledger = PrivacyLedger()
-    with pytest.raises(ConfigurationError):
-        ledger.add_event(0.0, 0.1, 10)
+    for sigma in (0.0, -1.0, math.nan):
+        with pytest.raises(ConfigurationError, match="sigma"):
+            ledger.add_event(sigma, 0.1, 10)
     with pytest.raises(ConfigurationError):
         ledger.add_event(1.0, 1.5, 10)
     ledger.add_event(1.0, 0.1, 0)  # no-op
@@ -197,6 +198,19 @@ def test_ledger_event_validation():
     ledger.add_event(2.0, 0.1, 1)
     ledger.add_event(1.0, 0.1, 4)
     assert list(ledger.steps.items()) == [((1.0, 0.1), 7), ((2.0, 0.1), 1)]
+
+
+def test_third_party_epsilon_can_understate():
+    # The closed form is an asymptotic reference with its constant set to
+    # 1, not a bound: here it reports less than a third of the RDP bound.
+    ledger = PrivacyLedger()
+    for _ in range(10):
+        ledger.add_event(1.0, 0.01, 1)
+    eps_rdp = compose_and_convert(ledger, 1e-5).epsilon
+    eps_paper = third_party_epsilon(0.01, 10, 1, 1e-5, 1.0)
+    assert eps_paper == pytest.approx(0.4208, abs=1e-4)
+    assert eps_rdp == pytest.approx(1.4569, abs=1e-4)
+    assert eps_paper < eps_rdp / 3
 
 
 def test_third_party_epsilon_structure():

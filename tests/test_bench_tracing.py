@@ -43,3 +43,16 @@ def test_tracer_wraps_every_traced_function(tmp_path):
     clip_parents = {names[span[4]] for span in tracer.spans
                     if names[span[0]] == "dp.clip_batch"}
     assert clip_parents == {"dp.noisy_batch_mean"}
+    # One generator per client round: each run_client span encloses
+    # exactly one NoiseStream.rng call, for its K batches and K noises.
+    parent_of = {span[0]: span[4] for span in tracer.spans}
+    rng_calls = {idx: 0 for idx, n, *_ in tracer.spans
+                 if tracing.SPAN_NAMES[n] == "federation.run_client"}
+    for idx, n, *_ in tracer.spans:
+        if tracing.SPAN_NAMES[n] == "dp.NoiseStream.rng":
+            up = parent_of[idx]
+            while up != -1 and up not in rng_calls:
+                up = parent_of[up]
+            if up != -1:
+                rng_calls[up] += 1
+    assert list(rng_calls.values()) == [1, 1]

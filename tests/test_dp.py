@@ -110,22 +110,29 @@ def test_zero_noise_large_clip_equals_plain_batch_gradient():
     assert np.allclose(out, grads.mean(axis=0), rtol=1e-12)
 
 
-def test_permutation_equivariance_exact():
+def test_noise_is_the_generators_next_normal_draw():
+    # The clipped rows summed in the given order, divided by b, plus
+    # sigma*C/b times the next standard-normal vector of the generator.
     rng = np.random.default_rng(2)
-    grads = clip_batch(rng.standard_normal((10, 5)) * 0.02, 0.1)
-    stream = NoiseStream(3)
-    a = noisy_batch_mean(grads, cfg(), stream, key=(0, 0, 1))
-    b = noisy_batch_mean(grads[rng.permutation(10)], cfg(), stream,
-                         key=(0, 0, 1))
-    assert np.array_equal(a, b)
+    raw = rng.standard_normal((10, 5)) * 0.05
+    c = cfg(C=0.1, sigma=1.5)
+    out = noisy_batch_mean(raw, c, NoiseStream(3).rng((1, 2, 3)))
+    clean = np.sum(clip_batch(raw, c.clip_norm), axis=0) / 10
+    z = NoiseStream(3).rng((1, 2, 3)).standard_normal(5)
+    assert np.array_equal(out, clean + c.noise_std(10) * z)
+
+
+def test_noise_needs_a_generator():
+    with pytest.raises(ConfigurationError, match="generator"):
+        noisy_batch_mean(np.zeros((4, 2)), cfg(sigma=1.0), None)
 
 
 def test_determinism_and_key_separation():
     grads = np.zeros((10, 4))
     stream = NoiseStream(7)
-    a = noisy_batch_mean(grads, cfg(), stream, key=(1, 2, 3))
-    b = noisy_batch_mean(grads, cfg(), stream, key=(1, 2, 3))
-    c = noisy_batch_mean(grads, cfg(), stream, key=(1, 2, 4))
+    a = noisy_batch_mean(grads, cfg(), stream.rng((1, 2, 3)))
+    b = noisy_batch_mean(grads, cfg(), stream.rng((1, 2, 3)))
+    c = noisy_batch_mean(grads, cfg(), stream.rng((1, 2, 4)))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -139,16 +146,16 @@ def test_noisy_batch_mean_clips_its_batch():
     assert np.sum(np.linalg.norm(raw, axis=1) > c.clip_norm) >= 5
     stream = NoiseStream(5)
     assert np.array_equal(
-        noisy_batch_mean(raw, c, stream, key=(0, 1, 2)),
-        noisy_batch_mean(clip_batch(raw, c.clip_norm), c, stream,
-                         key=(0, 1, 2)))
+        noisy_batch_mean(raw, c, stream.rng((0, 1, 2))),
+        noisy_batch_mean(clip_batch(raw, c.clip_norm), c,
+                         stream.rng((0, 1, 2))))
     exact = noisy_batch_mean(raw, cfg(C=0.1, sigma=0.0), None)
     assert np.linalg.norm(exact) <= 0.1
 
 
 def test_empty_batch_rejected():
     with pytest.raises(ConfigurationError):
-        noisy_batch_mean(np.zeros((0, 3)), cfg(), NoiseStream(0))
+        noisy_batch_mean(np.zeros((0, 3)), cfg(), NoiseStream(0).rng((0,)))
 
 
 def test_monte_carlo_mean_and_variance():
@@ -164,7 +171,7 @@ def test_monte_carlo_mean_and_variance():
     clean = g.mean(axis=0)
     outs = clean[None, :] + tau * rng.standard_normal((n_draws, 2))
     # single draw through the public path, same distribution family
-    one = noisy_batch_mean(g, c, stream, key=(0, 0, 1))
+    one = noisy_batch_mean(g, c, stream.rng((0, 0, 1)))
     assert one.shape == clean.shape
     emp_mean = outs.mean(axis=0)
     emp_var = outs.var(axis=0)
@@ -173,16 +180,17 @@ def test_monte_carlo_mean_and_variance():
 
 
 def test_monte_carlo_through_public_path():
-    # Unbiasedness of the public operation itself, 20k keyed draws.
+    # Unbiasedness of the public operation itself: 20k successive draws
+    # from one generator, as a client's K local steps make them.
     n_draws = 20_000
     c = cfg(C=0.1, sigma=1.0, s=1.0)
     g = np.full((10, 2), 0.01)
-    stream = NoiseStream(13)
+    rng = NoiseStream(13).rng((0, 0))
     tau = c.noise_std(10)
     acc = np.zeros(2)
     acc2 = np.zeros(2)
-    for i in range(n_draws):
-        out = noisy_batch_mean(g, c, stream, key=(0, 0, i))
+    for _ in range(n_draws):
+        out = noisy_batch_mean(g, c, rng)
         acc += out
         acc2 += out * out
     mean = acc / n_draws

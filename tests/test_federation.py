@@ -143,6 +143,30 @@ def reports_equal(a, b):
                for ra, rb in zip(a, b))
 
 
+def test_client_order_does_not_change_reports():
+    # Each client draws its batches and noise from its own (t, client)
+    # generator, so running a round's clients in ascending or descending
+    # id order gives bitwise the same reports.
+    model = build_model("quadratic", dim=3)
+    rng = np.random.default_rng(3)
+    data = [(rng.standard_normal((12, 3)), np.zeros(12, dtype=np.int64))
+            for _ in range(4)]
+    state = RoundState(rng.standard_normal(3), np.full(1, 0.5),
+                       rng.standard_normal(3), t=3)
+    opt = AdamWParams(lr=0.05, align_coef=0.5)
+    stream = NoiseStream(8)
+
+    def reports(order):
+        return sorted((run_client(model, state, i, *data[i],
+                                  DPConfig(1.0, 1.0, 0.5), opt,
+                                  "dp_fedadamw", 3, stream) for i in order),
+                      key=lambda r: r.client_id)
+
+    ascending = reports(range(4))
+    assert reports_equal(ascending, reports(reversed(range(4))))
+    assert not np.array_equal(ascending[0].delta, ascending[1].delta)
+
+
 @pytest.mark.parametrize("variant", ["dp_local_adamw", "dp_fedavg_sgd"])
 def test_baselines_ignore_broadcast_and_direction(variant):
     # Only dp_fedadamw reads the broadcast block means and the alignment

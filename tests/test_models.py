@@ -120,6 +120,16 @@ def test_batched_grads_match_per_sample(kind):
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp2"])
+def test_empty_batch_gives_zero_rows(kind):
+    # A sampler that can draw no row (Poisson subsampling) needs a
+    # (0, d) gradient matrix, not a reshape error.
+    m = make(kind)
+    X, y = random_batch(m, np.random.default_rng(17), n=0)
+    grads = m.per_sample_grads(np.zeros(m.d), X, y)
+    assert grads.shape == (0, m.d)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp2"])
 def test_batch_loss_is_mean_of_losses(kind):
     m = make(kind)
     rng = np.random.default_rng(13)

@@ -357,6 +357,36 @@ def test_cli_account_every_must_be_positive(capsys, every):
     assert captured.err.startswith("error:") and captured.out == ""
 
 
+@pytest.mark.parametrize("flag,value,named", [
+    ("--noise_multiplier", "nan", "sigma"),
+    ("--noise_multiplier", "-1", "sigma"),
+    ("--sample_rate", "1.5", "sample_rate"),
+    ("--local_steps", "0", "local_steps"), ("--rounds", "-1", "rounds"),
+    ("--delta", "1", "delta")])
+def test_cli_account_rejected_input_prints_nothing(capsys, flag, value,
+                                                   named):
+    # The error names the bad input, and stdout stays empty: no header.
+    args = {"--noise_multiplier": "1.0", "--sample_rate": "0.1",
+            "--local_steps": "1", "--rounds": "2", flag: value}
+    rc = cli_main(["account", *(x for kv in args.items() for x in kv)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and named in captured.err
+    assert captured.out == ""
+
+
+def test_cli_account_zero_sigma_is_unbounded(tmp_path, capsys):
+    # The same rule as a run: no noise, no finite guarantee.
+    rc = cli_main(["account", "--noise_multiplier", "0",
+                   "--sample_rate", "0.1", "--local_steps", "1",
+                   "--rounds", "3", "--every", "2"])
+    assert rc == 0
+    assert capsys.readouterr().out == ("round,eps_rdp,eps_paper\n"
+                                       "2,inf,inf\n3,inf,inf\n")
+    summary = run(small_config(tmp_path, noise_multiplier=0.0, rounds=3))
+    assert summary.eps_rdp == summary.eps_paper == math.inf
+
+
 def test_cli_invalid_config_exit_code(capsys):
     rc = cli_main(["run", "--variant", "bogus"])
     assert rc == 2
