@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import math
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .blocks import ConfigurationError
 
@@ -23,6 +23,9 @@ def _default_grid() -> tuple[float, ...]:
 
 
 DEFAULT_ORDER_GRID = _default_grid()
+
+# log(n!) at index n, for every order of the default grid.
+_LOG_FACTORIAL = gammaln(np.arange(1.0, 514.0))
 
 
 @dataclass(frozen=True)
@@ -67,8 +70,17 @@ class PrivacyLedger:
         """Per-step RDP of the (sigma, q) key at each order of the grid."""
         if key not in self._curves:
             sigma, q = key
-            self._curves[key] = np.array(
-                [_event_rdp(order, sigma, q) for order in self.order_grid])
+            if q == 1.0:
+                rdp = [gaussian_rdp(order, sigma) for order in self.order_grid]
+            else:
+                # A fractional order takes the bound at the next integer
+                # order: RDP curves are non-decreasing in the order, so this
+                # stays a bound. Each distinct integer order is evaluated once.
+                ceil = [max(2, math.ceil(order)) for order in self.order_grid]
+                value = {a: subsampled_gaussian_rdp(a, sigma, q)
+                         for a in set(ceil)}
+                rdp = [value[a] for a in ceil]
+            self._curves[key] = np.array(rdp)
         return self._curves[key]
 
 
@@ -76,7 +88,7 @@ def gaussian_rdp(order: float, sigma: float) -> float:
     """RDP of the Gaussian mechanism with sensitivity 1: order / (2 sigma^2)."""
     if order <= 1:
         raise ConfigurationError("RDP order must be > 1")
-    if sigma <= 0:
+    if not sigma > 0:  # NaN fails too
         raise ConfigurationError("sigma must be > 0")
     return order / (2.0 * sigma * sigma)
 
@@ -90,26 +102,31 @@ def subsampled_gaussian_rdp(order: int, sigma: float, q: float) -> float:
     """
     if not (0 < q <= 1):
         raise ConfigurationError("q must be in (0, 1]")
-    if sigma <= 0:
+    if not sigma > 0:  # NaN fails too
         raise ConfigurationError("sigma must be > 0")
+    if not float(order).is_integer():
+        raise ConfigurationError(f"RDP order {order} is not an integer")
     order = int(order)
     if order < 2:
         raise ConfigurationError("integer order must be >= 2")
     if q == 1.0:
         return gaussian_rdp(order, sigma)
+    lf = (_LOG_FACTORIAL if order < _LOG_FACTORIAL.size
+          else gammaln(np.arange(1.0, order + 2.0)))
     j = np.arange(order + 1)
-    log_terms = (gammaln(order + 1) - gammaln(j + 1) - gammaln(order - j + 1)
-                 + (order - j) * math.log1p(-q) + j * math.log(q)
-                 + j * (j - 1) / (2.0 * sigma * sigma))
-    return float(logsumexp(log_terms) / (order - 1))
-
-
-def _event_rdp(order: float, sigma: float, q: float) -> float:
-    if q == 1.0:
-        return gaussian_rdp(order, sigma)
-    # Non-integer orders: evaluate the bound at the next integer order.
-    # RDP curves are non-decreasing in the order, so this stays a bound.
-    return subsampled_gaussian_rdp(max(2, math.ceil(order)), sigma, q)
+    a = (lf[order] - lf[:order + 1] - lf[order::-1]
+         + (order - j) * math.log1p(-q) + j * math.log(q)
+         + j * (j - 1) / (2.0 * sigma * sigma))
+    # log(sum(exp(a))) by the steps of scipy.special.logsumexp (SciPy 1.17),
+    # bitwise the same without its per-call overhead: the m maximal terms
+    # are split off from the shifted sum of the rest. An infinite maximum
+    # gives inf, as SciPy's fallback does.
+    a_max = a.max()
+    top = a == a_max
+    m = float(np.count_nonzero(top))
+    a[top] = -np.inf
+    s = np.sum(np.exp(a - a_max)) / m
+    return float(np.log1p(s) + np.log(m) + a_max) / (order - 1)
 
 
 def compose_and_convert(ledger: PrivacyLedger, delta: float) -> Budget:

@@ -89,9 +89,19 @@ def clip_batch(grads: np.ndarray, clip_norm: float) -> np.ndarray:
         raise ConfigurationError("gradient contains non-finite entries")
     norms = _row_norms(out)
     over = norms > clip_norm
-    while np.any(over):  # repeats only where rescaling rounded up past C
-        out[over] *= (clip_norm / norms[over])[:, None]
-        norms[over] = _row_norms(out[over])
+    if not over.any():
+        return out
+    # One multiply per row: by C/||g|| over C, and by exactly 1.0, which
+    # leaves the row bitwise unchanged, at or below it.
+    factor = np.divide(clip_norm, norms, out=np.ones_like(norms), where=over)
+    out *= factor[:, None]
+    rows = np.flatnonzero(over)  # then re-check only the rescaled rows
+    norms = _row_norms(out[rows])
+    over = norms > clip_norm
+    while over.any():  # repeats only where rescaling rounded up past C
+        rows = rows[over]
+        out[rows] *= (clip_norm / norms[over])[:, None]
+        norms = _row_norms(out[rows])
         over = norms > clip_norm
     return out
 

@@ -109,10 +109,14 @@ class LogisticModel(Model):
     def per_sample_grads(self, theta, X, y):
         self._check_dim(theta)
         W, b = self._unpack(theta)
+        n = len(y)
         err = _softmax(X @ W.T + b)
-        err[np.arange(len(y)), y] -= 1.0
-        gw = np.einsum("nc,np->ncp", err, X).reshape(len(y), W.size)
-        return np.concatenate([gw, err], axis=1)
+        err[np.arange(n), y] -= 1.0
+        grads = np.empty((n, self.d))
+        np.einsum("nc,np->ncp", err, X,
+                  out=grads[:, :W.size].reshape(n, *W.shape))
+        grads[:, W.size:] = err
+        return grads
 
     def predict(self, theta, X):
         W, b = self._unpack(theta)
@@ -158,9 +162,13 @@ class MLP2Model(Model):
         err = _softmax(a1 @ W2.T + b2)
         err[np.arange(n), y] -= 1.0
         dz1 = (err @ W2) * (1.0 - a1 * a1)
-        gW1 = np.einsum("nh,np->nhp", dz1, X).reshape(n, W1.size)
-        gW2 = np.einsum("nc,nh->nch", err, a1).reshape(n, W2.size)
-        return np.concatenate([gW1, dz1, gW2, err], axis=1)
+        grads = np.empty((n, self.d))
+        gW1, gb1, gW2, gb2 = (grads[:, s] for s in self.layout.slices())
+        np.einsum("nh,np->nhp", dz1, X, out=gW1.reshape(n, *W1.shape))
+        gb1[:] = dz1
+        np.einsum("nc,nh->nch", err, a1, out=gW2.reshape(n, *W2.shape))
+        gb2[:] = err
+        return grads
 
     def predict(self, theta, X):
         W1, b1, W2, b2 = self._unpack(theta)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import gammaln, logsumexp
 from scipy.stats import norm
 
 from dpfed import accounting
@@ -11,6 +12,15 @@ from dpfed.accounting import (DEFAULT_ORDER_GRID, Budget, PrivacyLedger,
                               server_budget, subsampled_gaussian_rdp,
                               third_party_epsilon)
 from dpfed.blocks import ConfigurationError
+
+
+def reference_subsampled_gaussian_rdp(order, sigma, q):
+    """The binomial expansion reduced by scipy.special.logsumexp."""
+    j = np.arange(order + 1)
+    log_terms = (gammaln(order + 1) - gammaln(j + 1) - gammaln(order - j + 1)
+                 + (order - j) * math.log1p(-q) + j * math.log(q)
+                 + j * (j - 1) / (2.0 * sigma * sigma))
+    return float(logsumexp(log_terms) / (order - 1))
 
 
 def reference_event_rdp(order, sigma, q):
@@ -45,6 +55,39 @@ def test_gaussian_rdp_domain():
         gaussian_rdp(1.0, 1.0)
     with pytest.raises(ConfigurationError):
         gaussian_rdp(2.0, 0.0)
+
+
+def test_nan_sigma_rejected():
+    with pytest.raises(ConfigurationError, match="sigma"):
+        gaussian_rdp(2, math.nan)
+    with pytest.raises(ConfigurationError, match="sigma"):
+        subsampled_gaussian_rdp(2, math.nan, 0.1)
+
+
+def test_subsampled_rejects_fractional_order():
+    # Truncating 2.9 to 2 would report order 2's value, 1.0, below the
+    # order-2.9 Gaussian RDP of 1.45.
+    for order, q in ((2.9, 1.0), (2.5, 0.1), (1.5, 0.1)):
+        with pytest.raises(ConfigurationError, match="integer"):
+            subsampled_gaussian_rdp(order, 1.0, q)
+    assert subsampled_gaussian_rdp(3.0, 1.0, 0.1) == subsampled_gaussian_rdp(
+        3, 1.0, 0.1)
+    assert subsampled_gaussian_rdp(np.int64(3), 1.0, 0.1) == (
+        subsampled_gaussian_rdp(3, 1.0, 0.1))
+
+
+@pytest.mark.parametrize("sigma", [0.3, 0.5, 1.0, 1.5, 4.0, 30.0])
+def test_subsampled_matches_scipy_logsumexp_bitwise(sigma):
+    for order in [*range(2, 65), 128, 256, 512]:
+        for q in (1e-6, 1e-3, 0.01, 0.2, 0.5, 0.999):
+            assert (subsampled_gaussian_rdp(order, sigma, q)
+                    == reference_subsampled_gaussian_rdp(order, sigma, q))
+
+
+def test_subsampled_beyond_default_grid_matches_scipy():
+    for order in (513, 514, 700):
+        assert (subsampled_gaussian_rdp(order, 8.0, 0.01)
+                == reference_subsampled_gaussian_rdp(order, 8.0, 0.01))
 
 
 def test_subsampled_full_batch_equals_gaussian():
@@ -135,7 +178,10 @@ def test_rdp_curve_computed_once_per_key(monkeypatch):
     for _ in range(50):
         ledger.add_event(1.0, 0.1, 5)
         compose_and_convert(ledger, 1e-5)
-    assert 0 < len(calls) <= len(ledger.order_grid)
+    # Orders 1.25, 1.5, 1.75 and 2 all take integer order 2's value, which
+    # is computed once: 66 distinct orders of the 69 in the grid.
+    assert len(ledger.order_grid) == 69
+    assert sorted(calls) == [*range(2, 65), 128, 256, 512]
 
 
 def test_empty_ledger_zero_epsilon():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpfed import dp
 from dpfed.blocks import ConfigurationError
 from dpfed.dp import DPConfig, NoiseStream, clip_batch, noisy_batch_mean
 
@@ -45,6 +46,37 @@ def test_clip_batch_matches_reference_bitwise(d):
     expected = np.stack([reference_clip(g, C) for g in grads])
     assert np.array_equal(out, expected)
     assert np.sum(np.any(out != grads, axis=1)) > n // 4  # many rows rescaled
+
+
+def test_clip_rechecks_rows_that_round_past_threshold(monkeypatch):
+    # Rows whose first rescale lands above C, a row exactly at C, a zero
+    # row, a row below C and rows far above it, in one batch.
+    C, d = 0.7, 16
+    rng = np.random.default_rng(21)
+    past, at_c = [], []
+    while len(past) < 3 or not at_c:
+        row = rng.standard_normal(d) * 3.0
+        once = row * (C / np.linalg.norm(row))
+        if np.linalg.norm(once) > C:
+            past.append(row)
+        elif np.linalg.norm(once) == C:
+            at_c.append(once)
+    grads = np.vstack([*past[:3], at_c[0], np.zeros(d), np.full(d, 0.01),
+                       rng.standard_normal((4, d)) * 50.0])
+    sizes = []
+
+    def counted(g):
+        sizes.append(g.shape[0])
+        return row_norms(g)
+
+    row_norms = dp._row_norms
+    monkeypatch.setattr(dp, "_row_norms", counted)
+    out = clip_batch(grads, C)
+    assert np.array_equal(out, np.stack([reference_clip(g, C) for g in grads]))
+    assert np.array_equal(out[3:6], grads[3:6])  # at C, zero, below C
+    # All rows once, then only the 7 rescaled rows, then the loop again
+    # on the rows that rounded past C.
+    assert sizes[:2] == [10, 7] and len(sizes) >= 3 and 1 <= sizes[2] <= 3
 
 
 def test_clip_shrinks_to_threshold():

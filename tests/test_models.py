@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dpfed.blocks import ConfigurationError
-from dpfed.models import build_model
+from dpfed.models import _softmax, build_model
 
 RNG = np.random.default_rng(12345)
 
@@ -117,6 +117,32 @@ def test_batched_grads_match_per_sample(kind):
             range(m.d))
         for j, fdj in fd.items():
             assert abs(batched[i, j] - fdj) / (1 + abs(fdj)) < 1e-5
+
+
+def test_per_sample_grads_match_blockwise_concatenation():
+    # Writing each block into one matrix gives bitwise the einsum blocks
+    # concatenated in layout order.
+    rng = np.random.default_rng(19)
+    for kind in ("logistic", "mlp2"):
+        m = make(kind)
+        theta = rng.standard_normal(m.d)
+        X, y = random_batch(m, rng, n=9)
+        n = len(y)
+        if kind == "logistic":
+            W, b = m._unpack(theta)
+            err = _softmax(X @ W.T + b)
+            err[np.arange(n), y] -= 1.0
+            blocks = [np.einsum("nc,np->ncp", err, X).reshape(n, -1), err]
+        else:
+            W1, b1, W2, b2 = m._unpack(theta)
+            a1 = np.tanh(X @ W1.T + b1)
+            err = _softmax(a1 @ W2.T + b2)
+            err[np.arange(n), y] -= 1.0
+            dz1 = (err @ W2) * (1.0 - a1 * a1)
+            blocks = [np.einsum("nh,np->nhp", dz1, X).reshape(n, -1), dz1,
+                      np.einsum("nc,nh->nch", err, a1).reshape(n, -1), err]
+        expected = np.concatenate(blocks, axis=1)
+        assert np.array_equal(m.per_sample_grads(theta, X, y), expected)
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp2"])
