@@ -12,8 +12,7 @@ from .diagnostics import (BiasProbeResult, MetricRecord, bias_probe,
 from .dp import DPConfig, NoiseStream, clip_batch, noisy_batch_mean
 from .federation import (ClientOptions, ClientReport, RoundState,
                          payload_count, run_client, run_round, sample_clients)
-from .models import (LogisticModel, MLP2Model, Model, QuadraticModel,
-                     build_model)
+from .models import Model, QuadraticModel, SoftmaxModel, build_model
 from .optimizer import (AdamWParams, DPAdamWState, DivergenceError,
                         corrected_preconditioner, init_round, local_step,
                         moment_update)

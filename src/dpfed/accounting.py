@@ -34,8 +34,8 @@ class Budget:
     delta: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise ConfigurationError("epsilon must be finite and >= 0")
+        if not self.epsilon >= 0:  # NaN fails; inf is the vacuous bound
+            raise ConfigurationError("epsilon must be >= 0")
         if not (0 < self.delta < 1):
             raise ConfigurationError("delta must lie in (0, 1)")
 
@@ -90,7 +90,8 @@ def gaussian_rdp(order: float, sigma: float) -> float:
         raise ConfigurationError("RDP order must be > 1")
     if not sigma > 0:  # NaN fails too
         raise ConfigurationError("sigma must be > 0")
-    return order / (2.0 * sigma * sigma)
+    two_var = 2.0 * sigma * sigma
+    return order / two_var if two_var else math.inf  # sigma^2 underflowed
 
 
 def subsampled_gaussian_rdp(order: int, sigma: float, q: float) -> float:
@@ -111,12 +112,15 @@ def subsampled_gaussian_rdp(order: int, sigma: float, q: float) -> float:
         raise ConfigurationError("integer order must be >= 2")
     if q == 1.0:
         return gaussian_rdp(order, sigma)
+    two_var = 2.0 * sigma * sigma
+    if not two_var:  # sigma^2 underflows to 0: no finite bound
+        return math.inf
     lf = (_LOG_FACTORIAL if order < _LOG_FACTORIAL.size
           else gammaln(np.arange(1.0, order + 2.0)))
     j = np.arange(order + 1)
     a = (lf[order] - lf[:order + 1] - lf[order::-1]
          + (order - j) * math.log1p(-q) + j * math.log(q)
-         + j * (j - 1) / (2.0 * sigma * sigma))
+         + j * (j - 1) / two_var)
     # log(sum(exp(a))) by the steps of scipy.special.logsumexp (SciPy 1.17),
     # bitwise the same without its per-call overhead: the m maximal terms
     # are split off from the shifted sum of the rest. An infinite maximum

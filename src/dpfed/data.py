@@ -101,13 +101,16 @@ def quadratic_client_data(centers: np.ndarray, samples_per_client: int,
 def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Tabular ingestion; header must be f1..fp,label, features finite,
     labels ints >= 0 with every class 0..max present."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if not header or header[-1] != "label" or any(
-                h != f"f{i + 1}" for i, h in enumerate(header[:-1])):
-            raise ConfigurationError("CSV header must be f1..fp,label")
-        rows = [row for row in reader if row]
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            rows = [row for row in reader if row]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigurationError(f"cannot read dataset: {exc}") from None
+    if not header or header[-1] != "label" or any(
+            h != f"f{i + 1}" for i, h in enumerate(header[:-1])):
+        raise ConfigurationError("CSV header must be f1..fp,label")
     if not rows:
         raise ConfigurationError("CSV has no data rows")
     if any(len(row) != len(header) for row in rows):

@@ -14,6 +14,7 @@ import numpy as np
 
 from .blocks import ConfigurationError
 from .dp import DPConfig, NoiseStream
+from .optimizer import AdamWParams, DPAdamWState, moment_update
 
 
 @dataclass
@@ -68,20 +69,25 @@ def bias_probe(cfg: DPConfig, batch_size: int, g: np.ndarray, k_steps: int,
     (1 - beta2^k) * g*g up to floating round-off.
     """
     g = np.asarray(g, dtype=np.float64)
+    if k_steps < 1:
+        raise ConfigurationError("bias probe needs k_steps >= 1")
     if np.linalg.norm(g) >= cfg.clip_norm:
         raise ConfigurationError(
             "bias probe needs ||g|| < C (clipping-inactive regime)")
     tau = cfg.noise_std(batch_size)
     runs = 1 if tau == 0.0 else int(n_mc)
     rng = stream.rng(key)
-    v = np.zeros((runs, len(g)))
+    # One row per run, driven by the update the clients run.
+    shape = (runs, len(g))
+    state = DPAdamWState(m=np.zeros(shape), v=np.zeros(shape), k=0,
+                         params=AdamWParams(beta2=beta2))
     for _ in range(k_steps):
         gt = g[None, :]
         if tau > 0.0:
-            gt = gt + tau * rng.standard_normal((runs, len(g)))
-        v = beta2 * v + (1.0 - beta2) * gt * gt
-    denom = 1.0 - beta2 ** k_steps
-    corrected = v / denom - tau * tau
+            gt = gt + tau * rng.standard_normal(shape)
+        _, v_hat = moment_update(state, gt)
+    v = state.v
+    corrected = v_hat - tau * tau
     se_scale = 0.0 if runs == 1 else 1.0 / np.sqrt(runs)
     return BiasProbeResult(
         mean_v=v.mean(axis=0),

@@ -7,6 +7,8 @@ Three model kinds share one interface over flat parameter vectors:
 * ``logistic`` -- multinomial logistic regression, cross-entropy loss.
 * ``mlp2`` -- one tanh hidden layer, then linear + softmax cross-entropy.
 
+Both classifiers are one ``SoftmaxModel``, with zero or ``hidden`` units.
+
 Gradients are analytic. ``per_sample_grads`` evaluates many samples at
 once but returns one gradient row per sample, which DP clipping needs.
 """
@@ -84,96 +86,66 @@ class QuadraticModel(Model):
 
 
 @dataclass
-class LogisticModel(Model):
-    """Multinomial logistic regression; blocks {weights, bias}."""
+class SoftmaxModel(Model):
+    """Softmax cross-entropy classifier: ``hidden`` tanh units between the
+    features and the logits, or none (multinomial logistic regression).
+
+    One (W, b) pair per layer, blocks {W1, b1[, W2, b2]} in that order.
+    """
 
     num_features: int
     num_classes: int
-    kind: str = field(default="logistic", init=False)
+    hidden: int = 0
 
     def __post_init__(self):
-        p, c = self.num_features, self.num_classes
-        self.d = c * p + c
-        self.layout = BlockLayout.from_sizes([("weights", c * p), ("bias", c)])
+        if self.hidden < 0:
+            raise ConfigurationError("hidden must be >= 0")
+        self.kind = "mlp2" if self.hidden else "logistic"
+        widths = [self.num_features, *([self.hidden] if self.hidden else []),
+                  self.num_classes]
+        shapes = list(zip(widths[1:], widths[:-1]))  # (out, in) per layer
+        sizes = []
+        for i, (n_out, n_in) in enumerate(shapes, 1):
+            sizes += [(f"W{i}", n_out * n_in), (f"b{i}", n_out)]
+        self.layout = BlockLayout.from_sizes(sizes)
+        self.d = self.layout.dim
+        s = self.layout.slices()
+        self._layers = [(s[2 * i], shape, s[2 * i + 1])
+                        for i, shape in enumerate(shapes)]
 
-    def _unpack(self, theta):
-        p, c = self.num_features, self.num_classes
-        return theta[:c * p].reshape(c, p), theta[c * p:]
+    def _forward(self, theta, X):
+        """Each layer's (input, W), and the logits."""
+        layers, a = [], X
+        for w, shape, b in self._layers:
+            if layers:
+                a = np.tanh(z)
+            W = theta[w].reshape(shape)
+            layers.append((a, W))
+            z = a @ W.T + theta[b]
+        return layers, z
 
     def batch_loss(self, theta, X, y):
         self._check_dim(theta)
-        W, b = self._unpack(theta)
-        logp = _log_softmax(X @ W.T + b)
+        logp = _log_softmax(self._forward(theta, X)[1])
         return float(-logp[np.arange(len(y)), y].mean())
 
     def per_sample_grads(self, theta, X, y):
         self._check_dim(theta)
-        W, b = self._unpack(theta)
+        layers, z = self._forward(theta, X)
         n = len(y)
-        err = _softmax(X @ W.T + b)
+        err = _softmax(z)  # d loss / d z, then back through each layer
         err[np.arange(n), y] -= 1.0
         grads = np.empty((n, self.d))
-        np.einsum("nc,np->ncp", err, X,
-                  out=grads[:, :W.size].reshape(n, *W.shape))
-        grads[:, W.size:] = err
+        for i in range(len(layers) - 1, -1, -1):
+            (a, W), (w, shape, b) = layers[i], self._layers[i]
+            np.einsum("no,ni->noi", err, a, out=grads[:, w].reshape(n, *shape))
+            grads[:, b] = err
+            if i:
+                err = (err @ W) * (1.0 - a * a)
         return grads
 
     def predict(self, theta, X):
-        W, b = self._unpack(theta)
-        return np.argmax(X @ W.T + b, axis=1)
-
-
-@dataclass
-class MLP2Model(Model):
-    """Single tanh hidden layer then softmax; blocks {W1, b1, W2, b2}."""
-
-    num_features: int
-    num_classes: int
-    hidden: int = 16
-    kind: str = field(default="mlp2", init=False)
-
-    def __post_init__(self):
-        p, h, c = self.num_features, self.hidden, self.num_classes
-        self.d = h * p + h + c * h + c
-        self.layout = BlockLayout.from_sizes(
-            [("W1", h * p), ("b1", h), ("W2", c * h), ("b2", c)])
-
-    def _unpack(self, theta):
-        p, h, c = self.num_features, self.hidden, self.num_classes
-        i = 0
-        W1 = theta[i:i + h * p].reshape(h, p); i += h * p
-        b1 = theta[i:i + h]; i += h
-        W2 = theta[i:i + c * h].reshape(c, h); i += c * h
-        b2 = theta[i:]
-        return W1, b1, W2, b2
-
-    def batch_loss(self, theta, X, y):
-        self._check_dim(theta)
-        W1, b1, W2, b2 = self._unpack(theta)
-        a1 = np.tanh(X @ W1.T + b1)
-        logp = _log_softmax(a1 @ W2.T + b2)
-        return float(-logp[np.arange(len(y)), y].mean())
-
-    def per_sample_grads(self, theta, X, y):
-        self._check_dim(theta)
-        W1, b1, W2, b2 = self._unpack(theta)
-        n = len(y)
-        a1 = np.tanh(X @ W1.T + b1)
-        err = _softmax(a1 @ W2.T + b2)
-        err[np.arange(n), y] -= 1.0
-        dz1 = (err @ W2) * (1.0 - a1 * a1)
-        grads = np.empty((n, self.d))
-        gW1, gb1, gW2, gb2 = (grads[:, s] for s in self.layout.slices())
-        np.einsum("nh,np->nhp", dz1, X, out=gW1.reshape(n, *W1.shape))
-        gb1[:] = dz1
-        np.einsum("nc,nh->nch", err, a1, out=gW2.reshape(n, *W2.shape))
-        gb2[:] = err
-        return grads
-
-    def predict(self, theta, X):
-        W1, b1, W2, b2 = self._unpack(theta)
-        a1 = np.tanh(X @ W1.T + b1)
-        return np.argmax(a1 @ W2.T + b2, axis=1)
+        return np.argmax(self._forward(theta, X)[1], axis=1)
 
 
 def build_model(kind: str, *, dim: int = 5, num_features: int = 20,
@@ -181,7 +153,9 @@ def build_model(kind: str, *, dim: int = 5, num_features: int = 20,
     if kind == "quadratic":
         return QuadraticModel(dim)
     if kind == "logistic":
-        return LogisticModel(num_features, num_classes)
+        return SoftmaxModel(num_features, num_classes)
     if kind == "mlp2":
-        return MLP2Model(num_features, num_classes, hidden)
+        if hidden < 1:
+            raise ConfigurationError("mlp2 needs hidden >= 1")
+        return SoftmaxModel(num_features, num_classes, hidden)
     raise ConfigurationError(f"unknown model kind: {kind!r}")

@@ -12,6 +12,7 @@ standard decoupled AdamW decay (theta shrinks by eta*lambda*theta).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,11 +36,13 @@ class AdamWParams:
     def __post_init__(self):
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigurationError("betas must lie in [0, 1)")
-        if not (self.eps > 0 and self.lr > 0):  # NaN fails too
-            raise ConfigurationError("lr and eps (adam_eps) must be > 0")
-        if not (self.weight_decay >= 0 and self.align_coef >= 0):
+        if not (0 < self.lr < math.inf and 0 < self.eps < math.inf):  # NaN too
             raise ConfigurationError(
-                "weight_decay and align_coef (gamma) must be >= 0")
+                "lr and eps (adam_eps) must be finite and > 0")
+        if not (0 <= self.weight_decay < math.inf
+                and 0 <= self.align_coef < math.inf):
+            raise ConfigurationError(
+                "weight_decay and align_coef (gamma) must be finite and >= 0")
 
 
 @dataclass

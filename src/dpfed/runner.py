@@ -33,6 +33,8 @@ METRICS_COLUMNS = ("t", "global_loss", "global_acc", "var_v", "drift",
 # Fields that do not change what a run computes.
 _NON_SEMANTIC_FIELDS = ("output_dir",)
 
+_SIZE_FIELDS = ("local_steps", "num_clients", "dim", "num_features",
+                "num_samples", "samples_per_client")  # each must be >= 1
 _BOOL_FIELDS = {"warm_start", "bias_correction", "identity_preconditioner"}
 _PARSERS = {"int": int, "float": float}  # keyed by string annotations
 
@@ -63,7 +65,7 @@ class RunConfig:
     gamma: float = 0.5
     beta1: float = 0.9
     beta2: float = 0.999
-    adam_eps: float = 1e-8
+    adam_eps: float = 1e-2
     alpha: float = 0.1
     warm_start: bool = True
     bias_correction: bool = True
@@ -78,12 +80,23 @@ class RunConfig:
             raise ConfigurationError(f"unknown model {self.model!r}")
         if not (0 < self.participation <= 1):
             raise ConfigurationError("participation must be in (0, 1]")
-        if self.rounds < 0 or self.local_steps < 1 or self.num_clients < 1:
-            raise ConfigurationError("invalid rounds / local_steps / clients")
+        if self.rounds < 0:
+            raise ConfigurationError("rounds must be >= 0")
+        for key in _SIZE_FIELDS:
+            if getattr(self, key) < 1:
+                raise ConfigurationError(f"{key} must be >= 1")
+        if self.num_classes < 2:
+            raise ConfigurationError("num_classes must be >= 2")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
+        for key in ("heterogeneity", "jitter"):  # spreads of the quadratics
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigurationError(f"{key} must be finite and >= 0")
         if not (0 < self.delta < 1):
             raise ConfigurationError("delta must lie in (0, 1)")
-        if not self.alpha > 0:  # NaN fails too
-            raise ConfigurationError("alpha must be > 0")
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):  # NaN fails too
+            raise ConfigurationError("alpha must be finite and > 0")
         # The optimizer's checks (lr, betas, adam_eps, weight_decay and
         # gamma) and the DP mechanism's (clip_norm, noise_multiplier,
         # sample_rate) for every variant: a bad value fails here, before
@@ -211,7 +224,6 @@ def run(config: RunConfig) -> RunSummary:
     """Execute T rounds, writing metrics.csv and summary.json; a diverged
     run leaves only metrics.csv, with the rounds completed before it."""
     start = time.perf_counter()
-    out_dir = os.environ.get("OUTPUT_DIR", config.output_dir)
 
     stream = NoiseStream(config.seed)
     model, fed, dp_cfg = _build_problem(config, stream)
@@ -234,7 +246,7 @@ def run(config: RunConfig) -> RunSummary:
                 state, model, fed.clients, dp_cfg, opt, config.variant,
                 config.local_steps, config.selected_clients, stream, options)
         except DivergenceError:
-            _write_csv(out_dir, "metrics.csv", METRICS_COLUMNS,
+            _write_csv(config.output_dir, "metrics.csv", METRICS_COLUMNS,
                        map(astuple, records))
             raise
         eps_rdp, eps_paper = account_round(config, ledger, state.t)
@@ -255,12 +267,13 @@ def run(config: RunConfig) -> RunSummary:
         final_loss, final_acc = last.global_loss, last.global_accuracy
     else:
         final_loss, final_acc = _global_metrics(model, fed, state.theta)
-    _write_csv(out_dir, "metrics.csv", METRICS_COLUMNS, map(astuple, records))
+    _write_csv(config.output_dir, "metrics.csv", METRICS_COLUMNS,
+               map(astuple, records))
     summary = RunSummary(final_loss=final_loss, final_accuracy=final_acc,
                          eps_rdp=eps_rdp, eps_paper=eps_paper,
                          wall_time_s=time.perf_counter() - start,
                          config_hash=config.config_hash(), metrics=records)
-    _write_summary_json(out_dir, config, summary)
+    _write_summary_json(config.output_dir, config, summary)
     return summary
 
 

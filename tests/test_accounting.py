@@ -286,3 +286,18 @@ def test_budget_validation():
         Budget(-1.0, 1e-5)
     with pytest.raises(ConfigurationError):
         Budget(1.0, 0.0)
+
+
+@pytest.mark.parametrize("sigma", [1e-160, 1e-200])
+def test_tiny_sigma_has_no_finite_bound(sigma):
+    # At 1e-160 the j(j-1)/(2 sigma^2) terms overflow; at 1e-200 2 sigma^2
+    # itself underflows to 0. Either way the bound is inf, as at sigma = 0,
+    # never NaN, a division error or a rejected epsilon.
+    assert gaussian_rdp(2, sigma) == math.inf
+    with np.errstate(over="ignore"):
+        assert subsampled_gaussian_rdp(2, sigma, 0.2) == math.inf
+        ledger = PrivacyLedger()
+        ledger.add_event(sigma, 0.2, 10)
+    assert compose_and_convert(ledger, 1e-5).epsilon == math.inf
+    with pytest.raises(ConfigurationError):
+        Budget(math.nan, 1e-5)

@@ -121,28 +121,48 @@ def test_batched_grads_match_per_sample(kind):
 
 def test_per_sample_grads_match_blockwise_concatenation():
     # Writing each block into one matrix gives bitwise the einsum blocks
-    # concatenated in layout order.
+    # concatenated in layout order. The oracle unpacks theta by its own
+    # slices, for a batch of 9 rows and an empty one.
     rng = np.random.default_rng(19)
+    p, h, c = 5, 4, 3
     for kind in ("logistic", "mlp2"):
-        m = make(kind)
-        theta = rng.standard_normal(m.d)
-        X, y = random_batch(m, rng, n=9)
-        n = len(y)
-        if kind == "logistic":
-            W, b = m._unpack(theta)
-            err = _softmax(X @ W.T + b)
-            err[np.arange(n), y] -= 1.0
-            blocks = [np.einsum("nc,np->ncp", err, X).reshape(n, -1), err]
-        else:
-            W1, b1, W2, b2 = m._unpack(theta)
-            a1 = np.tanh(X @ W1.T + b1)
-            err = _softmax(a1 @ W2.T + b2)
-            err[np.arange(n), y] -= 1.0
-            dz1 = (err @ W2) * (1.0 - a1 * a1)
-            blocks = [np.einsum("nh,np->nhp", dz1, X).reshape(n, -1), dz1,
-                      np.einsum("nc,nh->nch", err, a1).reshape(n, -1), err]
-        expected = np.concatenate(blocks, axis=1)
-        assert np.array_equal(m.per_sample_grads(theta, X, y), expected)
+        for n in (9, 0):
+            m = make(kind)
+            theta = rng.standard_normal(m.d)
+            X, y = random_batch(m, rng, n=n)
+            if kind == "logistic":
+                W, b = theta[:c * p].reshape(c, p), theta[c * p:]
+                err = _softmax(X @ W.T + b)
+                err[np.arange(n), y] -= 1.0
+                blocks = [np.einsum("nc,np->ncp", err, X).reshape(n, c * p),
+                          err]
+            else:
+                W1, b1 = theta[:h * p].reshape(h, p), theta[h * p:h * p + h]
+                W2 = theta[h * p + h:h * p + h + c * h].reshape(c, h)
+                b2 = theta[h * p + h + c * h:]
+                a1 = np.tanh(X @ W1.T + b1)
+                err = _softmax(a1 @ W2.T + b2)
+                err[np.arange(n), y] -= 1.0
+                dz1 = (err @ W2) * (1.0 - a1 * a1)
+                blocks = [np.einsum("nh,np->nhp", dz1, X).reshape(n, h * p),
+                          dz1,
+                          np.einsum("nc,nh->nch", err, a1).reshape(n, c * h),
+                          err]
+            expected = np.concatenate(blocks, axis=1)
+            got = m.per_sample_grads(theta, X, y)
+            assert got.shape == (n, m.d)
+            assert np.array_equal(got, expected)
+
+
+def test_mlp2_needs_a_hidden_unit():
+    # hidden = 0 would be a logistic model run under the mlp2 name.
+    for hidden in (0, -1):
+        with pytest.raises(ConfigurationError, match="hidden"):
+            build_model("mlp2", num_features=5, num_classes=3, hidden=hidden)
+    assert make("logistic").kind == "logistic"
+    assert make("mlp2").kind == "mlp2"
+    assert [m.layout.sizes.tolist() for m in map(make, ("logistic", "mlp2"))
+            ] == [[15, 3], [20, 4, 12, 3]]
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp2"])

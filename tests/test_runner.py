@@ -129,12 +129,28 @@ def test_summary_json_fields(tmp_path):
     assert payload["final_loss"] == summary.final_loss
 
 
-def test_output_dir_env_override(tmp_path, monkeypatch):
-    override = tmp_path / "elsewhere"
-    monkeypatch.setenv("OUTPUT_DIR", str(override))
+def test_output_dir_env_is_ignored(tmp_path, monkeypatch):
+    # Only the config says where a run writes: an OUTPUT_DIR variable must
+    # not send every run of a sweep into one directory.
+    elsewhere = tmp_path / "elsewhere"
+    monkeypatch.setenv("OUTPUT_DIR", str(elsewhere))
     run(small_config(tmp_path))
-    assert (override / "metrics.csv").exists()
-    assert not (tmp_path / "out").exists()
+    assert (tmp_path / "out" / "metrics.csv").exists()
+    cfgs = [small_config(tmp_path, gamma=g) for g in (0.0, 0.5)]
+    compare(cfgs, [0, 1], axes=("gamma",), output_dir=str(tmp_path / "cmp"))
+    written = sorted(p.parent.name
+                     for p in (tmp_path / "cmp").glob("*/summary.json"))
+    assert written == ["c0_s0", "c0_s1", "c1_s0", "c1_s1"]
+    assert (tmp_path / "cmp" / "comparison.csv").exists()
+    assert not elsewhere.exists()
+
+
+def test_default_config_lowers_the_loss(tmp_path):
+    # The defaults are a working run: the loss after 5 rounds ends below
+    # the loss at the initial parameters.
+    start = run(RunConfig(rounds=0, output_dir=str(tmp_path / "r0")))
+    end = run(RunConfig(rounds=5, output_dir=str(tmp_path / "r5")))
+    assert end.final_loss < start.final_loss
 
 
 def test_config_hash_semantics(tmp_path):
@@ -385,6 +401,52 @@ def test_cli_account_zero_sigma_is_unbounded(tmp_path, capsys):
                                        "2,inf,inf\n3,inf,inf\n")
     summary = run(small_config(tmp_path, noise_multiplier=0.0, rounds=3))
     assert summary.eps_rdp == summary.eps_paper == math.inf
+
+
+QUICK_RUN = ["--model", "quadratic", "--dataset", "quadratics", "--dim", "3",
+             "--num_clients", "3", "--rounds", "1", "--local_steps", "1",
+             "--sample_rate", "0.5", "--samples_per_client", "10"]
+QUICK_LOGISTIC = ["--num_samples", "200", "--num_clients", "3", "--rounds", "1",
+                  "--local_steps", "1", "--sample_rate", "0.5"]
+MALFORMED = [(QUICK_RUN, k, v) for k, v in [
+    ("dim", "-2"), ("dim", "0"), ("seed", "-1"), ("heterogeneity", "nan"),
+    ("heterogeneity", "inf"), ("jitter", "nan"), ("lr", "inf"),
+    ("weight_decay", "inf"), ("gamma", "inf"), ("adam_eps", "inf")]] + [
+    (QUICK_LOGISTIC, k, v) for k, v in [
+        ("num_classes", "0"), ("num_classes", "1"), ("num_features", "0"),
+        ("num_samples", "0"), ("alpha", "inf"), ("dataset", "missing.csv")]
+] + [([*QUICK_LOGISTIC, "--model", "mlp2"], "hidden", "0")]
+
+
+@pytest.mark.parametrize("base,key,value", MALFORMED,
+                         ids=[f"{k}={v}" for _, k, v in MALFORMED])
+def test_cli_malformed_input_exits_2_naming_the_key(tmp_path, capsys, base,
+                                                    key, value):
+    # Rejected before any round, with an error naming the input: no
+    # traceback, no misleading cause, no output directory.
+    if key == "dataset":
+        value = str(tmp_path / value)
+    rc = cli_main(["run", *base, f"--{key}", value,
+                   "--output_dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sigma", ["1e-160", "1e-200"])
+def test_tiny_sigma_is_unbounded(tmp_path, capsys, sigma):
+    # Noise too small for a finite RDP curve gives inf, as sigma = 0 does,
+    # in the budget table and in a run.
+    with np.errstate(over="ignore"):
+        rc = cli_main(["account", "--noise_multiplier", sigma,
+                       "--sample_rate", "0.2", "--local_steps", "10",
+                       "--rounds", "2"])
+        summary = run(small_config(tmp_path, noise_multiplier=float(sigma)))
+    assert rc == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["inf", "inf"]
+    assert summary.eps_rdp == math.inf
 
 
 def test_cli_invalid_config_exit_code(capsys):
