@@ -113,7 +113,9 @@ def subsampled_gaussian_rdp(order: int, sigma: float, q: float) -> float:
     if q == 1.0:
         return gaussian_rdp(order, sigma)
     two_var = 2.0 * sigma * sigma
-    if not two_var:  # sigma^2 underflows to 0: no finite bound
+    # No finite bound if sigma^2 underflows to 0 or the largest exponent
+    # j(j-1)/(2 sigma^2) overflows; checked in Python floats, which do not warn.
+    if not two_var or order * (order - 1) / two_var == math.inf:
         return math.inf
     lf = (_LOG_FACTORIAL if order < _LOG_FACTORIAL.size
           else gammaln(np.arange(1.0, order + 2.0)))
@@ -143,7 +145,8 @@ def compose_and_convert(ledger: PrivacyLedger, delta: float) -> Budget:
         raise ConfigurationError("delta must lie in (0, 1)")
     if not ledger.steps:
         return Budget(0.0, delta)
-    total = sum(steps * ledger.curve(key) for key, steps in ledger.steps.items())
+    with np.errstate(over="ignore"):  # a total past the float range is inf
+        total = sum(n * ledger.curve(key) for key, n in ledger.steps.items())
     orders = np.asarray(ledger.order_grid, dtype=np.float64)
     eps = total + math.log(1.0 / delta) / (orders - 1)
     return Budget(float(eps.min()), delta)

@@ -100,7 +100,7 @@ def quadratic_client_data(centers: np.ndarray, samples_per_client: int,
 
 def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Tabular ingestion; header must be f1..fp,label, features finite,
-    labels ints >= 0 with every class 0..max present."""
+    labels ints >= 0 with every class 0..max present, max >= 1."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -124,6 +124,6 @@ def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigurationError("CSV features must be finite")
     if not np.all((labels >= 0) & (labels % 1 == 0)):
         raise ConfigurationError("CSV labels must be integers >= 0")
-    if len(np.unique(labels)) != labels.max(initial=-1) + 1:
-        raise ConfigurationError("CSV labels must cover every class 0..max")
+    if not 2 <= len(np.unique(labels)) == labels.max() + 1:
+        raise ConfigurationError("CSV labels must cover classes 0..max, max >= 1")
     return X, labels.astype(np.int64)

@@ -84,25 +84,22 @@ def clip_batch(grads: np.ndarray, clip_norm: float) -> np.ndarray:
     """
     if clip_norm <= 0:
         raise ConfigurationError("clip_norm must be > 0")
-    out = np.array(grads, dtype=np.float64)
-    if not np.all(np.isfinite(out)):
+    grads = np.ascontiguousarray(grads, dtype=np.float64)
+    norms = _row_norms(grads)
+    # A NaN/inf entry makes its norm non-finite; a finite row's may overflow.
+    if not (math.isfinite(norms.sum()) or np.isfinite(grads).all()):
         raise ConfigurationError("gradient contains non-finite entries")
-    norms = _row_norms(out)
-    over = norms > clip_norm
-    if not over.any():
-        return out
-    # One multiply per row: by C/||g|| over C, and by exactly 1.0, which
-    # leaves the row bitwise unchanged, at or below it.
-    factor = np.divide(clip_norm, norms, out=np.ones_like(norms), where=over)
-    out *= factor[:, None]
-    rows = np.flatnonzero(over)  # then re-check only the rescaled rows
-    norms = _row_norms(out[rows])
-    over = norms > clip_norm
-    while over.any():  # repeats only where rescaling rounded up past C
-        rows = rows[over]
-        out[rows] *= (clip_norm / norms[over])[:, None]
-        norms = _row_norms(out[rows])
+    # One multiply, which also makes the copy: by C/||g|| over C, and by
+    # exactly 1.0, which leaves the row bitwise unchanged, at or below it.
+    out = grads * (clip_norm / np.maximum(norms, clip_norm))[:, None]
+    norms = _row_norms(out)  # every row re-checked in place, without a gather
+    rows = np.flatnonzero(norms > clip_norm)
+    norms = norms[rows]
+    while rows.size:  # only the rows that rescaling rounded up past C
+        out[rows] = part = out[rows] * (clip_norm / norms)[:, None]
+        norms = _row_norms(part)
         over = norms > clip_norm
+        rows, norms = rows[over], norms[over]
     return out
 
 
@@ -118,7 +115,7 @@ def noisy_batch_mean(grads: np.ndarray, cfg: DPConfig,
         raise ConfigurationError("expected non-empty (n, d) batch of gradients")
     clipped = clip_batch(grads, cfg.clip_norm)
     b, d = clipped.shape
-    mean = np.sum(clipped, axis=0) / b
+    mean = clipped.sum(axis=0) / b
     if cfg.noise_multiplier > 0:
         if rng is None:
             raise ConfigurationError("a generator is required when sigma > 0")

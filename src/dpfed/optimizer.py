@@ -100,7 +100,7 @@ def local_step(theta: np.ndarray, m_hat: np.ndarray,
     new_theta = theta - params.lr * update
     if params.weight_decay != 0.0:
         new_theta = new_theta - params.lr * params.weight_decay * theta
-    if not np.all(np.isfinite(new_theta)):
+    if not (math.isfinite(new_theta.sum()) or np.isfinite(new_theta).all()):
         raise DivergenceError(
             "non-finite parameters after local step "
             f"(|theta|_max={np.max(np.abs(theta)):.3e}, "

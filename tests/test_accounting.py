@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -301,3 +302,27 @@ def test_tiny_sigma_has_no_finite_bound(sigma):
     assert compose_and_convert(ledger, 1e-5).epsilon == math.inf
     with pytest.raises(ConfigurationError):
         Budget(math.nan, 1e-5)
+
+
+@pytest.mark.parametrize("sigma", [1e-152, 1e-154, 1e-160, 1e-200])
+def test_tiny_sigma_accounts_without_warnings(sigma):
+    # Exponents or step totals past the float range give inf without a
+    # RuntimeWarning. Down to 1e-154 the low orders stay finite, and every
+    # value keeps the reference's bits (at 1e-200, 2 sigma^2 is 0 and the
+    # reference divides 0 by 0).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ledger = PrivacyLedger()
+        ledger.add_event(sigma, 0.2, 10)
+        curve = ledger.curve((sigma, 0.2))
+        eps = compose_and_convert(ledger, 1e-5).epsilon
+    assert math.isfinite(curve[0]) == (sigma >= 1e-154)
+    assert math.isfinite(eps) == (sigma == 1e-152)
+    if 2.0 * sigma * sigma:
+        with np.errstate(over="ignore"):
+            expected = [reference_subsampled_gaussian_rdp(
+                max(2, math.ceil(a)), sigma, 0.2) for a in DEFAULT_ORDER_GRID]
+            assert eps == reference_compose_and_convert(ledger, 1e-5)
+        assert np.array_equal(curve, expected)
+    else:
+        assert np.all(curve == math.inf)

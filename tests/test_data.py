@@ -133,6 +133,7 @@ MALFORMED_CSV = {
     "nan_feature": "f1,f2,label\n0.5,1.0,0\n0.5,nan,1\n",
     "inf_feature": "f1,f2,label\n-inf,1.0,0\n",
     "skipped_class": "f1,label\n0.5,0\n1.5,1\n2.5,5000\n",
+    "single_class": "f1,f2,label\n0.5,1.0,0\n1.5,2.0,0\n-0.5,3.0,0\n",
 }
 
 

@@ -74,9 +74,13 @@ def test_clip_rechecks_rows_that_round_past_threshold(monkeypatch):
     out = clip_batch(grads, C)
     assert np.array_equal(out, np.stack([reference_clip(g, C) for g in grads]))
     assert np.array_equal(out[3:6], grads[3:6])  # at C, zero, below C
-    # All rows once, then only the 7 rescaled rows, then the loop again
-    # on the rows that rounded past C.
-    assert sizes[:2] == [10, 7] and len(sizes) >= 3 and 1 <= sizes[2] <= 3
+    # All rows of the input, all rows of the rescaled copy, then only the
+    # rows whose one rescale rounded past C, never more on a repeat.
+    once = [g * (C / np.linalg.norm(g)) for g in grads
+            if np.linalg.norm(g) > C]
+    past_c = sum(np.linalg.norm(g) > C for g in once)
+    assert sizes[:3] == [10, 10, past_c] and past_c >= 3
+    assert all(a >= b for a, b in zip(sizes[2:], sizes[3:]))
 
 
 def test_clip_shrinks_to_threshold():
@@ -105,10 +109,30 @@ def test_clip_zero():
 
 
 def test_clip_rejects_nonfinite():
-    with pytest.raises(ConfigurationError):
-        clip_one(np.array([np.nan, 1.0]), 0.1)
-    with pytest.raises(ConfigurationError):
-        clip_batch(np.array([[0.0, 1.0], [np.inf, 0.0]]), 0.1)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigurationError):
+            clip_one(np.array([bad, 1.0]), 0.1)
+        with pytest.raises(ConfigurationError):
+            clip_batch(np.array([[0.0, 1.0], [bad, 0.0]]), 0.1)
+        # Also next to a finite row whose norm overflows to inf.
+        with np.errstate(over="ignore"), pytest.raises(ConfigurationError):
+            clip_batch(np.array([[1e200, -1e200], [0.5, bad]]), 0.1)
+
+
+def test_clip_row_whose_norm_overflows():
+    # A finite row with ||g||^2 past the float range has an inf norm: it
+    # is accepted and clipped to a zero row that keeps its signs, bitwise
+    # as the per-row reference does.
+    grads = np.array([[1e200, -3e199, 2e200, -1e-3],
+                      [0.03, -0.04, 0.0, 0.0],
+                      [3.0, 4.0, 0.0, -0.0]])
+    with np.errstate(over="ignore"):
+        out = clip_batch(grads, 0.1)
+        expected = np.stack([reference_clip(g, 0.1) for g in grads])
+    assert np.array_equal(out, expected)
+    assert np.array_equal(np.signbit(out), np.signbit(expected))
+    assert not out[0].any() and np.array_equal(np.signbit(out[0]),
+                                               np.signbit(grads[0]))
 
 
 def test_clip_rejects_nonpositive_threshold():

@@ -134,6 +134,26 @@ def test_local_step_matches_straight_line_oracle():
     assert np.array_equal(got, expected)
 
 
+def test_local_step_accepts_finite_params_whose_sum_overflows():
+    theta = np.array([1.5e308, 1.5e308, -1.0])
+    p = params(lr=0.5)
+    with np.errstate(over="ignore"):  # the one-reduction check overflows
+        out = local_step(theta, np.zeros(3), 1.0, None, p)
+    assert np.array_equal(out, theta)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_local_step_rejects_each_nonfinite_value(bad):
+    with pytest.raises(DivergenceError):
+        local_step(np.array([0.5, bad, 1.0]), np.zeros(3), 1.0, None,
+                   params())
+    # The finite part's sum overflows (and meets -inf as inf - inf).
+    with (np.errstate(over="ignore", invalid="ignore"),
+          pytest.raises(DivergenceError)):
+        local_step(np.array([1.5e308, 1.5e308, bad]), np.zeros(3), 1.0,
+                   None, params())
+
+
 def test_local_step_divergence_detected():
     with np.errstate(over="ignore"), pytest.raises(DivergenceError):
         local_step(np.array([1e308]), np.array([-1e308]),

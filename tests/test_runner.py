@@ -434,6 +434,19 @@ def test_cli_malformed_input_exits_2_naming_the_key(tmp_path, capsys, base,
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_single_class_csv_exits_2(tmp_path, capsys):
+    # One class leaves nothing to classify: rejected before any round.
+    path = tmp_path / "one.csv"
+    path.write_text("f1,f2,label\n"
+                    + "".join(f"{i / 10},{-i / 7},0\n" for i in range(200)))
+    rc = cli_main(["run", "--dataset", str(path), "--num_clients", "3",
+                   "--rounds", "3", "--local_steps", "2", "--sample_rate",
+                   "0.5", "--output_dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: CSV labels")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("sigma", ["1e-160", "1e-200"])
 def test_tiny_sigma_is_unbounded(tmp_path, capsys, sigma):
     # Noise too small for a finite RDP curve gives inf, as sigma = 0 does,
