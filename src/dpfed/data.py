@@ -100,30 +100,34 @@ def quadratic_client_data(centers: np.ndarray, samples_per_client: int,
 
 def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Tabular ingestion; header must be f1..fp,label, features finite,
-    labels ints >= 0 with every class 0..max present, max >= 1."""
+    labels ints >= 0 with every class 0..max present, max >= 1. Every
+    error names the ``dataset`` key and the path."""
+    def error(message: str) -> ConfigurationError:
+        return ConfigurationError(f"{message} (dataset {path})")
+
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
             rows = [row for row in reader if row]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise ConfigurationError(f"cannot read dataset: {exc}") from None
+        raise error(f"cannot read CSV: {exc}") from None
     if not header or header[-1] != "label" or any(
             h != f"f{i + 1}" for i, h in enumerate(header[:-1])):
-        raise ConfigurationError("CSV header must be f1..fp,label")
+        raise error("CSV header must be f1..fp,label")
     if not rows:
-        raise ConfigurationError("CSV has no data rows")
+        raise error("CSV has no data rows")
     if any(len(row) != len(header) for row in rows):
-        raise ConfigurationError(f"every CSV row must have {len(header)} fields")
+        raise error(f"every CSV row must have {len(header)} fields")
     try:
         X = np.array([[float(v) for v in row[:-1]] for row in rows])
         labels = np.array([float(row[-1]) for row in rows])
     except ValueError:
-        raise ConfigurationError("CSV fields must be numbers") from None
+        raise error("CSV fields must be numbers") from None
     if not np.all(np.isfinite(X)):
-        raise ConfigurationError("CSV features must be finite")
+        raise error("CSV features must be finite")
     if not np.all((labels >= 0) & (labels % 1 == 0)):
-        raise ConfigurationError("CSV labels must be integers >= 0")
+        raise error("CSV labels must be integers >= 0")
     if not 2 <= len(np.unique(labels)) == labels.max() + 1:
-        raise ConfigurationError("CSV labels must cover classes 0..max, max >= 1")
+        raise error("CSV labels must cover classes 0..max, max >= 1")
     return X, labels.astype(np.int64)

@@ -6,6 +6,19 @@ deviation ``sigma * C / b``, where b = floor(s * R) for a client of R
 rows. A client's batches and noise in one round come from one generator
 keyed by (run seed, round, client), so trajectories are reproducible and
 clients can run in any order on disjoint streams.
+
+A model hands its gradients over factored, one (E, A) pair per layer
+(see ``models``): sample i's gradient on layer l is E_l[i] (x) [A_l[i], 1],
+so its squared norm is sum_l ||E_l[i]||^2 (||A_l[i]||^2 + 1). The batch is
+clipped without forming its (n, d) rows: ``clip_batch`` clips the narrow
+carrier U = [E_l * s_l] with s_l = sqrt(||A_l||^2 + 1) per row, whose row
+norms are the gradient norms, each layer's scale s_l is divided back out,
+and the layer's clipped sum is E'^T A plus the column sum of E'. The
+carrier is clipped at C (1 - 2^-40), not at C: rounding in s_l, in the
+division by it and in the carrier's computed norm moves an assembled
+row's norm off its carrier norm by a relative error of about
+(in + out) / 2 units of 2^-53, while the margin is 8192 such units, so
+every assembled row stays at or below C for any desk-scale layer.
 """
 from __future__ import annotations
 
@@ -21,6 +34,9 @@ DOMAIN_BATCH = 1
 DOMAIN_CLIENTS = 2
 DOMAIN_INIT = 3
 DOMAIN_DATA = 4
+
+# Factored batches clip their carrier at C times this (module docstring).
+_CARRIER_CLIP = 1.0 - 2.0 ** -40
 
 
 @dataclass(frozen=True)
@@ -70,9 +86,9 @@ class NoiseStream:
 
 
 def _row_norms(g: np.ndarray) -> np.ndarray:
-    # Batched 1x1 matmuls run the same dot as 1-D np.linalg.norm, so each
-    # norm is bitwise equal to it; norm(axis=1) and einsum are not.
-    return np.sqrt((g[:, None, :] @ g[:, :, None])[:, 0, 0])
+    # vecdot runs the same dot as 1-D np.linalg.norm, so each norm is
+    # bitwise equal to it; norm(axis=1) and einsum are not.
+    return np.sqrt(np.vecdot(g, g))
 
 
 def clip_batch(grads: np.ndarray, clip_norm: float) -> np.ndarray:
@@ -87,13 +103,13 @@ def clip_batch(grads: np.ndarray, clip_norm: float) -> np.ndarray:
     grads = np.ascontiguousarray(grads, dtype=np.float64)
     norms = _row_norms(grads)
     # A NaN/inf entry makes its norm non-finite; a finite row's may overflow.
-    if not (math.isfinite(norms.sum()) or np.isfinite(grads).all()):
+    if not (math.isfinite(np.add.reduce(norms)) or np.isfinite(grads).all()):
         raise ConfigurationError("gradient contains non-finite entries")
     # One multiply, which also makes the copy: by C/||g|| over C, and by
     # exactly 1.0, which leaves the row bitwise unchanged, at or below it.
     out = grads * (clip_norm / np.maximum(norms, clip_norm))[:, None]
     norms = _row_norms(out)  # every row re-checked in place, without a gather
-    rows = np.flatnonzero(norms > clip_norm)
+    rows = (norms > clip_norm).nonzero()[0]
     norms = norms[rows]
     while rows.size:  # only the rows that rescaling rounded up past C
         out[rows] = part = out[rows] * (clip_norm / norms)[:, None]
@@ -103,21 +119,50 @@ def clip_batch(grads: np.ndarray, clip_norm: float) -> np.ndarray:
     return out
 
 
-def noisy_batch_mean(grads: np.ndarray, cfg: DPConfig,
+def _factored_clipped_sum(layers, clip_norm: float) -> tuple[np.ndarray, int]:
+    """Sum over the batch of the clipped rows E[i] (x) [A[i], 1], flat in
+    block order, and the batch size."""
+    n = layers[0][0].shape[0]
+    if n == 0:
+        raise ConfigurationError("expected a non-empty batch of gradients")
+    scales = [np.sqrt(np.vecdot(A, A) + 1.0)[:, None] for _, A in layers]
+    scaled = [E * s for (E, _), s in zip(layers, scales)]
+    carrier = clip_batch(
+        np.concatenate(scaled, axis=1) if len(scaled) > 1 else scaled[0],
+        clip_norm * _CARRIER_CLIP)
+    parts, col = [], 0
+    for (E, A), s in zip(layers, scales):
+        e = carrier[:, col:col + E.shape[1]]
+        e /= s  # in place: this layer's clipped output errors E'
+        col += E.shape[1]
+        parts += [(e.T @ A).ravel(), e.sum(axis=0)]
+    return np.concatenate(parts), n
+
+
+def noisy_batch_mean(grads, cfg: DPConfig,
                      rng: np.random.Generator | None) -> np.ndarray:
     """Mean of the clipped per-sample gradients plus Gaussian noise from rng.
 
-    The rows are clipped here, so the guarantee does not rest on the
-    caller. They are summed in the order given.
+    ``grads`` is an (n, d) matrix of gradient rows or a model's per-layer
+    (E, A) factors; a single layer without input, [(G, None)], is the
+    matrix G. The rows are clipped here, so the guarantee does not rest on
+    the caller. Dense rows are summed in the order given.
     """
-    grads = np.asarray(grads, dtype=np.float64)
-    if grads.ndim != 2 or grads.shape[0] == 0:
-        raise ConfigurationError("expected non-empty (n, d) batch of gradients")
-    clipped = clip_batch(grads, cfg.clip_norm)
-    b, d = clipped.shape
-    mean = clipped.sum(axis=0) / b
+    if isinstance(grads, list) and len(grads) == 1 and grads[0][1] is None:
+        grads = grads[0][0]
+    if isinstance(grads, list):
+        total, b = _factored_clipped_sum(grads, cfg.clip_norm)
+    else:
+        grads = np.asarray(grads, dtype=np.float64)
+        if grads.ndim != 2 or grads.shape[0] == 0:
+            raise ConfigurationError(
+                "expected non-empty (n, d) batch of gradients")
+        clipped = clip_batch(grads, cfg.clip_norm)
+        b = clipped.shape[0]
+        total = clipped.sum(axis=0)
+    mean = total / b
     if cfg.noise_multiplier > 0:
         if rng is None:
             raise ConfigurationError("a generator is required when sigma > 0")
-        mean = mean + cfg.noise_std(b) * rng.standard_normal(d)
+        mean = mean + cfg.noise_std(b) * rng.standard_normal(mean.shape[0])
     return mean

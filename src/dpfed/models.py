@@ -10,7 +10,12 @@ Three model kinds share one interface over flat parameter vectors:
 Both classifiers are one ``SoftmaxModel``, with zero or ``hidden`` units.
 
 Gradients are analytic. ``per_sample_grads`` evaluates many samples at
-once but returns one gradient row per sample, which DP clipping needs.
+once and returns each sample's gradient in factored form, one (E, A)
+pair per layer in block order: sample i's gradient on a (W, b) layer is
+E[i] (x) [A[i], 1], its W block E[i] A[i]^T flattened and then its b block
+E[i]. DP clipping reads each row's norm from the factors and never forms
+the (n, d) matrix. The quadratic model's one "layer" has no input: its
+gradient rows are E itself, returned as [(E, None)].
 """
 from __future__ import annotations
 
@@ -22,9 +27,9 @@ from .blocks import BlockLayout, ConfigurationError
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - np.max(z, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -42,8 +47,11 @@ class Model:
     def batch_loss(self, theta, X, y) -> float:
         raise NotImplementedError
 
-    def per_sample_grads(self, theta, X, y) -> np.ndarray:
-        """(n, d) matrix of individual sample gradients."""
+    def per_sample_grads(self, theta, X, y
+                         ) -> list[tuple[np.ndarray, np.ndarray | None]]:
+        """Per-layer factors (E, A) of the n sample gradients, in block
+        order: E is the layer's (n, out) output error, A its (n, in) input
+        or None for a layer whose gradient rows are E itself."""
         raise NotImplementedError
 
     def predict(self, theta, X) -> np.ndarray | None:
@@ -82,7 +90,7 @@ class QuadraticModel(Model):
 
     def per_sample_grads(self, theta, X, y):
         self._check_dim(theta)
-        return self.curvature * (theta[None, :] - X)
+        return [(self.curvature * (theta[None, :] - X), None)]
 
 
 @dataclass
@@ -132,17 +140,15 @@ class SoftmaxModel(Model):
     def per_sample_grads(self, theta, X, y):
         self._check_dim(theta)
         layers, z = self._forward(theta, X)
-        n = len(y)
         err = _softmax(z)  # d loss / d z, then back through each layer
-        err[np.arange(n), y] -= 1.0
-        grads = np.empty((n, self.d))
+        err[np.arange(len(y)), y] -= 1.0
+        factors = []
         for i in range(len(layers) - 1, -1, -1):
-            (a, W), (w, shape, b) = layers[i], self._layers[i]
-            np.einsum("no,ni->noi", err, a, out=grads[:, w].reshape(n, *shape))
-            grads[:, b] = err
+            a, W = layers[i]
+            factors.append((err, a))
             if i:
                 err = (err @ W) * (1.0 - a * a)
-        return grads
+        return factors[::-1]
 
     def predict(self, theta, X):
         return np.argmax(self._forward(theta, X)[1], axis=1)

@@ -32,6 +32,11 @@ METRICS_COLUMNS = ("t", "global_loss", "global_acc", "var_v", "drift",
 
 # Fields that do not change what a run computes.
 _NON_SEMANTIC_FIELDS = ("output_dir",)
+# Fields read only for some models or datasets: a run that ignores them
+# hashes them at their defaults, so the same computation has one hash.
+_QUADRATIC_FIELDS = ("dim", "heterogeneity", "jitter", "samples_per_client")
+_BLOBS_FIELDS = ("num_features", "num_classes", "num_samples")
+_CLASSIFIER_FIELDS = (*_BLOBS_FIELDS, "hidden", "alpha")
 
 _SIZE_FIELDS = ("local_steps", "num_clients", "dim", "num_features",
                 "num_samples", "samples_per_client")  # each must be >= 1
@@ -115,8 +120,21 @@ class RunConfig:
     def selected_clients(self) -> int:
         return max(1, math.ceil(self.participation * self.num_clients))
 
+    def _ignored_fields(self) -> set[str]:
+        """The fields this run's model and dataset do not read."""
+        if self.model == "quadratic":
+            return set(_CLASSIFIER_FIELDS)
+        ignored = set(_QUADRATIC_FIELDS)
+        if self.model == "logistic":
+            ignored.add("hidden")
+        if self.dataset != "blobs":  # a CSV fixes its features and classes
+            ignored.update(_BLOBS_FIELDS)
+        return ignored
+
     def semantic_items(self) -> list[tuple[str, str]]:
-        return [(f.name, repr(getattr(self, f.name)))
+        ignored = self._ignored_fields()
+        return [(f.name, repr(f.default if f.name in ignored
+                              else getattr(self, f.name)))
                 for f in fields(self) if f.name not in _NON_SEMANTIC_FIELDS]
 
     def config_hash(self) -> str:

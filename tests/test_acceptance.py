@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from conftest import record_result
+from conftest import dense_grads, record_result
 from dpfed.accounting import (PrivacyLedger, compose_and_convert,
                               gaussian_rdp, server_budget,
                               subsampled_gaussian_rdp)
@@ -96,7 +96,7 @@ def test_criterion_04_gradient_oracle():
             else:
                 X = rng.standard_normal((1, m.num_features))
                 y = np.array([rng.integers(m.num_classes)])
-            g = m.per_sample_grads(theta, X, y)[0]
+            g = dense_grads(m.per_sample_grads(theta, X, y))[0]
             fd = np.empty(m.d)
             h = 1e-6
             for j in range(m.d):

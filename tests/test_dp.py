@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_grads
 from dpfed import dp
 from dpfed.blocks import ConfigurationError
 from dpfed.dp import DPConfig, NoiseStream, clip_batch, noisy_batch_mean
+from dpfed.models import build_model
 
 
 def cfg(C=0.1, sigma=1.0, s=1.0):
@@ -25,8 +27,28 @@ def reference_clip(g, clip_norm):
     return out
 
 
+def factors_at_norms(kind, norms, rng):
+    """A model's factors for len(norms) samples, each row's E rescaled on
+    every layer so that its dense gradient has the given norm."""
+    m = build_model(kind, num_features=6, num_classes=4, hidden=5)
+    n = len(norms)
+    factors = m.per_sample_grads(rng.standard_normal(m.d),
+                                 rng.standard_normal((n, 6)),
+                                 rng.integers(4, size=n))
+    scale = np.asarray(norms) / np.linalg.norm(dense_grads(factors), axis=1)
+    return [(E * scale[:, None], A) for E, A in factors]
+
+
 def clip_one(g, C):
     return clip_batch(np.asarray(g, dtype=np.float64)[None, :], C)[0]
+
+
+@pytest.mark.parametrize("shape", [(10, 5), (100, 10), (80, 210), (400, 506)])
+def test_row_norms_match_per_row_dot_bitwise(shape):
+    rng = np.random.default_rng(shape[1])
+    g = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, (shape[0], 1))
+    expected = np.array([np.sqrt(np.dot(row, row)) for row in g])
+    assert np.array_equal(dp._row_norms(g), expected)
 
 
 @pytest.mark.parametrize("d", [5, 210, 506])
@@ -176,6 +198,9 @@ def test_noise_is_the_generators_next_normal_draw():
     clean = np.sum(clip_batch(raw, c.clip_norm), axis=0) / 10
     z = NoiseStream(3).rng((1, 2, 3)).standard_normal(5)
     assert np.array_equal(out, clean + c.noise_std(10) * z)
+    # One layer without input is the dense path, bit for bit.
+    assert np.array_equal(
+        noisy_batch_mean([(raw, None)], c, NoiseStream(3).rng((1, 2, 3))), out)
 
 
 def test_noise_needs_a_generator():
@@ -212,6 +237,68 @@ def test_noisy_batch_mean_clips_its_batch():
 def test_empty_batch_rejected():
     with pytest.raises(ConfigurationError):
         noisy_batch_mean(np.zeros((0, 3)), cfg(), NoiseStream(0).rng((0,)))
+    for kind in ("logistic", "mlp2"):
+        with pytest.raises(ConfigurationError):
+            noisy_batch_mean(
+                factors_at_norms(kind, [], np.random.default_rng(0)), cfg(),
+                NoiseStream(0).rng((0,)))
+
+
+@pytest.mark.parametrize("kind", ["logistic", "mlp2"])
+def test_factored_mean_matches_dense_clip(kind):
+    # The carrier clip gives the mean of clip_batch over the dense rows
+    # the factors stand for. Single rows below, at and above C and zero
+    # rows are compared with the dense clip at C itself (the carrier's
+    # 2^-40 margin is below 1e-12); batches of 9 with the dense clip at
+    # the carrier's level.
+    rng = np.random.default_rng(31)
+    C = 0.7
+    c = cfg(C=C, sigma=0.0)
+    norms = [0.0, 1e-3 * C, 0.5 * C, C, np.nextafter(C, 2), 1.5 * C, 1e3 * C]
+    for norm in norms:
+        factors = factors_at_norms(kind, [norm], rng)
+        got = noisy_batch_mean(factors, c, None)
+        expected = clip_batch(dense_grads(factors), C)[0]
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(
+            expected)
+    for trial in range(20):
+        batch = (rng.choice(norms, size=9) if trial % 2
+                 else C * 10.0 ** rng.uniform(-2, 2, 9))
+        factors = factors_at_norms(kind, batch, rng)
+        got = noisy_batch_mean(factors, c, None)
+        expected = np.sum(clip_batch(dense_grads(factors),
+                                     C * dp._CARRIER_CLIP), axis=0) / 9
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(
+            expected)
+
+
+def test_factored_rows_never_exceed_clip_norm():
+    # A one-row batch's mean is its assembled clipped row. Over 100k rows
+    # with norms from 1e-3 C to 1e3 C, many landing on C, none is past C.
+    rng = np.random.default_rng(37)
+    C = 0.7
+    worst = 0.0
+    for kind in ("logistic", "mlp2"):
+        norms = C * np.concatenate([10.0 ** rng.uniform(-3, 3, 40_000),
+                                    np.ones(10_000)])
+        factors = factors_at_norms(kind, norms, rng)
+        c = cfg(C=C, sigma=0.0)
+        for i in range(len(norms)):
+            row = noisy_batch_mean([(E[i:i + 1], A[i:i + 1])
+                                    for E, A in factors], c, None)
+            worst = max(worst, np.linalg.norm(row))
+    assert worst <= C
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_factored_nonfinite_rejected(bad):
+    rng = np.random.default_rng(41)
+    for layer in (0, 1):
+        for which in (0, 1):  # E, then A
+            factors = factors_at_norms("mlp2", [0.5, 2.0, 0.0], rng)
+            factors[layer][which][1, 2] = bad
+            with pytest.raises(ConfigurationError):
+                noisy_batch_mean(factors, cfg(sigma=0.0), None)
 
 
 def test_monte_carlo_mean_and_variance():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import dense_grads
 from dpfed.blocks import ConfigurationError
 from dpfed.models import _softmax, build_model
 
@@ -70,13 +71,15 @@ def test_quadratic_grad_analytic():
     m = make("quadratic")
     theta = RNG.standard_normal(m.d)
     X, y = random_batch(m, RNG)
-    assert np.allclose(m.per_sample_grads(theta, X, y)[0], theta - X[0])
+    assert m.per_sample_grads(theta, X, y)[0][1] is None  # rows are E
+    assert np.allclose(dense_grads(m.per_sample_grads(theta, X, y))[0],
+                       theta - X[0])
 
 
 def test_logistic_grad_at_zero_structure():
     m = make("logistic")
     X, y = random_batch(m, RNG)
-    g = m.per_sample_grads(np.zeros(m.d), X, y)[0]
+    g = dense_grads(m.per_sample_grads(np.zeros(m.d), X, y))[0]
     err = np.full(3, 1.0 / 3.0)
     err[y[0]] -= 1.0
     expected = np.concatenate([np.outer(err, X[0]).ravel(), err])
@@ -91,7 +94,7 @@ def test_gradient_matches_finite_differences(kind):
     while checked < 100:
         theta = rng.standard_normal(m.d)
         X, y = random_batch(m, rng)
-        g = m.per_sample_grads(theta, X, y)[0]
+        g = dense_grads(m.per_sample_grads(theta, X, y))[0]
         coords = rng.choice(m.d, size=min(5, m.d), replace=False)
         fd = central_difference(lambda th: m.batch_loss(th, X, y), theta,
                                 coords)
@@ -109,7 +112,7 @@ def test_batched_grads_match_per_sample(kind):
     rng = np.random.default_rng(11)
     theta = rng.standard_normal(m.d)
     X, y = random_batch(m, rng, n=8)
-    batched = m.per_sample_grads(theta, X, y)
+    batched = dense_grads(m.per_sample_grads(theta, X, y))
     assert batched.shape == (8, m.d)
     for i in range(8):
         fd = central_difference(
@@ -120,9 +123,10 @@ def test_batched_grads_match_per_sample(kind):
 
 
 def test_per_sample_grads_match_blockwise_concatenation():
-    # Writing each block into one matrix gives bitwise the einsum blocks
-    # concatenated in layout order. The oracle unpacks theta by its own
-    # slices, for a batch of 9 rows and an empty one.
+    # The factors are bitwise each layer's (output error, input) pair of an
+    # independent backward pass, and the rows they stand for are the
+    # einsum blocks concatenated in layout order. The oracle unpacks theta
+    # by its own slices, for a batch of 9 rows and an empty one.
     rng = np.random.default_rng(19)
     p, h, c = 5, 4, 3
     for kind in ("logistic", "mlp2"):
@@ -134,6 +138,7 @@ def test_per_sample_grads_match_blockwise_concatenation():
                 W, b = theta[:c * p].reshape(c, p), theta[c * p:]
                 err = _softmax(X @ W.T + b)
                 err[np.arange(n), y] -= 1.0
+                factors = [(err, X)]
                 blocks = [np.einsum("nc,np->ncp", err, X).reshape(n, c * p),
                           err]
             else:
@@ -144,14 +149,18 @@ def test_per_sample_grads_match_blockwise_concatenation():
                 err = _softmax(a1 @ W2.T + b2)
                 err[np.arange(n), y] -= 1.0
                 dz1 = (err @ W2) * (1.0 - a1 * a1)
+                factors = [(dz1, X), (err, a1)]
                 blocks = [np.einsum("nh,np->nhp", dz1, X).reshape(n, h * p),
                           dz1,
                           np.einsum("nc,nh->nch", err, a1).reshape(n, c * h),
                           err]
-            expected = np.concatenate(blocks, axis=1)
             got = m.per_sample_grads(theta, X, y)
-            assert got.shape == (n, m.d)
-            assert np.array_equal(got, expected)
+            assert len(got) == len(factors)
+            for (E, A), (E0, A0) in zip(got, factors):
+                assert np.array_equal(E, E0) and np.array_equal(A, A0)
+            expected = np.concatenate(blocks, axis=1)
+            assert dense_grads(got).shape == (n, m.d)
+            assert np.array_equal(dense_grads(got), expected)
 
 
 def test_mlp2_needs_a_hidden_unit():
@@ -167,12 +176,13 @@ def test_mlp2_needs_a_hidden_unit():
 
 @pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp2"])
 def test_empty_batch_gives_zero_rows(kind):
-    # A sampler that can draw no row (Poisson subsampling) needs a
-    # (0, d) gradient matrix, not a reshape error.
+    # A sampler that can draw no row (Poisson subsampling) needs factors
+    # of 0 rows, which stand for a (0, d) gradient matrix.
     m = make(kind)
     X, y = random_batch(m, np.random.default_rng(17), n=0)
-    grads = m.per_sample_grads(np.zeros(m.d), X, y)
-    assert grads.shape == (0, m.d)
+    factors = m.per_sample_grads(np.zeros(m.d), X, y)
+    assert all(len(E) == 0 for E, _ in factors)
+    assert dense_grads(factors).shape == (0, m.d)
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp2"])

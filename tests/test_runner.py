@@ -166,6 +166,32 @@ def test_config_hash_semantics(tmp_path):
             != base.config_hash())
 
 
+def test_config_hash_ignores_fields_the_run_does_not_read(tmp_path):
+    # logistic reads no hidden layer: one computation, one hash, and
+    # compare accepts the pair as differing nowhere; mlp2 tells them apart.
+    quick = dict(num_samples=200, num_clients=3, rounds=1, local_steps=1,
+                 sample_rate=0.5, output_dir=str(tmp_path / "r"))
+    pair = [RunConfig(hidden=8, **quick), RunConfig(hidden=16, **quick)]
+    assert pair[0].config_hash() == pair[1].config_hash()
+    rows = compare(pair, [0], output_dir=str(tmp_path / "cmp"))
+    assert len({row["config_hash"] for row in rows}) == 1
+    mlp2 = [RunConfig(model="mlp2", hidden=h, **quick) for h in (8, 16)]
+    assert mlp2[0].config_hash() != mlp2[1].config_hash()
+    with pytest.raises(ConfigurationError, match="hidden"):
+        compare(mlp2, [0])
+    # Blobs read no quadratic field, a CSV takes its shape from the file,
+    # and the quadratic model reads no classifier field.
+    assert (RunConfig(dim=9, jitter=0.5).config_hash()
+            == RunConfig().config_hash())
+    assert RunConfig(num_classes=3).config_hash() != RunConfig().config_hash()
+    assert (RunConfig(dataset="d.csv", num_features=3).config_hash()
+            == RunConfig(dataset="d.csv").config_hash())
+    assert (small_config(tmp_path, num_classes=3, hidden=2, alpha=5.0)
+            .config_hash() == small_config(tmp_path).config_hash())
+    assert (small_config(tmp_path, dim=4).config_hash()
+            != small_config(tmp_path).config_hash())
+
+
 def test_selected_clients_ceiling():
     cfg = RunConfig(num_clients=10, participation=0.25)
     assert cfg.selected_clients == 3  # ceil(0.25 * 10)
@@ -414,8 +440,14 @@ MALFORMED = [(QUICK_RUN, k, v) for k, v in [
     ("weight_decay", "inf"), ("gamma", "inf"), ("adam_eps", "inf")]] + [
     (QUICK_LOGISTIC, k, v) for k, v in [
         ("num_classes", "0"), ("num_classes", "1"), ("num_features", "0"),
-        ("num_samples", "0"), ("alpha", "inf"), ("dataset", "missing.csv")]
+        ("num_samples", "0"), ("alpha", "inf"), ("dataset", "missing.csv"),
+        ("dataset", "bad_header.csv"), ("dataset", "one_class.csv")]
 ] + [([*QUICK_LOGISTIC, "--model", "mlp2"], "hidden", "0")]
+CSV_FILES = {
+    "bad_header.csv": "x1,x2,label\n0.1,0.2,0\n0.3,0.4,1\n",
+    "one_class.csv": "f1,f2,label\n" + "".join(f"{i / 10},{-i / 7},0\n"
+                                                for i in range(200)),
+}
 
 
 @pytest.mark.parametrize("base,key,value", MALFORMED,
@@ -424,13 +456,17 @@ def test_cli_malformed_input_exits_2_naming_the_key(tmp_path, capsys, base,
                                                     key, value):
     # Rejected before any round, with an error naming the input: no
     # traceback, no misleading cause, no output directory.
-    if key == "dataset":
-        value = str(tmp_path / value)
+    if key == "dataset":  # a CSV error also names the file
+        path = tmp_path / value
+        if value in CSV_FILES:
+            path.write_text(CSV_FILES[value])
+        value = str(path)
     rc = cli_main(["run", *base, f"--{key}", value,
                    "--output_dir", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
+    assert key != "dataset" or value in err
     assert not (tmp_path / "out").exists()
 
 
