@@ -62,8 +62,9 @@ def main(argv=None) -> int:
                   f"eps_paper={summary.eps_paper:.6g} "
                   f"wall_time_s={summary.wall_time_s:.3f}")
         elif args.command == "compare":
+            seeds = [config_from_strings({"seed": s}).seed  # checked as a run's
+                     for s in args.seeds.split(",") if s]
             configs = [parse_config_file(path) for path in args.configs]
-            seeds = [int(s) for s in args.seeds.split(",") if s]
             axes = tuple(a for a in args.axes.split(",") if a)
             compare(configs, seeds, axes=axes, output_dir=args.output_dir)
             print(f"wrote {args.output_dir}/comparison.csv")

@@ -18,7 +18,9 @@ carrier is clipped at C (1 - 2^-40), not at C: rounding in s_l, in the
 division by it and in the carrier's computed norm moves an assembled
 row's norm off its carrier norm by a relative error of about
 (in + out) / 2 units of 2^-53, while the margin is 8192 such units, so
-every assembled row stays at or below C for any desk-scale layer.
+every assembled row stays at or below C for any desk-scale layer. A
+batch of one layer without input (A of shape (n, 0), the quadratic) is
+its own carrier: its rows are E, clipped at C and summed in order.
 """
 from __future__ import annotations
 
@@ -119,48 +121,48 @@ def clip_batch(grads: np.ndarray, clip_norm: float) -> np.ndarray:
     return out
 
 
-def _factored_clipped_sum(layers, clip_norm: float) -> tuple[np.ndarray, int]:
+def _factored_clipped_sum(layers, clip_norm: float) -> np.ndarray:
     """Sum over the batch of the clipped rows E[i] (x) [A[i], 1], flat in
-    block order, and the batch size."""
-    n = layers[0][0].shape[0]
-    if n == 0:
-        raise ConfigurationError("expected a non-empty batch of gradients")
+    block order."""
+    if len(layers) == 1 and not layers[0][1].shape[1]:  # no input: rows E
+        return clip_batch(layers[0][0], clip_norm).sum(axis=0)
     scales = [np.sqrt(np.vecdot(A, A) + 1.0)[:, None] for _, A in layers]
     scaled = [E * s for (E, _), s in zip(layers, scales)]
-    carrier = clip_batch(
-        np.concatenate(scaled, axis=1) if len(scaled) > 1 else scaled[0],
-        clip_norm * _CARRIER_CLIP)
+    scaled = np.concatenate(scaled, axis=1) if len(scaled) > 1 else scaled[0]
+    try:
+        carrier = clip_batch(scaled, clip_norm * _CARRIER_CLIP)
+    except ConfigurationError:
+        # A non-finite carrier row has a non-finite input, which the dense
+        # clip rejects, or a scale that overflowed. Such rows are formed and
+        # clipped densely at C (to zero if their norm overflows); the other
+        # rows take the carrier path and keep their bits.
+        bad = ~np.isfinite(scaled).all(axis=1)
+        dense = np.concatenate([block for E, A in layers for block in (
+            (E[bad][:, :, None] * A[bad][:, None, :]).reshape(bad.sum(), -1),
+            E[bad])], axis=1)
+        rest = [(E[~bad], A[~bad]) for E, A in layers]
+        return (clip_batch(dense, clip_norm).sum(axis=0)
+                + _factored_clipped_sum(rest, clip_norm))
     parts, col = [], 0
     for (E, A), s in zip(layers, scales):
         e = carrier[:, col:col + E.shape[1]]
         e /= s  # in place: this layer's clipped output errors E'
         col += E.shape[1]
         parts += [(e.T @ A).ravel(), e.sum(axis=0)]
-    return np.concatenate(parts), n
+    return np.concatenate(parts)
 
 
 def noisy_batch_mean(grads, cfg: DPConfig,
                      rng: np.random.Generator | None) -> np.ndarray:
     """Mean of the clipped per-sample gradients plus Gaussian noise from rng.
 
-    ``grads`` is an (n, d) matrix of gradient rows or a model's per-layer
-    (E, A) factors; a single layer without input, [(G, None)], is the
-    matrix G. The rows are clipped here, so the guarantee does not rest on
-    the caller. Dense rows are summed in the order given.
+    ``grads`` is a model's per-layer (E, A) factors (see ``models``). The
+    rows are clipped here, so the guarantee does not rest on the caller.
     """
-    if isinstance(grads, list) and len(grads) == 1 and grads[0][1] is None:
-        grads = grads[0][0]
-    if isinstance(grads, list):
-        total, b = _factored_clipped_sum(grads, cfg.clip_norm)
-    else:
-        grads = np.asarray(grads, dtype=np.float64)
-        if grads.ndim != 2 or grads.shape[0] == 0:
-            raise ConfigurationError(
-                "expected non-empty (n, d) batch of gradients")
-        clipped = clip_batch(grads, cfg.clip_norm)
-        b = clipped.shape[0]
-        total = clipped.sum(axis=0)
-    mean = total / b
+    b = grads[0][0].shape[0]
+    if b == 0:
+        raise ConfigurationError("expected a non-empty batch of gradients")
+    mean = _factored_clipped_sum(grads, cfg.clip_norm) / b
     if cfg.noise_multiplier > 0:
         if rng is None:
             raise ConfigurationError("a generator is required when sigma > 0")

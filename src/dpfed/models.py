@@ -2,8 +2,8 @@
 
 Three model kinds share one interface over flat parameter vectors:
 
-* ``quadratic`` -- 0.5 * (theta - a)^T D (theta - a) with a per-sample
-  center ``a`` (the sample's feature vector) and diagonal curvature D.
+* ``quadratic`` -- 0.5 * ||theta - a||^2 with a per-sample center ``a``
+  (the sample's feature vector).
 * ``logistic`` -- multinomial logistic regression, cross-entropy loss.
 * ``mlp2`` -- one tanh hidden layer, then linear + softmax cross-entropy.
 
@@ -14,8 +14,8 @@ once and returns each sample's gradient in factored form, one (E, A)
 pair per layer in block order: sample i's gradient on a (W, b) layer is
 E[i] (x) [A[i], 1], its W block E[i] A[i]^T flattened and then its b block
 E[i]. DP clipping reads each row's norm from the factors and never forms
-the (n, d) matrix. The quadratic model's one "layer" has no input: its
-gradient rows are E itself, returned as [(E, None)].
+the (n, d) matrix. The quadratic model's one "layer" is a bias without
+input: it returns [(E, A)] with A of shape (n, 0), so its rows are E.
 """
 from __future__ import annotations
 
@@ -48,10 +48,9 @@ class Model:
         raise NotImplementedError
 
     def per_sample_grads(self, theta, X, y
-                         ) -> list[tuple[np.ndarray, np.ndarray | None]]:
+                         ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per-layer factors (E, A) of the n sample gradients, in block
-        order: E is the layer's (n, out) output error, A its (n, in) input
-        or None for a layer whose gradient rows are E itself."""
+        order: E is the layer's (n, out) output error, A its (n, in) input."""
         raise NotImplementedError
 
     def predict(self, theta, X) -> np.ndarray | None:
@@ -68,29 +67,23 @@ class Model:
 
 @dataclass
 class QuadraticModel(Model):
-    """0.5 * sum_j D_j (theta_j - a_j)^2 with sample features as center a."""
+    """0.5 * ||theta - a||^2 with sample features as center a."""
 
     dim: int
-    curvature: np.ndarray | None = None
     kind: str = field(default="quadratic", init=False)
 
     def __post_init__(self):
         self.d = self.dim
-        if self.curvature is None:
-            self.curvature = np.ones(self.d)
-        self.curvature = np.asarray(self.curvature, dtype=np.float64)
-        if self.curvature.shape != (self.d,) or np.any(self.curvature <= 0):
-            raise ConfigurationError("curvature must be positive, length d")
         self.layout = BlockLayout.from_sizes([("all", self.d)])
 
     def batch_loss(self, theta, X, y):
         self._check_dim(theta)
         r = theta[None, :] - X
-        return float(0.5 * np.mean(np.sum(self.curvature * r * r, axis=1)))
+        return float(0.5 * np.mean(np.sum(r * r, axis=1)))
 
     def per_sample_grads(self, theta, X, y):
         self._check_dim(theta)
-        return [(self.curvature * (theta[None, :] - X), None)]
+        return [(theta[None, :] - X, X[:, :0])]
 
 
 @dataclass

@@ -335,6 +335,8 @@ def compare(configs: list[RunConfig], seeds: list[int],
     Returns one row per (config, seed) plus per-config mean/std rows;
     writes comparison.csv when an output directory is given.
     """
+    if not configs or not seeds:
+        raise ConfigurationError("compare needs configs and seeds")
     ignore = set(axes) | set(_NON_SEMANTIC_FIELDS) | {"seed"}
     reference = {k: v for k, v in configs[0].semantic_items() if k not in ignore}
     for cfg in configs[1:]:

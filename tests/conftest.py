@@ -4,7 +4,8 @@ Acceptance tests register one result per criterion via record_result();
 a terminal-summary hook prints one pass/fail line per criterion at the
 end of the session so the verdicts are visible even under output capture.
 Tests that need a model's gradient rows build them from its per-layer
-factors with dense_grads().
+(E, A) factors with dense_grads(); a layer without input has A of shape
+(n, 0), so its rows are E.
 """
 import numpy as np
 
@@ -17,14 +18,11 @@ def record_result(criterion: int, passed: bool, detail: str = "") -> None:
 
 def dense_grads(factors) -> np.ndarray:
     """The (n, d) gradient rows that per-layer (E, A) factors stand for:
-    per layer the W block E[i] A[i]^T flattened, then the b block E[i]; a
-    layer without input (A is None) is E itself."""
+    per layer the W block E[i] A[i]^T flattened, then the b block E[i]."""
     blocks = []
     for E, A in factors:
-        if A is not None:
-            n, o, i = len(E), E.shape[1], A.shape[1]
-            blocks.append(np.einsum("no,ni->noi", E, A).reshape(n, o * i))
-        blocks.append(E)
+        n, o, i = len(E), E.shape[1], A.shape[1]
+        blocks += [np.einsum("no,ni->noi", E, A).reshape(n, o * i), E]
     return np.concatenate(blocks, axis=1)
 
 

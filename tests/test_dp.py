@@ -39,6 +39,11 @@ def factors_at_norms(kind, norms, rng):
     return [(E * scale[:, None], A) for E, A in factors]
 
 
+def rows(G):
+    """Gradient rows G as factors: one layer without input."""
+    return [(G, G[:, :0])]
+
+
 def clip_one(g, C):
     return clip_batch(np.asarray(g, dtype=np.float64)[None, :], C)[0]
 
@@ -177,14 +182,14 @@ def test_clip_never_increases_norm_and_idempotent(vals, C):
 def test_zero_noise_is_exact_mean():
     rng = np.random.default_rng(0)
     grads = rng.standard_normal((10, 4)) * 0.01
-    out = noisy_batch_mean(grads, cfg(sigma=0.0), None)  # no row is clipped
+    out = noisy_batch_mean(rows(grads), cfg(sigma=0.0), None)  # none clipped
     assert np.allclose(out, grads.mean(axis=0), rtol=1e-12, atol=1e-15)
 
 
 def test_zero_noise_large_clip_equals_plain_batch_gradient():
     rng = np.random.default_rng(1)
     grads = rng.standard_normal((10, 4))
-    out = noisy_batch_mean(grads, DPConfig(1e6, 0.0, 1.0), None)
+    out = noisy_batch_mean(rows(grads), DPConfig(1e6, 0.0, 1.0), None)
     assert np.allclose(out, grads.mean(axis=0), rtol=1e-12)
 
 
@@ -194,22 +199,24 @@ def test_noise_is_the_generators_next_normal_draw():
     rng = np.random.default_rng(2)
     raw = rng.standard_normal((10, 5)) * 0.05
     c = cfg(C=0.1, sigma=1.5)
-    out = noisy_batch_mean(raw, c, NoiseStream(3).rng((1, 2, 3)))
+    out = noisy_batch_mean(rows(raw), c, NoiseStream(3).rng((1, 2, 3)))
     clean = np.sum(clip_batch(raw, c.clip_norm), axis=0) / 10
     z = NoiseStream(3).rng((1, 2, 3)).standard_normal(5)
     assert np.array_equal(out, clean + c.noise_std(10) * z)
-    # One layer without input is the dense path, bit for bit.
+    # The quadratic's factors, whose rows theta - X are raw, bit for bit.
+    grads = build_model("quadratic", dim=5).per_sample_grads(
+        np.zeros(5), -raw, None)
     assert np.array_equal(
-        noisy_batch_mean([(raw, None)], c, NoiseStream(3).rng((1, 2, 3))), out)
+        noisy_batch_mean(grads, c, NoiseStream(3).rng((1, 2, 3))), out)
 
 
 def test_noise_needs_a_generator():
     with pytest.raises(ConfigurationError, match="generator"):
-        noisy_batch_mean(np.zeros((4, 2)), cfg(sigma=1.0), None)
+        noisy_batch_mean(rows(np.zeros((4, 2))), cfg(sigma=1.0), None)
 
 
 def test_determinism_and_key_separation():
-    grads = np.zeros((10, 4))
+    grads = rows(np.zeros((10, 4)))
     stream = NoiseStream(7)
     a = noisy_batch_mean(grads, cfg(), stream.rng((1, 2, 3)))
     b = noisy_batch_mean(grads, cfg(), stream.rng((1, 2, 3)))
@@ -227,16 +234,17 @@ def test_noisy_batch_mean_clips_its_batch():
     assert np.sum(np.linalg.norm(raw, axis=1) > c.clip_norm) >= 5
     stream = NoiseStream(5)
     assert np.array_equal(
-        noisy_batch_mean(raw, c, stream.rng((0, 1, 2))),
-        noisy_batch_mean(clip_batch(raw, c.clip_norm), c,
+        noisy_batch_mean(rows(raw), c, stream.rng((0, 1, 2))),
+        noisy_batch_mean(rows(clip_batch(raw, c.clip_norm)), c,
                          stream.rng((0, 1, 2))))
-    exact = noisy_batch_mean(raw, cfg(C=0.1, sigma=0.0), None)
+    exact = noisy_batch_mean(rows(raw), cfg(C=0.1, sigma=0.0), None)
     assert np.linalg.norm(exact) <= 0.1
 
 
 def test_empty_batch_rejected():
     with pytest.raises(ConfigurationError):
-        noisy_batch_mean(np.zeros((0, 3)), cfg(), NoiseStream(0).rng((0,)))
+        noisy_batch_mean(rows(np.zeros((0, 3))), cfg(),
+                         NoiseStream(0).rng((0,)))
     for kind in ("logistic", "mlp2"):
         with pytest.raises(ConfigurationError):
             noisy_batch_mean(
@@ -270,6 +278,57 @@ def test_factored_mean_matches_dense_clip(kind):
                                      C * dp._CARRIER_CLIP), axis=0) / 9
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(
             expected)
+
+
+def test_mixed_layers_take_the_carrier_margin(monkeypatch):
+    # A layer without input beside one with input: the batch is clipped
+    # through the carrier at C (1 - 2^-40), and matches the dense clip.
+    rng = np.random.default_rng(33)
+    C = 0.7
+    levels = []
+
+    def recorded(g, clip_norm):
+        levels.append(clip_norm)
+        return clip_batch(g, clip_norm)
+
+    monkeypatch.setattr(dp, "clip_batch", recorded)
+    for trial in range(10):
+        factors = factors_at_norms("logistic", C * 10.0 ** rng.uniform(
+            -2, 2, 9), rng)
+        bias = rng.standard_normal((9, 3)) * 10.0 ** rng.uniform(-2, 1)
+        factors.insert(trial % 2, (bias, bias[:, :0]))
+        got = noisy_batch_mean(factors, cfg(C=C, sigma=0.0), None)
+        expected = np.sum(clip_batch(dense_grads(factors),
+                                     C * dp._CARRIER_CLIP), axis=0) / 9
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(
+            expected)
+    assert levels == [C * dp._CARRIER_CLIP] * 10
+
+
+def test_factored_row_whose_scale_overflows():
+    # ||A||^2 of the first row overflows. The dense reference clips that
+    # row to zero; the factored mean matches it, the other row keeps its
+    # bits, and a non-finite entry beside the overflow is still rejected.
+    m = build_model("logistic", num_features=3, num_classes=4)
+    theta = np.random.default_rng(43).uniform(-0.1, 0.1, m.d)
+    X = np.array([[1e200, 0.5, 0.1], [0.1, 0.2, 0.3]])
+    factors = m.per_sample_grads(theta, X, np.array([1, 2]))
+    c = cfg(C=0.1, sigma=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = noisy_batch_mean(factors, c, None)
+        expected = np.mean(clip_batch(dense_grads(factors), c.clip_norm),
+                           axis=0)
+        assert np.isfinite(got).all()
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(
+            expected)
+        assert np.array_equal(got * 2, noisy_batch_mean(
+            [(E[1:], A[1:]) for E, A in factors], c, None))
+        only = noisy_batch_mean([(E[:1], A[:1]) for E, A in factors], c, None)
+        assert not only.any()  # a batch of the overflowing row alone
+        for bad in (np.nan, np.inf):
+            factors[0][1][1, 0] = bad
+            with pytest.raises(ConfigurationError):
+                noisy_batch_mean(factors, c, None)
 
 
 def test_factored_rows_never_exceed_clip_norm():
@@ -314,7 +373,7 @@ def test_monte_carlo_mean_and_variance():
     clean = g.mean(axis=0)
     outs = clean[None, :] + tau * rng.standard_normal((n_draws, 2))
     # single draw through the public path, same distribution family
-    one = noisy_batch_mean(g, c, stream.rng((0, 0, 1)))
+    one = noisy_batch_mean(rows(g), c, stream.rng((0, 0, 1)))
     assert one.shape == clean.shape
     emp_mean = outs.mean(axis=0)
     emp_var = outs.var(axis=0)
@@ -333,7 +392,7 @@ def test_monte_carlo_through_public_path():
     acc = np.zeros(2)
     acc2 = np.zeros(2)
     for _ in range(n_draws):
-        out = noisy_batch_mean(g, c, rng)
+        out = noisy_batch_mean(rows(g), c, rng)
         acc += out
         acc2 += out * out
     mean = acc / n_draws

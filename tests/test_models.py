@@ -71,7 +71,9 @@ def test_quadratic_grad_analytic():
     m = make("quadratic")
     theta = RNG.standard_normal(m.d)
     X, y = random_batch(m, RNG)
-    assert m.per_sample_grads(theta, X, y)[0][1] is None  # rows are E
+    [(E, A)] = m.per_sample_grads(theta, X, y)
+    assert A.shape == (len(X), 0)  # a layer without input: its rows are E
+    assert np.array_equal(dense_grads([(E, A)]), theta - X)
     assert np.allclose(dense_grads(m.per_sample_grads(theta, X, y))[0],
                        theta - X[0])
 

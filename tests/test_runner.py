@@ -361,6 +361,23 @@ def test_compare_rejects_undeclared_differences(tmp_path):
         compare(cfgs, [0], axes=("gamma",))
 
 
+@pytest.mark.parametrize("seeds", ["a", ",", "0,x"])
+def test_cli_compare_rejects_bad_seeds(tmp_path, capsys, seeds):
+    path = tmp_path / "exp.cfg"
+    path.write_text("model = quadratic\ndataset = quadratics\n")
+    rc = cli_main(["compare", "--config", str(path), "--seeds", seeds,
+                   "--output_dir", str(tmp_path / "cmp")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "cmp" / "comparison.csv").exists()
+
+
+def test_compare_rejects_no_configs(tmp_path):
+    # The CLI requires --config, so only the function sees an empty list.
+    with pytest.raises(ConfigurationError):
+        compare([], [0], output_dir=str(tmp_path / "cmp"))
+
+
 def test_cli_run_with_config_and_flags(tmp_path, capsys):
     path = tmp_path / "exp.cfg"
     path.write_text("model = quadratic\ndataset = quadratics\n"
