@@ -21,6 +21,11 @@ row's norm off its carrier norm by a relative error of about
 every assembled row stays at or below C for any desk-scale layer. A
 batch of one layer without input (A of shape (n, 0), the quadratic) is
 its own carrier: its rows are E, clipped at C and summed in order.
+
+A round's S clients are clipped as one batch: client i's rows are
+rows[i]:rows[i + 1] of the factors, every clip operation is per row, and
+each client's rows are summed and noised on their own, so its mean is
+bitwise the one its batch gives alone.
 """
 from __future__ import annotations
 
@@ -121,17 +126,23 @@ def clip_batch(grads: np.ndarray, clip_norm: float) -> np.ndarray:
     return out
 
 
-def _factored_clipped_sum(layers, clip_norm: float) -> np.ndarray:
-    """Sum over the batch of the clipped rows E[i] (x) [A[i], 1], flat in
-    block order."""
+def _factored_clipped_sum(layers, clip_norm: float, rows) -> np.ndarray:
+    """Per client i, the sum over its rows rows[i]:rows[i + 1] of the
+    clipped rows E[j] (x) [A[j], 1], flat in block order: shape (S, d)."""
+    bounds = list(zip(rows[:-1], rows[1:]))
     if len(layers) == 1 and not layers[0][1].shape[1]:  # no input: rows E
-        return clip_batch(layers[0][0], clip_norm).sum(axis=0)
+        clipped = clip_batch(layers[0][0], clip_norm)
+        return np.array([clipped[lo:hi].sum(axis=0) for lo, hi in bounds])
     scales = [np.sqrt(np.vecdot(A, A) + 1.0)[:, None] for _, A in layers]
     scaled = [E * s for (E, _), s in zip(layers, scales)]
     scaled = np.concatenate(scaled, axis=1) if len(scaled) > 1 else scaled[0]
     try:
         carrier = clip_batch(scaled, clip_norm * _CARRIER_CLIP)
     except ConfigurationError:
+        if len(bounds) > 1:  # each client's batch on its own, as below:
+            return np.concatenate([_factored_clipped_sum(
+                [(E[lo:hi], A[lo:hi]) for E, A in layers], clip_norm,
+                (0, hi - lo)) for lo, hi in bounds])
         # A non-finite carrier row has a non-finite input, which the dense
         # clip rejects, or a scale that overflowed. Such rows are formed and
         # clipped densely at C (to zero if their norm overflows); the other
@@ -141,30 +152,41 @@ def _factored_clipped_sum(layers, clip_norm: float) -> np.ndarray:
             (E[bad][:, :, None] * A[bad][:, None, :]).reshape(bad.sum(), -1),
             E[bad])], axis=1)
         rest = [(E[~bad], A[~bad]) for E, A in layers]
+        kept = (0, len(rest[0][0]))
         return (clip_batch(dense, clip_norm).sum(axis=0)
-                + _factored_clipped_sum(rest, clip_norm))
-    parts, col = [], 0
+                + _factored_clipped_sum(rest, clip_norm, kept))
+    errors, col = [], 0
     for (E, A), s in zip(layers, scales):
         e = carrier[:, col:col + E.shape[1]]
         e /= s  # in place: this layer's clipped output errors E'
         col += E.shape[1]
-        parts += [(e.T @ A).ravel(), e.sum(axis=0)]
-    return np.concatenate(parts)
+        errors.append((e, A))
+    return np.array([np.concatenate([part for e, A in errors for part in (
+        (e[lo:hi].T @ A[lo:hi]).ravel(), e[lo:hi].sum(axis=0))])
+        for lo, hi in bounds])
 
 
-def noisy_batch_mean(grads, cfg: DPConfig,
-                     rng: np.random.Generator | None) -> np.ndarray:
+def noisy_batch_mean(grads, cfg: DPConfig, rng, rows=None) -> np.ndarray:
     """Mean of the clipped per-sample gradients plus Gaussian noise from rng.
 
     ``grads`` is a model's per-layer (E, A) factors (see ``models``). The
     rows are clipped here, so the guarantee does not rest on the caller.
+    With ``rows`` the batch holds S clients' batches, client i's at
+    rows[i]:rows[i + 1]; ``rng`` is then their S generators, and the result
+    is the (S, d) stack of their means, each with its own b and noise.
     """
-    b = grads[0][0].shape[0]
-    if b == 0:
+    one = rows is None
+    if one:
+        rows, rng = (0, grads[0][0].shape[0]), [rng]
+    b = [hi - lo for lo, hi in zip(rows[:-1], rows[1:])]
+    if min(b) == 0:
         raise ConfigurationError("expected a non-empty batch of gradients")
-    mean = _factored_clipped_sum(grads, cfg.clip_norm) / b
+    mean = (_factored_clipped_sum(grads, cfg.clip_norm, rows)
+            / np.array(b)[:, None])
     if cfg.noise_multiplier > 0:
-        if rng is None:
+        if any(r is None for r in rng):
             raise ConfigurationError("a generator is required when sigma > 0")
-        mean = mean + cfg.noise_std(b) * rng.standard_normal(mean.shape[0])
-    return mean
+        std = np.array([cfg.noise_std(n) for n in b])
+        mean = mean + std[:, None] * np.array(
+            [r.standard_normal(mean.shape[1]) for r in rng])
+    return mean[0] if one else mean

@@ -3,10 +3,16 @@
 One round follows the synchronous protocol: the server broadcasts
 (theta, block means of v, alignment direction), each selected client runs
 K private local steps, and the server folds the reports in ascending
-client-id order, so parallel and serial execution agree bit for bit.
+client-id order. The selected clients run together: their parameters and
+moments are the rows of (S, d) arrays and their batches are concatenated,
+so a local step is one call per layer for the whole round. Each client
+keeps its own generator and batch size, every row-wise operation is
+per row and the matmuls run per client, so a client's report is bitwise
+the one ``run_client`` gives it alone.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,25 +90,40 @@ def run_client(model: Model, round_state: RoundState, client_id: int,
     """K private local steps of one client; returns its report. Its batch
     size floor(s * len(y)) and noise std follow from its row count; its
     K batches and noise vectors come from one generator keyed (t, client)."""
+    return _run_clients(model, round_state, [client_id], [(X, y)], dp_cfg,
+                        opt, variant, local_steps, stream, options)[0]
+
+
+def _run_clients(model: Model, round_state: RoundState, client_ids,
+                 client_data: list[tuple[np.ndarray, np.ndarray]],
+                 dp_cfg: DPConfig, opt: AdamWParams, variant: str,
+                 local_steps: int, stream: NoiseStream,
+                 options: ClientOptions) -> list[ClientReport]:
+    """run_client for S clients at once, as rows of one (S, d) state."""
     if variant not in STRATEGY_BY_VARIANT:
         raise ConfigurationError(f"unknown variant {variant!r}")
-    n = len(y)
-    b = dp_cfg.batch_size(n)
+    sizes = [dp_cfg.batch_size(len(y)) for _, y in client_data]
+    rows = [0, *itertools.accumulate(sizes)]  # client i's batch rows
     # The variant's mechanisms, resolved once: only dp_fedadamw warm-starts,
     # removes the noise bias and aligns; dp_fedavg_sgd steps along g itself.
     fedadamw = variant == "dp_fedadamw"
     sgd = variant == "dp_fedavg_sgd"
     v0 = (broadcast_blocks(round_state.v_bar, model.layout)
           if fedadamw and options.warm_start else None)
-    tau = dp_cfg.noise_std(b) if fedadamw and options.bias_correction else 0.0
+    tau = (np.array([[dp_cfg.noise_std(b)] for b in sizes])
+           if fedadamw and options.bias_correction else 0.0)
     delta_g = round_state.delta_g if fedadamw else None
-    state = init_round(model.d, opt, v0)
-    theta = round_state.theta.copy()
-    rng = stream.rng((DOMAIN_BATCH, round_state.t, client_id))
+    state = init_round((len(sizes), model.d), opt, v0)
+    theta = np.tile(round_state.theta, (len(sizes), 1))
+    rngs = [stream.rng((DOMAIN_BATCH, round_state.t, cid))
+            for cid in client_ids]
     for _ in range(local_steps):
-        idx = np.sort(rng.choice(n, size=b, replace=False))
-        grads = model.per_sample_grads(theta, X[idx], y[idx])
-        g = noisy_batch_mean(grads, dp_cfg, rng)
+        idx = [np.sort(rng.choice(len(y), size=b, replace=False))
+               for rng, (_, y), b in zip(rngs, client_data, sizes)]
+        X_b = np.concatenate([X[i] for (X, _), i in zip(client_data, idx)])
+        y_b = np.concatenate([y[i] for (_, y), i in zip(client_data, idx)])
+        grads = model.per_sample_grads(theta, X_b, y_b, rows)
+        g = noisy_batch_mean(grads, dp_cfg, rngs, rows)
         if sgd:
             m_hat, precond = g, 1.0
         else:
@@ -111,9 +132,11 @@ def run_client(model: Model, round_state: RoundState, client_id: int,
                        else corrected_preconditioner(v_hat, tau, opt.eps))
         theta = local_step(theta, m_hat, precond, delta_g, opt)
     delta = theta - round_state.theta
-    block_v = block_mean(np.maximum(state.v, 0.0), model.layout)
-    return ClientReport(client_id=client_id, delta=delta, block_v=block_v,
-                        v_full=state.v.copy(), theta_end=theta)
+    v = np.maximum(state.v, 0.0)
+    return [ClientReport(client_id=int(cid), delta=delta[i],
+                         block_v=block_mean(v[i], model.layout),
+                         v_full=state.v[i], theta_end=theta[i])
+            for i, cid in enumerate(client_ids)]
 
 
 def aggregate(round_state: RoundState, reports: list[ClientReport],
@@ -145,12 +168,9 @@ def run_round(round_state: RoundState, model: Model,
     """One full synchronous round over a sampled client subset."""
     selected = sample_clients(len(client_data), num_selected, stream,
                               round_state.t)
-    reports = []
-    for cid in selected:
-        X, y = client_data[cid]
-        reports.append(run_client(model, round_state, int(cid), X, y,
-                                  dp_cfg, opt, variant, local_steps,
-                                  stream, options))
+    reports = _run_clients(model, round_state, selected,
+                           [client_data[cid] for cid in selected], dp_cfg,
+                           opt, variant, local_steps, stream, options)
     new_state = aggregate(round_state, reports, local_steps, opt.lr)
     return new_state, reports
 

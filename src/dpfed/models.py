@@ -32,6 +32,11 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e
 
 
+def _by_client(parts: list[np.ndarray]) -> np.ndarray:
+    """The clients' row blocks as one array, in client order."""
+    return np.concatenate(parts) if len(parts) > 1 else parts[0]
+
+
 def _log_softmax(z: np.ndarray) -> np.ndarray:
     z = z - np.max(z, axis=-1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
@@ -47,10 +52,13 @@ class Model:
     def batch_loss(self, theta, X, y) -> float:
         raise NotImplementedError
 
-    def per_sample_grads(self, theta, X, y
+    def per_sample_grads(self, theta, X, y, rows=None
                          ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per-layer factors (E, A) of the n sample gradients, in block
-        order: E is the layer's (n, out) output error, A its (n, in) input."""
+        order: E is the layer's (n, out) output error, A its (n, in) input.
+
+        An (S, d) theta stacks S clients' parameters; client i's samples
+        are rows[i]:rows[i + 1] of X and y. A 1-D theta is one client."""
         raise NotImplementedError
 
     def predict(self, theta, X) -> np.ndarray | None:
@@ -63,6 +71,19 @@ class Model:
         if theta.shape != (self.d,):
             raise ConfigurationError(
                 f"theta dim {theta.shape} does not match model dim {self.d}")
+
+    def _stack(self, theta, n, rows):
+        """theta as an (S, d) stack and its clients' (start, end) rows; a
+        1-D theta is one client of all n rows."""
+        if theta.ndim == 1:
+            self._check_dim(theta)
+            return theta[None], [(0, n)]
+        if (theta.shape[1:] != (self.d,) or rows is None
+                or len(rows) != len(theta) + 1):
+            raise ConfigurationError(
+                f"theta {theta.shape} does not match model dim {self.d} "
+                "and one (start, end) row range per client")
+        return theta, list(zip(rows[:-1], rows[1:]))
 
 
 @dataclass
@@ -81,9 +102,10 @@ class QuadraticModel(Model):
         r = theta[None, :] - X
         return float(0.5 * np.mean(np.sum(r * r, axis=1)))
 
-    def per_sample_grads(self, theta, X, y):
-        self._check_dim(theta)
-        return [(theta[None, :] - X, X[:, :0])]
+    def per_sample_grads(self, theta, X, y, rows=None):
+        theta, bounds = self._stack(theta, len(X), rows)
+        centers = np.repeat(theta, [hi - lo for lo, hi in bounds], axis=0)
+        return [(centers - X, X[:, :0])]
 
 
 @dataclass
@@ -114,33 +136,35 @@ class SoftmaxModel(Model):
         self._layers = [(s[2 * i], shape, s[2 * i + 1])
                         for i, shape in enumerate(shapes)]
 
-    def _forward(self, theta, X):
-        """Each layer's (input, W), and the logits."""
+    def _forward(self, theta, X, rows=None):
+        """Each layer's (input, per-client W), the logits and the clients'
+        row bounds; the matmuls run per client, row-wise ops on all rows."""
+        theta, bounds = self._stack(theta, len(X), rows)
         layers, a = [], X
         for w, shape, b in self._layers:
             if layers:
                 a = np.tanh(z)
-            W = theta[w].reshape(shape)
-            layers.append((a, W))
-            z = a @ W.T + theta[b]
-        return layers, z
+            Ws = [t[w].reshape(shape) for t in theta]
+            layers.append((a, Ws))
+            z = _by_client([a[lo:hi] @ W.T + t[b]
+                            for (lo, hi), W, t in zip(bounds, Ws, theta)])
+        return layers, z, bounds
 
     def batch_loss(self, theta, X, y):
-        self._check_dim(theta)
         logp = _log_softmax(self._forward(theta, X)[1])
         return float(-logp[np.arange(len(y)), y].mean())
 
-    def per_sample_grads(self, theta, X, y):
-        self._check_dim(theta)
-        layers, z = self._forward(theta, X)
+    def per_sample_grads(self, theta, X, y, rows=None):
+        layers, z, bounds = self._forward(theta, X, rows)
         err = _softmax(z)  # d loss / d z, then back through each layer
         err[np.arange(len(y)), y] -= 1.0
         factors = []
         for i in range(len(layers) - 1, -1, -1):
-            a, W = layers[i]
+            a, Ws = layers[i]
             factors.append((err, a))
             if i:
-                err = (err @ W) * (1.0 - a * a)
+                err = _by_client([err[lo:hi] @ W for (lo, hi), W
+                                  in zip(bounds, Ws)]) * (1.0 - a * a)
         return factors[::-1]
 
     def predict(self, theta, X):

@@ -2,8 +2,9 @@
 
 The building blocks take their mechanisms as arguments (a warm-start
 vector, the noise standard deviation to subtract, an alignment
-direction); which ones a variant uses is decided by the client loop in
-``federation.run_client``. With m_hat = g and a preconditioner of 1.0,
+direction); which ones a variant uses is decided by the round's client
+loop in ``federation``. Every vector may also be an (S, d) stack with one
+row per client. With m_hat = g and a preconditioner of 1.0,
 ``local_step`` is the plain DP-SGD step of the FedAvg baseline.
 
 Known erratum handling: the source update rule prints the weight-decay
@@ -55,16 +56,20 @@ class DPAdamWState:
     params: AdamWParams
 
 
-def init_round(dim: int, params: AdamWParams,
+def init_round(shape, params: AdamWParams,
                v_broadcast: np.ndarray | None = None) -> DPAdamWState:
-    """Fresh state at the start of a round; v starts at v_broadcast or 0."""
-    v = (np.zeros(dim) if v_broadcast is None
-         else np.array(v_broadcast, dtype=np.float64))
-    if v.shape != (dim,):
+    """Fresh state at the start of a round, of shape d or (S, d) for S
+    clients; v starts at the (d,) v_broadcast in every row, or at 0."""
+    m = np.zeros(shape)
+    if v_broadcast is None:
+        return DPAdamWState(m=m, v=np.zeros(shape), k=0, params=params)
+    v = np.asarray(v_broadcast, dtype=np.float64)
+    if v.shape != m.shape[-1:]:
         raise ConfigurationError("v broadcast dim mismatch")
     if np.any(v < 0):
         raise ConfigurationError("v broadcast must be non-negative")
-    return DPAdamWState(m=np.zeros(dim), v=v, k=0, params=params)
+    return DPAdamWState(m=m, v=np.array(np.broadcast_to(v, m.shape)), k=0,
+                        params=params)
 
 
 def moment_update(state: DPAdamWState, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -80,7 +85,8 @@ def moment_update(state: DPAdamWState, g: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def corrected_preconditioner(v_hat: np.ndarray, noise_std: float,
                              eps: float) -> np.ndarray:
-    """1 / (sqrt(max(v_hat - noise_std^2, 0)) + eps).
+    """1 / (sqrt(max(v_hat - noise_std^2, 0)) + eps); for an (S, d) v_hat,
+    noise_std may be an (S, 1) column of the clients' stds.
 
     Subtracting the DP noise variance restores the non-private scaling of
     the adaptive step; the clamp keeps the output in (0, 1/eps].

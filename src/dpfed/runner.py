@@ -337,6 +337,8 @@ def compare(configs: list[RunConfig], seeds: list[int],
     """
     if not configs or not seeds:
         raise ConfigurationError("compare needs configs and seeds")
+    if len(set(seeds)) != len(seeds):  # a repeat would rerun one directory
+        raise ConfigurationError(f"compare seeds must be distinct: {seeds}")
     ignore = set(axes) | set(_NON_SEMANTIC_FIELDS) | {"seed"}
     reference = {k: v for k, v in configs[0].semantic_items() if k not in ignore}
     for cfg in configs[1:]:

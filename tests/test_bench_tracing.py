@@ -33,26 +33,34 @@ def test_tracer_wraps_every_traced_function(tmp_path):
     assert federation.run_client is original
     assert {name for name, *_ in tracing._targets()} == set(tracing.SPAN_NAMES)
     calls = tracer.summary(1)
-    assert calls["federation.run_client"][0] == 2
-    assert calls["optimizer.local_step"][0] == 4
+    # The round runs its 2 clients as rows of one state: each layer is
+    # called once per local step for both clients, not once per client,
+    # and run_round does not go through run_client.
+    assert calls["federation.run_round"][0] == 1
+    assert calls["federation.run_client"][0] == 0
+    assert calls["models.per_sample_grads"][0] == 2
+    assert calls["optimizer.local_step"][0] == 2
     # noisy_batch_mean clips its own batch: one clip_batch call inside
     # each of its calls, so its self time excludes the clip.
-    assert calls["dp.noisy_batch_mean"][0] == 4
-    assert calls["dp.clip_batch"][0] == 4
+    assert calls["dp.noisy_batch_mean"][0] == 2
+    assert calls["dp.clip_batch"][0] == 2
     names = {idx: tracing.SPAN_NAMES[n] for idx, n, *_ in tracer.spans}
     clip_parents = {names[span[4]] for span in tracer.spans
                     if names[span[0]] == "dp.clip_batch"}
     assert clip_parents == {"dp.noisy_batch_mean"}
-    # One generator per client round: each run_client span encloses
-    # exactly one NoiseStream.rng call, for its K batches and K noises.
+    # One generator per client round: inside the run_round span,
+    # NoiseStream.rng is called once per selected client, for its K
+    # batches and K noises, and once by sample_clients.
     parent_of = {span[0]: span[4] for span in tracer.spans}
-    rng_calls = {idx: 0 for idx, n, *_ in tracer.spans
-                 if tracing.SPAN_NAMES[n] == "federation.run_client"}
-    for idx, n, *_ in tracer.spans:
-        if tracing.SPAN_NAMES[n] == "dp.NoiseStream.rng":
+    [round_idx] = [idx for idx, name in names.items()
+                   if name == "federation.run_round"]
+    rng_parents = []
+    for idx, name in names.items():
+        if name == "dp.NoiseStream.rng":
             up = parent_of[idx]
-            while up != -1 and up not in rng_calls:
+            while up not in (-1, round_idx):
                 up = parent_of[up]
-            if up != -1:
-                rng_calls[up] += 1
-    assert list(rng_calls.values()) == [1, 1]
+            if up == round_idx:
+                rng_parents.append(names[parent_of[idx]])
+    assert sorted(rng_parents) == ["federation.run_round"] * 2 + [
+        "federation.sample_clients"]

@@ -3,8 +3,9 @@ import pytest
 
 from dpfed.blocks import ConfigurationError
 from dpfed.dp import DPConfig, NoiseStream
-from dpfed.federation import (ClientOptions, ClientReport, RoundState,
-                              aggregate, payload_count, run_client, run_round,
+from dpfed.federation import (STRATEGY_BY_VARIANT, ClientOptions,
+                              ClientReport, RoundState, aggregate,
+                              payload_count, run_client, run_round,
                               sample_clients)
 from dpfed.models import build_model
 from dpfed.optimizer import AdamWParams
@@ -137,7 +138,7 @@ def client_reports(variant, round_state, opt, sigma=1.0):
 
 
 def reports_equal(a, b):
-    return all(ra.client_id == rb.client_id
+    return len(a) == len(b) and all(ra.client_id == rb.client_id
                and all(np.array_equal(getattr(ra, f), getattr(rb, f))
                        for f in ("delta", "block_v", "v_full", "theta_end"))
                for ra, rb in zip(a, b))
@@ -227,3 +228,65 @@ def test_warm_start_and_alignment_flow_through():
     state2, _ = run_round(state, model, data, cfg, opt, "dp_fedadamw",
                           3, 2, stream)
     assert state2.t == 2
+
+
+def axis_round_problem(kind, sizes=(2, 7, 12, 5), seed=11):
+    """A model, clients of unequal row counts and a round state with a
+    warm start and an alignment direction."""
+    rng = np.random.default_rng(seed)
+    model = build_model(kind, dim=3, num_features=4, num_classes=3, hidden=5)
+    width = 3 if kind == "quadratic" else 4
+    data = [(rng.standard_normal((n, width)), rng.integers(3, size=n))
+            for n in sizes]
+    state = RoundState(rng.uniform(-0.5, 0.5, model.d),
+                       rng.uniform(0.0, 0.1, model.layout.num_blocks),
+                       rng.standard_normal(model.d), t=3)
+    opt = AdamWParams(lr=0.05, beta2=0.9, eps=1e-2, weight_decay=0.01,
+                      align_coef=0.5)
+    return model, data, state, opt
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+@pytest.mark.parametrize("variant", list(STRATEGY_BY_VARIANT))
+@pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp2"])
+def test_round_reports_equal_one_run_client_per_client(kind, variant, sigma):
+    # A round runs its selected clients as rows of one state; each report
+    # must be bitwise the one run_client gives that client alone. The
+    # batches are 1, 3, 6 and 2 rows, C clips some rows and not others,
+    # and 3 of the 4 clients take part.
+    model, data, state, opt = axis_round_problem(kind)
+    cfg = DPConfig(0.5, sigma, 0.5)
+    stream = NoiseStream(5)
+    _, reports = run_round(state, model, data, cfg, opt, variant, 3, 3,
+                           stream)
+    ids = [r.client_id for r in reports]
+    expected = [run_client(model, state, i, *data[i], cfg, opt, variant, 3,
+                           stream) for i in ids]
+    assert len(ids) == 3 and reports_equal(reports, expected)
+
+
+def test_round_falls_back_per_client_on_an_overflowing_row():
+    # A feature of 1e200 overflows its carrier scale, which sends the
+    # round's clip to each client's own factored sum: the client with
+    # that row gets its run_client report, and the others' reports are
+    # those of the round without it. A NaN still fails the round.
+    model, data, state, opt = axis_round_problem("logistic", (6, 8, 5))
+    cfg = DPConfig(0.5, 1.0, 1.0)  # every row is in every batch
+    stream = NoiseStream(2)
+    _, clean = run_round(state, model, data, cfg, opt, "dp_fedadamw", 2, 3,
+                         stream)
+    X = data[1][0].copy()
+    X[4, 0] = 1e200
+    bad = [data[0], (X, data[1][1]), data[2]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, reports = run_round(state, model, bad, cfg, opt, "dp_fedadamw",
+                               2, 3, stream)
+        alone = run_client(model, state, 1, *bad[1], cfg, opt, "dp_fedadamw",
+                           2, stream)
+        assert reports_equal(reports, [clean[0], alone, clean[2]])
+        assert np.isfinite(alone.delta).all()
+        assert not np.array_equal(alone.delta, clean[1].delta)
+        X[4, 0] = np.nan
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            run_round(state, model, bad, cfg, opt, "dp_fedadamw", 2, 3,
+                      stream)

@@ -361,15 +361,17 @@ def test_compare_rejects_undeclared_differences(tmp_path):
         compare(cfgs, [0], axes=("gamma",))
 
 
-@pytest.mark.parametrize("seeds", ["a", ",", "0,x"])
+@pytest.mark.parametrize("seeds", ["a", ",", "0,x", "0,0", "3,1,3"])
 def test_cli_compare_rejects_bad_seeds(tmp_path, capsys, seeds):
+    # A repeated seed would run twice into one c0_s<seed> directory and
+    # report a spread of 0, so it is rejected before any run.
     path = tmp_path / "exp.cfg"
     path.write_text("model = quadratic\ndataset = quadratics\n")
     rc = cli_main(["compare", "--config", str(path), "--seeds", seeds,
                    "--output_dir", str(tmp_path / "cmp")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
-    assert not (tmp_path / "cmp" / "comparison.csv").exists()
+    assert not (tmp_path / "cmp").exists()
 
 
 def test_compare_rejects_no_configs(tmp_path):
