@@ -6,14 +6,18 @@ are accounted with the Poisson-subsampling bound at rate q = s, the
 ubiquitous DP-SGD approximation. The closed forms of the source analysis
 (third-party and server-side budgets) are computed alongside as
 clearly-labeled asymptotic reference numbers, never as guarantees.
+Its log-factorials come from ``decimal``, so it needs no SciPy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import decimal
+import functools
+import itertools
 import math
+import numbers
 
 import numpy as np
-from scipy.special import gammaln
 
 from .blocks import ConfigurationError
 
@@ -24,8 +28,24 @@ def _default_grid() -> tuple[float, ...]:
 
 DEFAULT_ORDER_GRID = _default_grid()
 
+
+@functools.cache
+def _log_factorials(size: int) -> np.ndarray:
+    """Read-only log(n!) for n < size, each the double nearest the exact value.
+
+    A running sum of ln k at 34 significant digits errs far less than half
+    a double's ulp, so float() of each partial sum is correctly rounded.
+    """
+    ctx = decimal.Context(prec=34)
+    sums = itertools.accumulate((ctx.ln(k) for k in range(2, size)), ctx.add,
+                                initial=decimal.Decimal(0))
+    table = np.array([0.0, *map(float, sums)])
+    table.flags.writeable = False
+    return table
+
+
 # log(n!) at index n, for every order of the default grid.
-_LOG_FACTORIAL = gammaln(np.arange(1.0, 514.0))
+_LOG_FACTORIAL = _log_factorials(513)
 
 
 @dataclass(frozen=True)
@@ -59,8 +79,9 @@ class PrivacyLedger:
             raise ConfigurationError("accounted events need sigma > 0")
         if not (0 < q <= 1):
             raise ConfigurationError("sampling rate must be in (0, 1]")
-        if steps < 0:
-            raise ConfigurationError("steps must be >= 0")
+        # 2.5 or NaN must not be truncated to a smaller charge
+        if not isinstance(steps, numbers.Integral) or steps < 0:
+            raise ConfigurationError("steps must be an integer >= 0")
         if steps:
             key = (float(sigma), float(q))
             self.steps[key] = self.steps.get(key, 0) + int(steps)
@@ -118,7 +139,7 @@ def subsampled_gaussian_rdp(order: int, sigma: float, q: float) -> float:
     if not two_var or order * (order - 1) / two_var == math.inf:
         return math.inf
     lf = (_LOG_FACTORIAL if order < _LOG_FACTORIAL.size
-          else gammaln(np.arange(1.0, order + 2.0)))
+          else _log_factorials(order + 1))
     j = np.arange(order + 1)
     a = (lf[order] - lf[:order + 1] - lf[order::-1]
          + (order - j) * math.log1p(-q) + j * math.log(q)

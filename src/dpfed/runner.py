@@ -13,6 +13,7 @@ import math
 import os
 import time
 from dataclasses import astuple, dataclass, fields, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -118,7 +119,9 @@ class RunConfig:
 
     @property
     def selected_clients(self) -> int:
-        return max(1, math.ceil(self.participation * self.num_clients))
+        # ceil of the written decimal: in floats 0.55 * 100 is 55.00000000000001
+        return max(1, math.ceil(Fraction(str(self.participation))
+                                * self.num_clients))
 
     def _ignored_fields(self) -> set[str]:
         """The fields this run's model and dataset do not read."""
@@ -258,11 +261,12 @@ def run(config: RunConfig) -> RunSummary:
     records: list[MetricRecord] = []
     eps_rdp = 0.0
     eps_paper = 0.0
+    selected = config.selected_clients  # Fraction arithmetic: once a run
     for _ in range(config.rounds):
         try:
             state, reports = run_round(
                 state, model, fed.clients, dp_cfg, opt, config.variant,
-                config.local_steps, config.selected_clients, stream, options)
+                config.local_steps, selected, stream, options)
         except DivergenceError:
             _write_csv(config.output_dir, "metrics.csv", METRICS_COLUMNS,
                        map(astuple, records))

@@ -1,3 +1,5 @@
+import decimal
+import functools
 import math
 import warnings
 
@@ -15,10 +17,18 @@ from dpfed.accounting import (DEFAULT_ORDER_GRID, Budget, PrivacyLedger,
 from dpfed.blocks import ConfigurationError
 
 
+@functools.cache
+def reference_log_factorials(size):
+    """log(n!) for n < size: ln of the exact integer n! at 60 digits."""
+    ctx = decimal.Context(prec=60)
+    return np.array([float(ctx.ln(math.factorial(n))) for n in range(size)])
+
+
 def reference_subsampled_gaussian_rdp(order, sigma, q):
     """The binomial expansion reduced by scipy.special.logsumexp."""
+    lf = reference_log_factorials(order + 1)
     j = np.arange(order + 1)
-    log_terms = (gammaln(order + 1) - gammaln(j + 1) - gammaln(order - j + 1)
+    log_terms = (lf[order] - lf[j] - lf[order - j]
                  + (order - j) * math.log1p(-q) + j * math.log(q)
                  + j * (j - 1) / (2.0 * sigma * sigma))
     return float(logsumexp(log_terms) / (order - 1))
@@ -89,6 +99,33 @@ def test_subsampled_beyond_default_grid_matches_scipy():
     for order in (513, 514, 700):
         assert (subsampled_gaussian_rdp(order, 8.0, 0.01)
                 == reference_subsampled_gaussian_rdp(order, 8.0, 0.01))
+
+
+def test_log_factorials_correctly_rounded():
+    table = accounting._log_factorials(701)
+    reference = reference_log_factorials(701)
+    assert np.array_equal(table, reference)
+    assert np.array_equal(accounting._LOG_FACTORIAL, reference[:513])
+    assert not table.flags.writeable  # shared through the cache
+    # SciPy's gammaln is not correctly rounded, but stays within 2 ulp.
+    scipy_table = gammaln(np.arange(1.0, 702.0))
+    ulp = np.spacing(np.maximum(reference, 1.0))
+    assert np.all(np.abs(scipy_table - reference) <= 2 * ulp)
+
+
+def test_order_above_default_table_builds_its_table_once(monkeypatch):
+    builds = []
+    build = accounting._log_factorials.__wrapped__
+
+    def counted(size):
+        builds.append(size)
+        return build(size)
+
+    monkeypatch.setattr(accounting, "_log_factorials", functools.cache(counted))
+    first = subsampled_gaussian_rdp(600, 8.0, 0.01)
+    assert subsampled_gaussian_rdp(600, 8.0, 0.01) == first
+    subsampled_gaussian_rdp(512, 8.0, 0.01)  # inside the default table
+    assert builds == [601]
 
 
 def test_subsampled_full_batch_equals_gaussian():
@@ -243,7 +280,13 @@ def test_ledger_event_validation():
     assert ledger.steps == {}
     ledger.add_event(1.0, 0.1, 3)
     ledger.add_event(2.0, 0.1, 1)
-    ledger.add_event(1.0, 0.1, 4)
+    ledger.add_event(1.0, 0.1, np.int64(4))
+    assert list(ledger.steps.items()) == [((1.0, 0.1), 7), ((2.0, 0.1), 1)]
+    assert type(ledger.steps[(1.0, 0.1)]) is int
+    # 2.5 must not be charged as 2 steps, understating epsilon
+    for steps in (2.5, math.nan, -1, 3.0, "3"):
+        with pytest.raises(ConfigurationError, match="integer"):
+            ledger.add_event(1.0, 0.1, steps)
     assert list(ledger.steps.items()) == [((1.0, 0.1), 7), ((2.0, 0.1), 1)]
 
 

@@ -1,7 +1,10 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,6 +199,11 @@ def test_selected_clients_ceiling():
     cfg = RunConfig(num_clients=10, participation=0.25)
     assert cfg.selected_clients == 3  # ceil(0.25 * 10)
     assert RunConfig(num_clients=10, participation=1.0).selected_clients == 10
+    # l * N in floats rounds past the integer (0.55 * 100 = 55.00000000000001)
+    for participation, clients, selected in ((0.55, 100, 55), (0.07, 100, 7),
+                                             (0.14, 50, 7)):
+        cfg = RunConfig(num_clients=clients, participation=participation)
+        assert cfg.selected_clients == selected
 
 
 def test_config_validation():
@@ -541,3 +549,16 @@ def test_cli_divergence_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: non-finite parameters")
     assert "final_loss=" not in captured.out
+
+
+def test_import_loads_no_scipy():
+    # SciPy is a test and benchmark dependency only; scipy.special alone
+    # costs a process ~0.2 s of start-up and ~18 MB of peak RSS.
+    src = str(Path(runner.__file__).resolve().parents[1])
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    code = ("import sys, dpfed, dpfed.cli, dpfed.runner; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
