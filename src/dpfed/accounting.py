@@ -22,11 +22,8 @@ import numpy as np
 from .blocks import ConfigurationError
 
 
-def _default_grid() -> tuple[float, ...]:
-    return tuple([1.25, 1.5, 1.75] + list(range(2, 65)) + [128.0, 256.0, 512.0])
-
-
-DEFAULT_ORDER_GRID = _default_grid()
+# The RDP orders every ledger is converted over.
+DEFAULT_ORDER_GRID = (1.25, 1.5, 1.75, *range(2, 65), 128.0, 256.0, 512.0)
 
 
 @functools.cache
@@ -64,13 +61,12 @@ class Budget:
 class PrivacyLedger:
     """Step counts per (noise multiplier, sampling rate), in insertion order.
 
-    The per-step RDP curve of a key (one value per order of ``order_grid``)
-    is computed the first time ``add_event`` sees the key and kept for the
-    life of the ledger, so ``order_grid`` must not change after that.
+    The per-step RDP curve of a key (one value per order of
+    ``DEFAULT_ORDER_GRID``) is computed the first time ``add_event`` sees
+    the key and kept for the life of the ledger.
     """
 
     steps: dict[tuple[float, float], int] = field(default_factory=dict)
-    order_grid: tuple[float, ...] = DEFAULT_ORDER_GRID
     _curves: dict[tuple[float, float], np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
@@ -92,12 +88,12 @@ class PrivacyLedger:
         if key not in self._curves:
             sigma, q = key
             if q == 1.0:
-                rdp = [gaussian_rdp(order, sigma) for order in self.order_grid]
+                rdp = [gaussian_rdp(order, sigma) for order in DEFAULT_ORDER_GRID]
             else:
                 # A fractional order takes the bound at the next integer
                 # order: RDP curves are non-decreasing in the order, so this
                 # stays a bound. Each distinct integer order is evaluated once.
-                ceil = [max(2, math.ceil(order)) for order in self.order_grid]
+                ceil = [max(2, math.ceil(order)) for order in DEFAULT_ORDER_GRID]
                 value = {a: subsampled_gaussian_rdp(a, sigma, q)
                          for a in set(ceil)}
                 rdp = [value[a] for a in ceil]
@@ -168,7 +164,7 @@ def compose_and_convert(ledger: PrivacyLedger, delta: float) -> Budget:
         return Budget(0.0, delta)
     with np.errstate(over="ignore"):  # a total past the float range is inf
         total = sum(n * ledger.curve(key) for key, n in ledger.steps.items())
-    orders = np.asarray(ledger.order_grid, dtype=np.float64)
+    orders = np.asarray(DEFAULT_ORDER_GRID, dtype=np.float64)
     eps = total + math.log(1.0 / delta) / (orders - 1)
     return Budget(float(eps.min()), delta)
 

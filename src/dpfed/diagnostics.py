@@ -75,6 +75,8 @@ def bias_probe(cfg: DPConfig, batch_size: int, g: np.ndarray, k_steps: int,
         raise ConfigurationError(
             "bias probe needs ||g|| < C (clipping-inactive regime)")
     tau = cfg.noise_std(batch_size)
+    if tau > 0.0 and not n_mc >= 2:  # one run has no standard error
+        raise ConfigurationError("bias probe needs n_mc >= 2 when sigma > 0")
     runs = 1 if tau == 0.0 else int(n_mc)
     rng = stream.rng(key)
     # One row per run, driven by the update the clients run.
@@ -88,11 +90,11 @@ def bias_probe(cfg: DPConfig, batch_size: int, g: np.ndarray, k_steps: int,
         _, v_hat = moment_update(state, gt)
     v = state.v
     corrected = v_hat - tau * tau
-    se_scale = 0.0 if runs == 1 else 1.0 / np.sqrt(runs)
-    return BiasProbeResult(
-        mean_v=v.mean(axis=0),
-        mean_v_corrected=corrected.mean(axis=0),
-        se_v=v.std(axis=0, ddof=1) * se_scale if runs > 1 else np.zeros(len(g)),
-        se_v_corrected=(corrected.std(axis=0, ddof=1) * se_scale
-                        if runs > 1 else np.zeros(len(g))),
-    )
+    if runs == 1:  # sigma = 0: the one run is exact
+        se_v = se_v_corrected = np.zeros(len(g))
+    else:
+        se_v, se_v_corrected = (x.std(axis=0, ddof=1) * (1.0 / np.sqrt(runs))
+                                for x in (v, corrected))
+    return BiasProbeResult(mean_v=v.mean(axis=0),
+                           mean_v_corrected=corrected.mean(axis=0),
+                           se_v=se_v, se_v_corrected=se_v_corrected)

@@ -30,6 +30,8 @@ bitwise the one its batch gives alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+import functools
 import math
 
 import numpy as np
@@ -62,9 +64,15 @@ class DPConfig:
         if not (0 < self.sample_rate <= 1):
             raise ConfigurationError("sample_rate must be in (0, 1]")
 
+    @functools.cached_property
+    def _rate(self) -> tuple[int, int]:
+        # s as written, exactly: in floats 0.7 * 90 is 62.99999999999999
+        return Fraction(str(self.sample_rate)).as_integer_ratio()
+
     def batch_size(self, num_rows: int) -> int:
         """floor(s * R) for a client of R rows; it must be >= 1."""
-        b = int(self.sample_rate * num_rows)
+        num, den = self._rate
+        b = num * num_rows // den
         if b < 1:
             raise ConfigurationError(
                 f"floor(sample_rate * {num_rows} rows) must be >= 1")
@@ -134,8 +142,8 @@ def _factored_clipped_sum(layers, clip_norm: float, rows) -> np.ndarray:
         clipped = clip_batch(layers[0][0], clip_norm)
         return np.array([clipped[lo:hi].sum(axis=0) for lo, hi in bounds])
     scales = [np.sqrt(np.vecdot(A, A) + 1.0)[:, None] for _, A in layers]
-    scaled = [E * s for (E, _), s in zip(layers, scales)]
-    scaled = np.concatenate(scaled, axis=1) if len(scaled) > 1 else scaled[0]
+    scaled = np.concatenate([E * s for (E, _), s in zip(layers, scales)],
+                            axis=1)
     try:
         carrier = clip_batch(scaled, clip_norm * _CARRIER_CLIP)
     except ConfigurationError:

@@ -8,7 +8,7 @@ moments are the rows of (S, d) arrays and their batches are concatenated,
 so a local step is one call per layer for the whole round. Each client
 keeps its own generator and batch size, every row-wise operation is
 per row and the matmuls run per client, so a client's report is bitwise
-the one ``run_client`` gives it alone.
+the one it gets when ``run_client`` runs it alone.
 """
 from __future__ import annotations
 
@@ -82,24 +82,16 @@ def sample_clients(num_clients: int, num_selected: int,
     return np.sort(chosen)
 
 
-def run_client(model: Model, round_state: RoundState, client_id: int,
-               X: np.ndarray, y: np.ndarray, dp_cfg: DPConfig,
-               opt: AdamWParams, variant: str, local_steps: int,
-               stream: NoiseStream,
-               options: ClientOptions = ClientOptions()) -> ClientReport:
-    """K private local steps of one client; returns its report. Its batch
-    size floor(s * len(y)) and noise std follow from its row count; its
-    K batches and noise vectors come from one generator keyed (t, client)."""
-    return _run_clients(model, round_state, [client_id], [(X, y)], dp_cfg,
-                        opt, variant, local_steps, stream, options)[0]
-
-
-def _run_clients(model: Model, round_state: RoundState, client_ids,
-                 client_data: list[tuple[np.ndarray, np.ndarray]],
-                 dp_cfg: DPConfig, opt: AdamWParams, variant: str,
-                 local_steps: int, stream: NoiseStream,
-                 options: ClientOptions) -> list[ClientReport]:
-    """run_client for S clients at once, as rows of one (S, d) state."""
+def run_client(model: Model, round_state: RoundState, client_ids,
+               client_data: list[tuple[np.ndarray, np.ndarray]],
+               dp_cfg: DPConfig, opt: AdamWParams, variant: str,
+               local_steps: int, stream: NoiseStream,
+               options: ClientOptions = ClientOptions()) -> list[ClientReport]:
+    """K private local steps of each client in ``client_ids``, whose rows
+    are ``client_data``; returns one report per client, in that order.
+    A client's batch size floor(s * len(y)) and noise std follow from its
+    row count; its K batches and noise vectors come from one generator
+    keyed (t, client), so its report does not depend on the others."""
     if variant not in STRATEGY_BY_VARIANT:
         raise ConfigurationError(f"unknown variant {variant!r}")
     sizes = [dp_cfg.batch_size(len(y)) for _, y in client_data]
@@ -168,9 +160,9 @@ def run_round(round_state: RoundState, model: Model,
     """One full synchronous round over a sampled client subset."""
     selected = sample_clients(len(client_data), num_selected, stream,
                               round_state.t)
-    reports = _run_clients(model, round_state, selected,
-                           [client_data[cid] for cid in selected], dp_cfg,
-                           opt, variant, local_steps, stream, options)
+    reports = run_client(model, round_state, selected,
+                         [client_data[cid] for cid in selected], dp_cfg, opt,
+                         variant, local_steps, stream, options)
     new_state = aggregate(round_state, reports, local_steps, opt.lr)
     return new_state, reports
 

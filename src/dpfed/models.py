@@ -32,11 +32,6 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e
 
 
-def _by_client(parts: list[np.ndarray]) -> np.ndarray:
-    """The clients' row blocks as one array, in client order."""
-    return np.concatenate(parts) if len(parts) > 1 else parts[0]
-
-
 def _log_softmax(z: np.ndarray) -> np.ndarray:
     z = z - np.max(z, axis=-1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
@@ -146,8 +141,8 @@ class SoftmaxModel(Model):
                 a = np.tanh(z)
             Ws = [t[w].reshape(shape) for t in theta]
             layers.append((a, Ws))
-            z = _by_client([a[lo:hi] @ W.T + t[b]
-                            for (lo, hi), W, t in zip(bounds, Ws, theta)])
+            z = np.concatenate([a[lo:hi] @ W.T + t[b]
+                                for (lo, hi), W, t in zip(bounds, Ws, theta)])
         return layers, z, bounds
 
     def batch_loss(self, theta, X, y):
@@ -163,8 +158,8 @@ class SoftmaxModel(Model):
             a, Ws = layers[i]
             factors.append((err, a))
             if i:
-                err = _by_client([err[lo:hi] @ W for (lo, hi), W
-                                  in zip(bounds, Ws)]) * (1.0 - a * a)
+                err = np.concatenate([err[lo:hi] @ W for (lo, hi), W
+                                      in zip(bounds, Ws)]) * (1.0 - a * a)
         return factors[::-1]
 
     def predict(self, theta, X):

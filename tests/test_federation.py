@@ -133,8 +133,8 @@ def test_client_failure_aborts_round():
 
 def client_reports(variant, round_state, opt, sigma=1.0):
     model, data, cfg, _ = quadratic_setup(sigma=sigma)
-    return [run_client(model, round_state, i, X, y, cfg, opt, variant, 3,
-                       NoiseStream(7)) for i, (X, y) in enumerate(data)]
+    return [run_client(model, round_state, [i], [(X, y)], cfg, opt, variant,
+                       3, NoiseStream(7))[0] for i, (X, y) in enumerate(data)]
 
 
 def reports_equal(a, b):
@@ -158,9 +158,9 @@ def test_client_order_does_not_change_reports():
     stream = NoiseStream(8)
 
     def reports(order):
-        return sorted((run_client(model, state, i, *data[i],
+        return sorted((run_client(model, state, [i], [data[i]],
                                   DPConfig(1.0, 1.0, 0.5), opt,
-                                  "dp_fedadamw", 3, stream) for i in order),
+                                  "dp_fedadamw", 3, stream)[0] for i in order),
                       key=lambda r: r.client_id)
 
     ascending = reports(range(4))
@@ -260,8 +260,8 @@ def test_round_reports_equal_one_run_client_per_client(kind, variant, sigma):
     _, reports = run_round(state, model, data, cfg, opt, variant, 3, 3,
                            stream)
     ids = [r.client_id for r in reports]
-    expected = [run_client(model, state, i, *data[i], cfg, opt, variant, 3,
-                           stream) for i in ids]
+    expected = [run_client(model, state, [i], [data[i]], cfg, opt, variant,
+                           3, stream)[0] for i in ids]
     assert len(ids) == 3 and reports_equal(reports, expected)
 
 
@@ -281,8 +281,8 @@ def test_round_falls_back_per_client_on_an_overflowing_row():
     with np.errstate(over="ignore", invalid="ignore"):
         _, reports = run_round(state, model, bad, cfg, opt, "dp_fedadamw",
                                2, 3, stream)
-        alone = run_client(model, state, 1, *bad[1], cfg, opt, "dp_fedadamw",
-                           2, stream)
+        [alone] = run_client(model, state, [1], [bad[1]], cfg, opt,
+                             "dp_fedadamw", 2, stream)
         assert reports_equal(reports, [clean[0], alone, clean[2]])
         assert np.isfinite(alone.delta).all()
         assert not np.array_equal(alone.delta, clean[1].delta)

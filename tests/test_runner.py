@@ -181,7 +181,8 @@ def test_config_hash_ignores_fields_the_run_does_not_read(tmp_path):
     mlp2 = [RunConfig(model="mlp2", hidden=h, **quick) for h in (8, 16)]
     assert mlp2[0].config_hash() != mlp2[1].config_hash()
     with pytest.raises(ConfigurationError, match="hidden"):
-        compare(mlp2, [0])
+        compare(mlp2, [0], output_dir=str(tmp_path / "mlp2"))
+    assert not (tmp_path / "mlp2").exists()
     # Blobs read no quadratic field, a CSV takes its shape from the file,
     # and the quadratic model reads no classifier field.
     assert (RunConfig(dim=9, jitter=0.5).config_hash()
@@ -319,6 +320,41 @@ def test_config_from_strings_returns_config_or_configuration_error(values):
     assert isinstance(cfg, RunConfig)
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "latin-1"])
+def test_cli_unreadable_config_file_exits_2(tmp_path, capsys, command, kind):
+    # A config file that cannot be read as UTF-8 text is an input error:
+    # no traceback, an error naming the file, nothing written.
+    path = tmp_path / "exp.cfg"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "latin-1":
+        path.write_bytes("model = quadratic  # \xe9t\xe9\n".encode("latin-1"))
+    rc = cli_main([command, "--config", str(path),
+                   "--output_dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_duplicate_config_key_is_rejected(tmp_path, capsys):
+    # A repeated key is a typo or a merge leftover, not a later override.
+    path = tmp_path / "exp.cfg"
+    path.write_text("rounds = 1\nlr = 0.5\nrounds = 2\n")
+    with pytest.raises(ConfigurationError,
+                       match=r"exp.cfg:3: duplicate key 'rounds' .*line 1"):
+        parse_config_file(path)
+    rc = cli_main(["run", "--config", str(path),
+                   "--output_dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "duplicate key 'rounds'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # A flag still overrides the file's one value for a key.
+    path.write_text("rounds = 1\nlr = 0.5\n")
+    assert parse_config_file(path, overrides={"rounds": "2"}).rounds == 2
+
+
 def test_shipped_default_config_parses():
     root = os.path.join(os.path.dirname(__file__), os.pardir)
     cfg = parse_config_file(os.path.join(root, "configs", "default.cfg"))
@@ -366,7 +402,8 @@ def test_compare_axis_sweep(tmp_path):
 def test_compare_rejects_undeclared_differences(tmp_path):
     cfgs = [small_config(tmp_path), small_config(tmp_path, lr=0.5)]
     with pytest.raises(ConfigurationError):
-        compare(cfgs, [0], axes=("gamma",))
+        compare(cfgs, [0], axes=("gamma",), output_dir=str(tmp_path / "cmp"))
+    assert not (tmp_path / "cmp").exists()
 
 
 @pytest.mark.parametrize("seeds", ["a", ",", "0,x", "0,0", "3,1,3"])

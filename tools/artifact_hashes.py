@@ -1,0 +1,77 @@
+"""Print the sha256 of metrics.csv + summary.json for a fixed matrix of runs.
+
+Two source trees write byte-identical artifacts on this matrix exactly
+when this script prints the same lines for both. The ``dpfed`` package is
+imported from PYTHONPATH (this tree's ``src`` if it is not set), so one
+copy of the script checks any tree:
+
+    PYTHONPATH=src python tools/artifact_hashes.py > after.txt
+    PYTHONPATH=../parent/src python tools/artifact_hashes.py > before.txt
+    diff before.txt after.txt
+
+The matrix is every workload of ``bench/workloads.py`` at its own length,
+x 3 variants x seeds 0-9, plus each workload with one mechanism changed
+(warm start off, bias correction off, identity preconditioner,
+participation 0.5, sigma = 0, gamma = lambda = 0) x seeds 0-1. A config
+the tree rejects prints its error in place of the hash.
+"""
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+VARIANTS = ("dp_fedadamw", "dp_local_adamw", "dp_fedavg_sgd")
+ABLATIONS = {
+    "warm_start=0": dict(warm_start=False),
+    "bias_correction=0": dict(bias_correction=False),
+    "identity_preconditioner=1": dict(identity_preconditioner=True),
+    "participation=0.5": dict(participation=0.5),
+    "sigma=0": dict(noise_multiplier=0.0),
+    "gamma=lambda=0": dict(gamma=0.0, weight_decay=0.0),
+}
+
+
+def matrix(workloads):
+    """(label, config) for every set, in a fixed order."""
+    for name, w in workloads.items():
+        for variant in VARIANTS:
+            for seed in range(10):
+                yield (f"{name} {variant} seed={seed}",
+                       replace(w.config, variant=variant, seed=seed))
+        for label, change in ABLATIONS.items():
+            for seed in range(2):
+                yield (f"{name} {label} seed={seed}",
+                       replace(w.config, seed=seed, **change))
+
+
+def main() -> int:
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"  # before NumPy loads, as bench/run.py does
+    sys.path += [str(ROOT / "src"), str(ROOT / "bench")]  # after PYTHONPATH
+    import workloads
+    from dpfed.blocks import ConfigurationError
+    from dpfed.optimizer import DivergenceError
+    from dpfed.runner import run
+    print(f"dpfed from {Path(sys.modules['dpfed'].__file__).parent}",
+          file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (label, config) in enumerate(matrix(workloads.WORKLOADS)):
+            out = os.path.join(tmp, str(i))
+            try:
+                run(replace(config, output_dir=out))
+            except (ConfigurationError, DivergenceError) as exc:
+                print(f"{label} error: {exc}", flush=True)
+                continue
+            data = b"".join(Path(out, name).read_bytes()
+                            for name in ("metrics.csv", "summary.json"))
+            print(f"{label} {hashlib.sha256(data).hexdigest()}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
