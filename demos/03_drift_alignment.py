@@ -1,11 +1,15 @@
-"""Local-global alignment pulls client trajectories back together.
+"""What local-global alignment does to client drift.
 
 Two clients minimize quadratics with different centers; after K private
-local steps their parameters drift apart. The server's alignment
-direction Delta_G (the negative average descent direction of the last
-round) is added to every local step with coefficient gamma, which
-systematically reduces the drift metric: the mean squared distance of
-client endpoints from their mean.
+local steps their parameters drift apart. The drift metric is the mean
+squared distance of client endpoints from their mean. The server's
+alignment direction Delta_G (the negative average descent direction of
+the last round) is added to every local step with coefficient gamma.
+gamma * Delta_G is the same unpreconditioned vector for every client: over
+K steps it moves each client by gamma times the last round's mean delta,
+which to first order is server momentum (FedAvgM, Hsu et al. 2019). So it
+moves the drift only through the preconditioner and the DP noise, and
+the per-seed differences below are small and can go either way.
 """
 from dataclasses import replace
 

@@ -64,12 +64,13 @@ class BlockLayout:
 
 
 def block_mean(v: np.ndarray, layout: BlockLayout) -> np.ndarray:
-    """Arithmetic mean of v within each block of the layout, shape (B,)."""
+    """Arithmetic mean within each block of the layout, over the last axis:
+    shape (B,) for a (d,) vector, (S, B) for an (S, d) stack."""
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != (layout.dim,):
+    if v.ndim not in (1, 2) or v.shape[-1] != layout.dim:
         raise ConfigurationError(
             f"vector dim {v.shape} does not match layout dim {layout.dim}")
-    return np.array([v[s].mean() for s in layout.slices()])
+    return np.stack([v[..., s].mean(axis=-1) for s in layout.slices()], -1)
 
 
 def broadcast_blocks(means: np.ndarray, layout: BlockLayout) -> np.ndarray:

@@ -32,16 +32,16 @@ class MetricRecord:
     eps_paper: float
 
 
-def cross_client_var_v(v_vectors: list[np.ndarray]) -> float:
-    """Mean over coordinates of the unbiased across-client variance."""
+def cross_client_var_v(v_vectors: np.ndarray) -> float:
+    """Mean over coordinates of the unbiased variance across S clients' v."""
     if len(v_vectors) < 2:
         raise ConfigurationError("need at least 2 clients for a variance")
     stacked = np.stack(v_vectors)
     return float(np.var(stacked, axis=0, ddof=1).mean())
 
 
-def client_drift(endpoints: list[np.ndarray]) -> float:
-    """Mean squared distance of client endpoints to their mean."""
+def client_drift(endpoints: np.ndarray) -> float:
+    """Mean squared distance of S client endpoints (rows) to their mean."""
     if len(endpoints) < 2:
         raise ConfigurationError("need at least 2 clients for drift")
     stacked = np.stack(endpoints)

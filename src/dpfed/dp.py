@@ -147,22 +147,21 @@ def _factored_clipped_sum(layers, clip_norm: float, rows) -> np.ndarray:
     try:
         carrier = clip_batch(scaled, clip_norm * _CARRIER_CLIP)
     except ConfigurationError:
-        if len(bounds) > 1:  # each client's batch on its own, as below:
-            return np.concatenate([_factored_clipped_sum(
-                [(E[lo:hi], A[lo:hi]) for E, A in layers], clip_norm,
-                (0, hi - lo)) for lo, hi in bounds])
         # A non-finite carrier row has a non-finite input, which the dense
-        # clip rejects, or a scale that overflowed. Such rows are formed and
-        # clipped densely at C (to zero if their norm overflows); the other
-        # rows take the carrier path and keep their bits.
+        # clip rejects, or a scale that overflowed. Such rows are clipped
+        # densely at C (to zero if their norm overflows) into their client's
+        # sum; the other rows take the carrier path and keep their bits.
         bad = ~np.isfinite(scaled).all(axis=1)
-        dense = np.concatenate([block for E, A in layers for block in (
+        dense = clip_batch(np.concatenate([part for E, A in layers for part in (
             (E[bad][:, :, None] * A[bad][:, None, :]).reshape(bad.sum(), -1),
-            E[bad])], axis=1)
-        rest = [(E[~bad], A[~bad]) for E, A in layers]
-        kept = (0, len(rest[0][0]))
-        return (clip_batch(dense, clip_norm).sum(axis=0)
-                + _factored_clipped_sum(rest, clip_norm, kept))
+            E[bad])], axis=1), clip_norm)
+        owner = np.repeat(np.arange(len(bounds)), np.diff(rows))[bad]
+        kept = np.searchsorted((~bad).nonzero()[0], rows)  # rows left before
+        out = _factored_clipped_sum([(E[~bad], A[~bad]) for E, A in layers],
+                                    clip_norm, kept)
+        for i in np.unique(owner):
+            out[i] = dense[owner == i].sum(axis=0) + out[i]
+        return out
     errors, col = [], 0
     for (E, A), s in zip(layers, scales):
         e = carrier[:, col:col + E.shape[1]]
@@ -174,27 +173,24 @@ def _factored_clipped_sum(layers, clip_norm: float, rows) -> np.ndarray:
         for lo, hi in bounds])
 
 
-def noisy_batch_mean(grads, cfg: DPConfig, rng, rows=None) -> np.ndarray:
-    """Mean of the clipped per-sample gradients plus Gaussian noise from rng.
+def noisy_batch_mean(grads, cfg: DPConfig, rngs, rows) -> np.ndarray:
+    """The (S, d) stack of S clients' noisy means of clipped gradients.
 
-    ``grads`` is a model's per-layer (E, A) factors (see ``models``). The
-    rows are clipped here, so the guarantee does not rest on the caller.
-    With ``rows`` the batch holds S clients' batches, client i's at
-    rows[i]:rows[i + 1]; ``rng`` is then their S generators, and the result
-    is the (S, d) stack of their means, each with its own b and noise.
+    ``grads`` is a model's per-layer (E, A) factors (see ``models``) of
+    the S clients' batches, client i's at rows rows[i]:rows[i + 1], and
+    ``rngs`` their S generators: client i's mean is that of its clipped
+    rows plus Gaussian noise of its own b, drawn from rngs[i]. The rows
+    are clipped here, so the guarantee does not rest on the caller.
     """
-    one = rows is None
-    if one:
-        rows, rng = (0, grads[0][0].shape[0]), [rng]
     b = [hi - lo for lo, hi in zip(rows[:-1], rows[1:])]
     if min(b) == 0:
         raise ConfigurationError("expected a non-empty batch of gradients")
     mean = (_factored_clipped_sum(grads, cfg.clip_norm, rows)
             / np.array(b)[:, None])
     if cfg.noise_multiplier > 0:
-        if any(r is None for r in rng):
+        if any(r is None for r in rngs):
             raise ConfigurationError("a generator is required when sigma > 0")
         std = np.array([cfg.noise_std(n) for n in b])
         mean = mean + std[:, None] * np.array(
-            [r.standard_normal(mean.shape[1]) for r in rng])
-    return mean[0] if one else mean
+            [r.standard_normal(mean.shape[1]) for r in rngs])
+    return mean

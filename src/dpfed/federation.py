@@ -3,11 +3,11 @@
 One round follows the synchronous protocol: the server broadcasts
 (theta, block means of v, alignment direction), each selected client runs
 K private local steps, and the server folds the reports in ascending
-client-id order. The selected clients run together: their parameters and
-moments are the rows of (S, d) arrays and their batches are concatenated,
-so a local step is one call per layer for the whole round. Each client
-keeps its own generator and batch size, every row-wise operation is
-per row and the matmuls run per client, so a client's report is bitwise
+client-id order. The selected clients run together: their parameters,
+moments and reports are the rows of (S, ·) arrays and their batches are
+concatenated, so a local step is one call per layer for the round. Each
+client keeps its own generator and batch size, every row-wise operation
+is per row and the matmuls run per client, so a client's row is bitwise
 the one it gets when ``run_client`` runs it alone.
 """
 from __future__ import annotations
@@ -52,15 +52,15 @@ class RoundState:
 
 
 @dataclass
-class ClientReport:
-    """What one client sends back, plus simulator-side observables."""
+class RoundReport:
+    """What a round's S clients send back, plus simulator observables."""
 
-    client_id: int
-    delta: np.ndarray
-    block_v: np.ndarray  # (B,) block means of the final second moment
+    client_ids: np.ndarray  # (S,)
+    delta: np.ndarray  # (S, d)
+    block_v: np.ndarray  # (S, B) block means of the final second moments
     # Observables for diagnostics; not part of the uplink payload.
-    v_full: np.ndarray | None = None
-    theta_end: np.ndarray | None = None
+    v: np.ndarray  # (S, d) final second moments
+    theta: np.ndarray  # (S, d) final parameters
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,9 @@ def run_client(model: Model, round_state: RoundState, client_ids,
                client_data: list[tuple[np.ndarray, np.ndarray]],
                dp_cfg: DPConfig, opt: AdamWParams, variant: str,
                local_steps: int, stream: NoiseStream,
-               options: ClientOptions = ClientOptions()) -> list[ClientReport]:
+               options: ClientOptions = ClientOptions()) -> RoundReport:
     """K private local steps of each client in ``client_ids``, whose rows
-    are ``client_data``; returns one report per client, in that order.
+    are ``client_data``; returns their report, rows in that order.
     A client's batch size floor(s * len(y)) and noise std follow from its
     row count; its K batches and noise vectors come from one generator
     keyed (t, client), so its report does not depend on the others."""
@@ -123,26 +123,22 @@ def run_client(model: Model, round_state: RoundState, client_ids,
             precond = (1.0 if options.identity_preconditioner
                        else corrected_preconditioner(v_hat, tau, opt.eps))
         theta = local_step(theta, m_hat, precond, delta_g, opt)
-    delta = theta - round_state.theta
-    v = np.maximum(state.v, 0.0)
-    return [ClientReport(client_id=int(cid), delta=delta[i],
-                         block_v=block_mean(v[i], model.layout),
-                         v_full=state.v[i], theta_end=theta[i])
-            for i, cid in enumerate(client_ids)]
+    return RoundReport(np.asarray(client_ids), theta - round_state.theta,
+                       block_mean(state.v, model.layout), state.v, theta)
 
 
-def aggregate(round_state: RoundState, reports: list[ClientReport],
+def aggregate(round_state: RoundState, report: RoundReport,
               local_steps: int, lr: float) -> RoundState:
-    """Server update: average deltas, alignment direction, block means."""
-    if not reports:
+    """Server update: average deltas, alignment direction, block means,
+    folding the rows one by one in the report's (ascending id) order."""
+    S = len(report.client_ids)
+    if not S:
         raise ConfigurationError("cannot aggregate an empty round")
-    reports = sorted(reports, key=lambda r: r.client_id)
-    S = len(reports)
     delta_sum = np.zeros_like(round_state.theta)
-    v_sum = np.zeros_like(reports[0].block_v)
-    for r in reports:
-        delta_sum = delta_sum + r.delta
-        v_sum = v_sum + r.block_v
+    v_sum = np.zeros_like(report.block_v[0])
+    for delta, block_v in zip(report.delta, report.block_v):
+        delta_sum = delta_sum + delta
+        v_sum = v_sum + block_v
     return RoundState(
         theta=round_state.theta + delta_sum / S,
         v_bar=v_sum / S,
@@ -156,15 +152,14 @@ def run_round(round_state: RoundState, model: Model,
               dp_cfg: DPConfig, opt: AdamWParams, variant: str,
               local_steps: int, num_selected: int, stream: NoiseStream,
               options: ClientOptions = ClientOptions(),
-              ) -> tuple[RoundState, list[ClientReport]]:
+              ) -> tuple[RoundState, RoundReport]:
     """One full synchronous round over a sampled client subset."""
     selected = sample_clients(len(client_data), num_selected, stream,
                               round_state.t)
-    reports = run_client(model, round_state, selected,
-                         [client_data[cid] for cid in selected], dp_cfg, opt,
-                         variant, local_steps, stream, options)
-    new_state = aggregate(round_state, reports, local_steps, opt.lr)
-    return new_state, reports
+    report = run_client(model, round_state, selected,
+                        [client_data[cid] for cid in selected], dp_cfg, opt,
+                        variant, local_steps, stream, options)
+    return aggregate(round_state, report, local_steps, opt.lr), report
 
 
 def payload_count(variant_or_strategy: str, d: int, num_blocks: int,

@@ -254,6 +254,11 @@ def run(config: RunConfig) -> RunSummary:
 
     stream = NoiseStream(config.seed)
     model, fed, dp_cfg = _build_problem(config, stream)
+    try:  # once the config is known to be valid, before any round runs
+        os.makedirs(config.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"output_dir {config.output_dir!r} cannot be "
+                                 f"a directory ({type(exc).__name__})") from None
     theta0 = model.init_params(stream.rng((DOMAIN_INIT,)))
     state = RoundState.initial(theta0, model.layout)
     opt = config.adamw_params()
@@ -270,7 +275,7 @@ def run(config: RunConfig) -> RunSummary:
     selected = config.selected_clients  # Fraction arithmetic: once a run
     for _ in range(config.rounds):
         try:
-            state, reports = run_round(
+            state, report = run_round(
                 state, model, fed.clients, dp_cfg, opt, config.variant,
                 config.local_steps, selected, stream, options)
         except DivergenceError:
@@ -279,15 +284,13 @@ def run(config: RunConfig) -> RunSummary:
             raise
         eps_rdp, eps_paper = account_round(config, ledger, state.t)
         loss, acc = _global_metrics(model, fed, state.theta)
-        many = len(reports) >= 2
+        S = len(report.client_ids)
         records.append(MetricRecord(
             t=state.t, global_loss=loss, global_accuracy=acc,
-            var_v=cross_client_var_v([r.v_full for r in reports])
-            if many else float("nan"),
-            drift=client_drift([r.theta_end for r in reports])
-            if many else float("nan"),
-            uplink_floats=per_client_payload[0] * len(reports),
-            downlink_floats=per_client_payload[1] * len(reports),
+            var_v=cross_client_var_v(report.v) if S >= 2 else float("nan"),
+            drift=client_drift(report.theta) if S >= 2 else float("nan"),
+            uplink_floats=per_client_payload[0] * S,
+            downlink_floats=per_client_payload[1] * S,
             eps_rdp=eps_rdp, eps_paper=eps_paper))
 
     if records:  # theta has not moved since the last round's evaluation
@@ -306,7 +309,6 @@ def run(config: RunConfig) -> RunSummary:
 
 
 def _write_text(out_dir: str, name: str, text: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, name), "w", encoding="utf-8",
               newline="\n") as fh:
         fh.write(text)
@@ -349,6 +351,9 @@ def compare(configs: list[RunConfig], seeds: list[int],
         raise ConfigurationError("compare needs configs and seeds")
     if len(set(seeds)) != len(seeds):  # a repeat would rerun one directory
         raise ConfigurationError(f"compare seeds must be distinct: {seeds}")
+    unknown = sorted(set(axes) - {f.name for f in fields(RunConfig)})
+    if unknown:
+        raise ConfigurationError(f"compare axes are not config keys: {unknown}")
     ignore = set(axes) | set(_NON_SEMANTIC_FIELDS) | {"seed"}
     reference = {k: v for k, v in configs[0].semantic_items() if k not in ignore}
     for cfg in configs[1:]:

@@ -205,6 +205,21 @@ def test_criterion_07_drift_reduction(tmp_path):
     check(7, wins >= 4 and elapsed < 60, f"{wins}/5 seeds, {elapsed:.1f}s")
 
 
+def test_alignment_alone_leaves_drift_unchanged(tmp_path):
+    # gamma * Delta_G is one unpreconditioned vector added to every
+    # client's step, in effect server momentum. With the identity
+    # preconditioner, no noise and no clipping it moves both clients
+    # alike, so the translation-invariant drift does not move with gamma.
+    base = replace(DRIFT_BASE, identity_preconditioner=True,
+                   noise_multiplier=0.0, clip_norm=1e6,
+                   output_dir=str(tmp_path))
+    for seed in range(5):
+        drift = {gamma: np.array([r.drift for r in run(replace(
+            base, seed=seed, gamma=gamma)).metrics]) for gamma in (0.5, 0.0)}
+        assert np.all(drift[0.0] > 0)
+        assert np.all(np.abs(drift[0.5] - drift[0.0]) <= 1e-12 * drift[0.0])
+
+
 VAR_BASE = RunConfig(
     variant="dp_fedadamw", model="mlp2", dataset="blobs", num_clients=10,
     rounds=20, local_steps=5, sample_rate=0.2, clip_norm=1.0,
@@ -311,12 +326,12 @@ def test_criterion_12_reductions():
     state = RoundState.initial(theta0, model.layout)
     max_step_err = 0.0
     for k in range(1, 6):
-        [adam_like] = run_client(model, state, [0], data[:1], dp_cfg,
-                                 sgd_opt, "dp_fedadamw", k, stream, id_options)
-        [sgd] = run_client(model, state, [0], data[:1], dp_cfg, sgd_opt,
-                           "dp_fedavg_sgd", k, stream)
+        adam_like = run_client(model, state, [0], data[:1], dp_cfg,
+                               sgd_opt, "dp_fedadamw", k, stream, id_options)
+        sgd = run_client(model, state, [0], data[:1], dp_cfg, sgd_opt,
+                         "dp_fedavg_sgd", k, stream)
         max_step_err = max(max_step_err, float(np.max(np.abs(
-            adam_like.theta_end - sgd.theta_end))))
+            adam_like.theta - sgd.theta))))
     check(12, bitwise and max_step_err < 1e-12,
           f"variant trajectories bit-identical: {bitwise}, "
           f"max per-step SGD deviation {max_step_err:.2e}")

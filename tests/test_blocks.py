@@ -22,6 +22,24 @@ def test_block_mean_zeros_and_constant():
     assert np.all(block_mean(np.full(4, c), layout_ab()) == c)
 
 
+def test_block_mean_of_a_stack_is_bitwise_per_row():
+    # A round's (S, d) second moments are averaged in one call; each row
+    # must be bitwise the (d,) call on it, also for blocks longer than
+    # NumPy's pairwise-summation block.
+    rng = np.random.default_rng(5)
+    layout = BlockLayout.from_sizes([("a", 1), ("b", 7), ("c", 130),
+                                     ("d", 500)])
+    v = (rng.standard_normal((6, layout.dim)) ** 2
+         * 10.0 ** rng.uniform(-6, 2, (6, 1)))
+    got = block_mean(v, layout)
+    assert got.shape == (6, 4)
+    assert np.array_equal(got, np.stack([block_mean(row, layout)
+                                         for row in v]))
+    for bad in (np.zeros((2, 3, layout.dim)), np.zeros((2, layout.dim + 1))):
+        with pytest.raises(ConfigurationError):
+            block_mean(bad, layout)
+
+
 def test_block_mean_dim_mismatch():
     with pytest.raises(ConfigurationError):
         block_mean(np.zeros(5), layout_ab())

@@ -41,6 +41,11 @@ def factors_at_norms(kind, norms, rng):
     return [(E * scale[:, None], A) for E, A in factors]
 
 
+def mean_of(grads, c, rng):
+    """One client's noisy mean: noisy_batch_mean over a round of S = 1."""
+    return noisy_batch_mean(grads, c, [rng], (0, len(grads[0][0])))[0]
+
+
 def rows(G):
     """Gradient rows G as factors: one layer without input."""
     return [(G, G[:, :0])]
@@ -184,14 +189,14 @@ def test_clip_never_increases_norm_and_idempotent(vals, C):
 def test_zero_noise_is_exact_mean():
     rng = np.random.default_rng(0)
     grads = rng.standard_normal((10, 4)) * 0.01
-    out = noisy_batch_mean(rows(grads), cfg(sigma=0.0), None)  # none clipped
+    out = mean_of(rows(grads), cfg(sigma=0.0), None)  # none clipped
     assert np.allclose(out, grads.mean(axis=0), rtol=1e-12, atol=1e-15)
 
 
 def test_zero_noise_large_clip_equals_plain_batch_gradient():
     rng = np.random.default_rng(1)
     grads = rng.standard_normal((10, 4))
-    out = noisy_batch_mean(rows(grads), DPConfig(1e6, 0.0, 1.0), None)
+    out = mean_of(rows(grads), DPConfig(1e6, 0.0, 1.0), None)
     assert np.allclose(out, grads.mean(axis=0), rtol=1e-12)
 
 
@@ -201,7 +206,7 @@ def test_noise_is_the_generators_next_normal_draw():
     rng = np.random.default_rng(2)
     raw = rng.standard_normal((10, 5)) * 0.05
     c = cfg(C=0.1, sigma=1.5)
-    out = noisy_batch_mean(rows(raw), c, NoiseStream(3).rng((1, 2, 3)))
+    out = mean_of(rows(raw), c, NoiseStream(3).rng((1, 2, 3)))
     clean = np.sum(clip_batch(raw, c.clip_norm), axis=0) / 10
     z = NoiseStream(3).rng((1, 2, 3)).standard_normal(5)
     assert np.array_equal(out, clean + c.noise_std(10) * z)
@@ -209,20 +214,20 @@ def test_noise_is_the_generators_next_normal_draw():
     grads = build_model("quadratic", dim=5).per_sample_grads(
         np.zeros(5), -raw, None)
     assert np.array_equal(
-        noisy_batch_mean(grads, c, NoiseStream(3).rng((1, 2, 3))), out)
+        mean_of(grads, c, NoiseStream(3).rng((1, 2, 3))), out)
 
 
 def test_noise_needs_a_generator():
     with pytest.raises(ConfigurationError, match="generator"):
-        noisy_batch_mean(rows(np.zeros((4, 2))), cfg(sigma=1.0), None)
+        mean_of(rows(np.zeros((4, 2))), cfg(sigma=1.0), None)
 
 
 def test_determinism_and_key_separation():
     grads = rows(np.zeros((10, 4)))
     stream = NoiseStream(7)
-    a = noisy_batch_mean(grads, cfg(), stream.rng((1, 2, 3)))
-    b = noisy_batch_mean(grads, cfg(), stream.rng((1, 2, 3)))
-    c = noisy_batch_mean(grads, cfg(), stream.rng((1, 2, 4)))
+    a = mean_of(grads, cfg(), stream.rng((1, 2, 3)))
+    b = mean_of(grads, cfg(), stream.rng((1, 2, 3)))
+    c = mean_of(grads, cfg(), stream.rng((1, 2, 4)))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -236,22 +241,19 @@ def test_noisy_batch_mean_clips_its_batch():
     assert np.sum(np.linalg.norm(raw, axis=1) > c.clip_norm) >= 5
     stream = NoiseStream(5)
     assert np.array_equal(
-        noisy_batch_mean(rows(raw), c, stream.rng((0, 1, 2))),
-        noisy_batch_mean(rows(clip_batch(raw, c.clip_norm)), c,
-                         stream.rng((0, 1, 2))))
-    exact = noisy_batch_mean(rows(raw), cfg(C=0.1, sigma=0.0), None)
+        mean_of(rows(raw), c, stream.rng((0, 1, 2))),
+        mean_of(rows(clip_batch(raw, c.clip_norm)), c, stream.rng((0, 1, 2))))
+    exact = mean_of(rows(raw), cfg(C=0.1, sigma=0.0), None)
     assert np.linalg.norm(exact) <= 0.1
 
 
 def test_empty_batch_rejected():
     with pytest.raises(ConfigurationError):
-        noisy_batch_mean(rows(np.zeros((0, 3))), cfg(),
-                         NoiseStream(0).rng((0,)))
+        mean_of(rows(np.zeros((0, 3))), cfg(), NoiseStream(0).rng((0,)))
     for kind in ("logistic", "mlp2"):
         with pytest.raises(ConfigurationError):
-            noisy_batch_mean(
-                factors_at_norms(kind, [], np.random.default_rng(0)), cfg(),
-                NoiseStream(0).rng((0,)))
+            mean_of(factors_at_norms(kind, [], np.random.default_rng(0)),
+                    cfg(), NoiseStream(0).rng((0,)))
 
 
 @pytest.mark.parametrize("kind", ["logistic", "mlp2"])
@@ -267,7 +269,7 @@ def test_factored_mean_matches_dense_clip(kind):
     norms = [0.0, 1e-3 * C, 0.5 * C, C, np.nextafter(C, 2), 1.5 * C, 1e3 * C]
     for norm in norms:
         factors = factors_at_norms(kind, [norm], rng)
-        got = noisy_batch_mean(factors, c, None)
+        got = mean_of(factors, c, None)
         expected = clip_batch(dense_grads(factors), C)[0]
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(
             expected)
@@ -275,7 +277,7 @@ def test_factored_mean_matches_dense_clip(kind):
         batch = (rng.choice(norms, size=9) if trial % 2
                  else C * 10.0 ** rng.uniform(-2, 2, 9))
         factors = factors_at_norms(kind, batch, rng)
-        got = noisy_batch_mean(factors, c, None)
+        got = mean_of(factors, c, None)
         expected = np.sum(clip_batch(dense_grads(factors),
                                      C * dp._CARRIER_CLIP), axis=0) / 9
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(
@@ -299,7 +301,7 @@ def test_mixed_layers_take_the_carrier_margin(monkeypatch):
             -2, 2, 9), rng)
         bias = rng.standard_normal((9, 3)) * 10.0 ** rng.uniform(-2, 1)
         factors.insert(trial % 2, (bias, bias[:, :0]))
-        got = noisy_batch_mean(factors, cfg(C=C, sigma=0.0), None)
+        got = mean_of(factors, cfg(C=C, sigma=0.0), None)
         expected = np.sum(clip_batch(dense_grads(factors),
                                      C * dp._CARRIER_CLIP), axis=0) / 9
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(
@@ -317,20 +319,46 @@ def test_factored_row_whose_scale_overflows():
     factors = m.per_sample_grads(theta, X, np.array([1, 2]))
     c = cfg(C=0.1, sigma=0.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        got = noisy_batch_mean(factors, c, None)
+        got = mean_of(factors, c, None)
         expected = np.mean(clip_batch(dense_grads(factors), c.clip_norm),
                            axis=0)
         assert np.isfinite(got).all()
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(
             expected)
-        assert np.array_equal(got * 2, noisy_batch_mean(
+        assert np.array_equal(got * 2, mean_of(
             [(E[1:], A[1:]) for E, A in factors], c, None))
-        only = noisy_batch_mean([(E[:1], A[:1]) for E, A in factors], c, None)
+        only = mean_of([(E[:1], A[:1]) for E, A in factors], c, None)
         assert not only.any()  # a batch of the overflowing row alone
         for bad in (np.nan, np.inf):
             factors[0][1][1, 0] = bad
             with pytest.raises(ConfigurationError):
-                noisy_batch_mean(factors, c, None)
+                mean_of(factors, c, None)
+
+
+def test_round_clips_overflowing_rows_densely_per_client():
+    # One call over 3 clients: client 0 has one row whose carrier scale
+    # overflows, every row of client 1 does, and client 2 has none. Each
+    # client's mean is bitwise that of its batch alone, client 1's is 0,
+    # and a NaN beside an overflow still fails the call.
+    m = build_model("logistic", num_features=3, num_classes=4)
+    rng = np.random.default_rng(47)
+    X = rng.standard_normal((9, 3))
+    X[[1, 4, 5], 0] = [1e200, -1e200, 3e200]
+    factors = m.per_sample_grads(rng.uniform(-0.1, 0.1, m.d), X,
+                                 rng.integers(4, size=9))
+    bounds = (0, 4, 6, 9)
+    c = cfg(C=0.1, sigma=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = noisy_batch_mean(factors, c, [None] * 3, bounds)
+        for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            alone = mean_of([(E[lo:hi], A[lo:hi]) for E, A in factors], c,
+                            None)
+            assert np.array_equal(got[i], alone)
+        assert np.isfinite(got).all() and got[0].any() and got[2].any()
+        assert not got[1].any()
+        factors[0][1][2, 1] = np.nan
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            noisy_batch_mean(factors, c, [None] * 3, bounds)
 
 
 def test_factored_rows_never_exceed_clip_norm():
@@ -345,8 +373,8 @@ def test_factored_rows_never_exceed_clip_norm():
         factors = factors_at_norms(kind, norms, rng)
         c = cfg(C=C, sigma=0.0)
         for i in range(len(norms)):
-            row = noisy_batch_mean([(E[i:i + 1], A[i:i + 1])
-                                    for E, A in factors], c, None)
+            row = mean_of([(E[i:i + 1], A[i:i + 1]) for E, A in factors],
+                          c, None)
             worst = max(worst, np.linalg.norm(row))
     assert worst <= C
 
@@ -359,7 +387,7 @@ def test_factored_nonfinite_rejected(bad):
             factors = factors_at_norms("mlp2", [0.5, 2.0, 0.0], rng)
             factors[layer][which][1, 2] = bad
             with pytest.raises(ConfigurationError):
-                noisy_batch_mean(factors, cfg(sigma=0.0), None)
+                mean_of(factors, cfg(sigma=0.0), None)
 
 
 def test_monte_carlo_mean_and_variance():
@@ -375,7 +403,7 @@ def test_monte_carlo_mean_and_variance():
     clean = g.mean(axis=0)
     outs = clean[None, :] + tau * rng.standard_normal((n_draws, 2))
     # single draw through the public path, same distribution family
-    one = noisy_batch_mean(rows(g), c, stream.rng((0, 0, 1)))
+    one = mean_of(rows(g), c, stream.rng((0, 0, 1)))
     assert one.shape == clean.shape
     emp_mean = outs.mean(axis=0)
     emp_var = outs.var(axis=0)
@@ -394,7 +422,7 @@ def test_monte_carlo_through_public_path():
     acc = np.zeros(2)
     acc2 = np.zeros(2)
     for _ in range(n_draws):
-        out = noisy_batch_mean(rows(g), c, rng)
+        out = mean_of(rows(g), c, rng)
         acc += out
         acc2 += out * out
     mean = acc / n_draws

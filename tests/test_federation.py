@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dpfed.blocks import ConfigurationError
 from dpfed.dp import DPConfig, NoiseStream
 from dpfed.federation import (STRATEGY_BY_VARIANT, ClientOptions,
-                              ClientReport, RoundState, aggregate,
+                              RoundReport, RoundState, aggregate,
                               payload_count, run_client, run_round,
                               sample_clients)
 from dpfed.models import build_model
@@ -18,6 +20,13 @@ def quadratic_setup(num_clients=2, dim=3, sigma=0.0, seed=0):
     data = [(np.tile(c, (10, 1)), np.zeros(10, dtype=np.int64))
             for c in centers]
     return model, data, DPConfig(10.0, sigma, 1.0), centers
+
+
+def delta_report(deltas):
+    """A report of the (S, d) deltas, with all other per-client rows 0."""
+    S, d = deltas.shape
+    return RoundReport(np.arange(S), deltas, np.zeros((S, 1)),
+                       np.zeros((S, d)), np.zeros((S, d)))
 
 
 def test_sample_clients_all():
@@ -54,8 +63,8 @@ def test_sample_clients_uniform_frequency():
 def test_run_round_zero_deltas_leave_state():
     model, data, cfg, _ = quadratic_setup()
     state = RoundState.initial(np.zeros(3), model.layout)
-    reports = [ClientReport(i, np.zeros(3), np.zeros(1)) for i in range(2)]
-    new = aggregate(state, reports, local_steps=4, lr=0.1)
+    new = aggregate(state, delta_report(np.zeros((2, 3))), local_steps=4,
+                    lr=0.1)
     assert np.array_equal(new.theta, state.theta)
     assert np.all(new.delta_g == 0)
 
@@ -66,8 +75,8 @@ def test_delta_g_cancellation():
     state = RoundState.initial(np.zeros(3), model.layout)
     u = np.array([1.0, -2.0, 0.5])
     eta = 0.25
-    rep = ClientReport(0, -eta * u, np.zeros(1))
-    new = aggregate(state, [rep], local_steps=1, lr=eta)
+    new = aggregate(state, delta_report((-eta * u)[None]), local_steps=1,
+                    lr=eta)
     assert np.allclose(new.delta_g, u, rtol=1e-12)
     assert np.allclose(new.theta, -eta * u, rtol=1e-12)
 
@@ -80,8 +89,8 @@ def test_run_round_matches_hand_computed_quadratic():
     state = RoundState.initial(theta0, model.layout)
     opt = AdamWParams(lr=0.1)
     stream = NoiseStream(0)
-    new_state, reports = run_round(state, model, data, cfg, opt,
-                                   "dp_fedavg_sgd", 1, 2, stream)
+    new_state, _ = run_round(state, model, data, cfg, opt,
+                             "dp_fedavg_sgd", 1, 2, stream)
     # gradient of client i at theta0 is theta0 - center_i, clipped (C=10,
     # inactive), so delta_i = -lr * (theta0 - center_i)
     deltas = [-0.1 * (theta0 - c) for c in centers]
@@ -96,11 +105,9 @@ def test_aggregation_linearity_power_of_two_scale():
     model, data, cfg, _ = quadratic_setup(num_clients=3)
     state = RoundState.initial(np.zeros(3), model.layout)
     rng = np.random.default_rng(2)
-    reports = [ClientReport(i, rng.standard_normal(3), np.zeros(1))
-               for i in range(3)]
-    scaled = [ClientReport(r.client_id, 2.0 * r.delta, r.block_v)
-              for r in reports]
-    base = aggregate(state, reports, 4, 0.1)
+    report = delta_report(rng.standard_normal((3, 3)))
+    scaled = replace(report, delta=2.0 * report.delta)
+    base = aggregate(state, report, 4, 0.1)
     doubled = aggregate(state, scaled, 4, 0.1)
     assert np.array_equal(doubled.theta - state.theta,
                           2.0 * (base.theta - state.theta))
@@ -131,17 +138,30 @@ def test_client_failure_aborts_round():
                   AdamWParams(lr=0.1), "dp_fedavg_sgd", 1, 2, NoiseStream(0))
 
 
+REPORT_FIELDS = ("client_ids", "delta", "block_v", "v", "theta")
+
+
+def stacked(reports):
+    """Reports of one or more clients as one report, rows in list order."""
+    return RoundReport(*(np.concatenate([getattr(r, f) for r in reports])
+                         for f in REPORT_FIELDS))
+
+
+def row(report, i):
+    """Client row i of a report, as a one-client report."""
+    return RoundReport(*(getattr(report, f)[i:i + 1] for f in REPORT_FIELDS))
+
+
 def client_reports(variant, round_state, opt, sigma=1.0):
     model, data, cfg, _ = quadratic_setup(sigma=sigma)
-    return [run_client(model, round_state, [i], [(X, y)], cfg, opt, variant,
-                       3, NoiseStream(7))[0] for i, (X, y) in enumerate(data)]
+    return stacked([run_client(model, round_state, [i], [(X, y)], cfg, opt,
+                               variant, 3, NoiseStream(7))
+                    for i, (X, y) in enumerate(data)])
 
 
 def reports_equal(a, b):
-    return len(a) == len(b) and all(ra.client_id == rb.client_id
-               and all(np.array_equal(getattr(ra, f), getattr(rb, f))
-                       for f in ("delta", "block_v", "v_full", "theta_end"))
-               for ra, rb in zip(a, b))
+    return all(np.array_equal(getattr(a, f), getattr(b, f))
+               for f in REPORT_FIELDS)
 
 
 def test_client_order_does_not_change_reports():
@@ -158,14 +178,15 @@ def test_client_order_does_not_change_reports():
     stream = NoiseStream(8)
 
     def reports(order):
-        return sorted((run_client(model, state, [i], [data[i]],
-                                  DPConfig(1.0, 1.0, 0.5), opt,
-                                  "dp_fedadamw", 3, stream)[0] for i in order),
-                      key=lambda r: r.client_id)
+        return stacked(sorted((run_client(model, state, [i], [data[i]],
+                                          DPConfig(1.0, 1.0, 0.5), opt,
+                                          "dp_fedadamw", 3, stream)
+                               for i in order),
+                              key=lambda r: r.client_ids[0]))
 
     ascending = reports(range(4))
     assert reports_equal(ascending, reports(reversed(range(4))))
-    assert not np.array_equal(ascending[0].delta, ascending[1].delta)
+    assert not np.array_equal(ascending.delta[0], ascending.delta[1])
 
 
 @pytest.mark.parametrize("variant", ["dp_local_adamw", "dp_fedavg_sgd"])
@@ -222,8 +243,8 @@ def test_warm_start_and_alignment_flow_through():
     opt = AdamWParams(lr=0.01, align_coef=0.5)
     state = RoundState.initial(np.zeros(3), model.layout)
     stream = NoiseStream(4)
-    state, reports = run_round(state, model, data, cfg, opt, "dp_fedadamw",
-                               3, 2, stream)
+    state, _ = run_round(state, model, data, cfg, opt, "dp_fedadamw", 3, 2,
+                         stream)
     assert state.v_bar.shape == (1,) and np.all(state.v_bar > 0)
     state2, _ = run_round(state, model, data, cfg, opt, "dp_fedadamw",
                           3, 2, stream)
@@ -257,12 +278,12 @@ def test_round_reports_equal_one_run_client_per_client(kind, variant, sigma):
     model, data, state, opt = axis_round_problem(kind)
     cfg = DPConfig(0.5, sigma, 0.5)
     stream = NoiseStream(5)
-    _, reports = run_round(state, model, data, cfg, opt, variant, 3, 3,
-                           stream)
-    ids = [r.client_id for r in reports]
-    expected = [run_client(model, state, [i], [data[i]], cfg, opt, variant,
-                           3, stream)[0] for i in ids]
-    assert len(ids) == 3 and reports_equal(reports, expected)
+    _, report = run_round(state, model, data, cfg, opt, variant, 3, 3,
+                          stream)
+    ids = report.client_ids
+    expected = stacked([run_client(model, state, [i], [data[i]], cfg, opt,
+                                   variant, 3, stream) for i in ids])
+    assert len(ids) == 3 and reports_equal(report, expected)
 
 
 def test_round_falls_back_per_client_on_an_overflowing_row():
@@ -279,13 +300,14 @@ def test_round_falls_back_per_client_on_an_overflowing_row():
     X[4, 0] = 1e200
     bad = [data[0], (X, data[1][1]), data[2]]
     with np.errstate(over="ignore", invalid="ignore"):
-        _, reports = run_round(state, model, bad, cfg, opt, "dp_fedadamw",
-                               2, 3, stream)
-        [alone] = run_client(model, state, [1], [bad[1]], cfg, opt,
-                             "dp_fedadamw", 2, stream)
-        assert reports_equal(reports, [clean[0], alone, clean[2]])
+        _, report = run_round(state, model, bad, cfg, opt, "dp_fedadamw",
+                              2, 3, stream)
+        alone = run_client(model, state, [1], [bad[1]], cfg, opt,
+                           "dp_fedadamw", 2, stream)
+        assert reports_equal(report, stacked([row(clean, 0), alone,
+                                              row(clean, 2)]))
         assert np.isfinite(alone.delta).all()
-        assert not np.array_equal(alone.delta, clean[1].delta)
+        assert not np.array_equal(alone.delta, row(clean, 1).delta)
         X[4, 0] = np.nan
         with pytest.raises(ConfigurationError, match="non-finite"):
             run_round(state, model, bad, cfg, opt, "dp_fedadamw", 2, 3,

@@ -406,6 +406,15 @@ def test_compare_rejects_undeclared_differences(tmp_path):
     assert not (tmp_path / "cmp").exists()
 
 
+def test_compare_rejects_unknown_axes(tmp_path):
+    # A misspelt axis would declare nothing and let the sweep run.
+    cfg = small_config(tmp_path)
+    with pytest.raises(ConfigurationError, match="gama"):
+        compare([cfg, cfg], [0], axes=("gama",),
+                output_dir=str(tmp_path / "cmp"))
+    assert not (tmp_path / "cmp").exists()
+
+
 @pytest.mark.parametrize("seeds", ["a", ",", "0,x", "0,0", "3,1,3"])
 def test_cli_compare_rejects_bad_seeds(tmp_path, capsys, seeds):
     # A repeated seed would run twice into one c0_s<seed> directory and
@@ -560,6 +569,24 @@ def test_tiny_sigma_is_unbounded(tmp_path, capsys, sigma):
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [row.split(",")[1] for row in rows] == ["inf", "inf"]
     assert summary.eps_rdp == math.inf
+
+
+@pytest.mark.parametrize("where", ["file", "under_file"])
+def test_cli_unusable_output_dir_exits_2_before_any_round(tmp_path, capsys,
+                                                          monkeypatch, where):
+    # An output_dir that is a file, or lies under one, is rejected with
+    # its path before round 1, not with a traceback after the last round.
+    (tmp_path / "taken").write_text("")
+    out = tmp_path / "taken" / ("x" if where == "under_file" else "")
+    rounds = []
+    real_run_round = runner.run_round
+    monkeypatch.setattr(runner, "run_round", lambda *args: rounds.append(1)
+                        or real_run_round(*args))
+    rc = cli_main(["run", *QUICK_RUN, "--output_dir", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: output_dir") and str(out) in err
+    assert not rounds and (tmp_path / "taken").read_text() == ""
 
 
 def test_cli_invalid_config_exit_code(capsys):

@@ -12,8 +12,10 @@ copy of the script checks any tree:
 The matrix is every workload of ``bench/workloads.py`` at its own length,
 x 3 variants x seeds 0-9, plus each workload with one mechanism changed
 (warm start off, bias correction off, identity preconditioner,
-participation 0.5, sigma = 0, gamma = lambda = 0) x seeds 0-1. A config
-the tree rejects prints its error in place of the hash.
+participation 0.5, sigma = 0, gamma = lambda = 0) x seeds 0-1, plus
+{logistic, mlp2} x 3 variants x seeds 0-1 on a CSV the script writes,
+whose rows with a feature of 1e200 take the clip's dense fallback. A
+config the tree rejects prints its error in place of the hash.
 """
 from __future__ import annotations
 
@@ -34,6 +36,25 @@ ABLATIONS = {
     "sigma=0": dict(noise_multiplier=0.0),
     "gamma=lambda=0": dict(gamma=0.0, weight_decay=0.0),
 }
+# The CSV sets name their file relative to the working directory, so
+# their config hash, which includes the path, is the same on every run.
+OVERFLOW_CSV = "overflow_blobs.csv"
+OVERFLOW_RUN = dict(dataset=OVERFLOW_CSV, num_clients=4, alpha=1.0,
+                    rounds=4, local_steps=3, sample_rate=0.5, clip_norm=0.5)
+
+
+def write_overflow_csv(path: str) -> None:
+    """Three Gaussian blobs in 6 features, 240 rows; every 20th row has a
+    feature of 1e200, so its carrier scale and its norm overflow."""
+    import numpy as np
+    rng = np.random.default_rng(0)
+    y = np.arange(240) % 3
+    X = rng.standard_normal((240, 6)) + 2.0 * np.eye(3, 6)[y]
+    X[::20, 0] = 1e200
+    lines = [",".join([f"f{j + 1}" for j in range(6)] + ["label"])]
+    lines += [",".join([*map(repr, row), str(label)])
+              for row, label in zip(X.tolist(), y.tolist())]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def matrix(workloads):
@@ -47,6 +68,12 @@ def matrix(workloads):
             for seed in range(2):
                 yield (f"{name} {label} seed={seed}",
                        replace(w.config, seed=seed, **change))
+    base = replace(workloads["logistic_blobs"].config, **OVERFLOW_RUN)
+    for model in ("logistic", "mlp2"):
+        for variant in VARIANTS:
+            for seed in range(2):
+                yield (f"{OVERFLOW_CSV} {model} {variant} seed={seed}",
+                       replace(base, model=model, variant=variant, seed=seed))
 
 
 def main() -> int:
@@ -59,17 +86,24 @@ def main() -> int:
     from dpfed.runner import run
     print(f"dpfed from {Path(sys.modules['dpfed'].__file__).parent}",
           file=sys.stderr)
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        for i, (label, config) in enumerate(matrix(workloads.WORKLOADS)):
-            out = os.path.join(tmp, str(i))
-            try:
-                run(replace(config, output_dir=out))
-            except (ConfigurationError, DivergenceError) as exc:
-                print(f"{label} error: {exc}", flush=True)
-                continue
-            data = b"".join(Path(out, name).read_bytes()
-                            for name in ("metrics.csv", "summary.json"))
-            print(f"{label} {hashlib.sha256(data).hexdigest()}", flush=True)
+        os.chdir(tmp)  # where the CSV sets' relative dataset path points
+        try:
+            write_overflow_csv(OVERFLOW_CSV)
+            for i, (label, config) in enumerate(matrix(workloads.WORKLOADS)):
+                out = os.path.join(tmp, str(i))
+                try:
+                    run(replace(config, output_dir=out))
+                except (ConfigurationError, DivergenceError) as exc:
+                    print(f"{label} error: {exc}", flush=True)
+                    continue
+                data = b"".join(Path(out, name).read_bytes()
+                                for name in ("metrics.csv", "summary.json"))
+                print(f"{label} {hashlib.sha256(data).hexdigest()}",
+                      flush=True)
+        finally:
+            os.chdir(cwd)
     return 0
 
 
