@@ -10,8 +10,8 @@ from .data import (FederatedDataset, dirichlet_partition, load_csv,
 from .diagnostics import (BiasProbeResult, MetricRecord, bias_probe,
                           client_drift, cross_client_var_v)
 from .dp import DPConfig, NoiseStream, clip_batch, noisy_batch_mean
-from .federation import (ClientOptions, RoundReport, RoundState,
-                         payload_count, run_client, run_round, sample_clients)
+from .federation import (RoundReport, RoundState, payload_count, run_client,
+                         run_round, sample_clients)
 from .models import Model, QuadraticModel, SoftmaxModel, build_model
 from .optimizer import (AdamWParams, DPAdamWState, DivergenceError,
                         corrected_preconditioner, init_round, local_step,

@@ -63,15 +63,6 @@ class RoundReport:
     theta: np.ndarray  # (S, d) final parameters
 
 
-@dataclass(frozen=True)
-class ClientOptions:
-    """Ablation switches for the aggregated variant."""
-
-    warm_start: bool = True
-    bias_correction: bool = True
-    identity_preconditioner: bool = False
-
-
 def sample_clients(num_clients: int, num_selected: int,
                    stream: NoiseStream, t: int) -> np.ndarray:
     """Uniform without-replacement subset, deterministic per (seed, t)."""
@@ -85,8 +76,7 @@ def sample_clients(num_clients: int, num_selected: int,
 def run_client(model: Model, round_state: RoundState, client_ids,
                client_data: list[tuple[np.ndarray, np.ndarray]],
                dp_cfg: DPConfig, opt: AdamWParams, variant: str,
-               local_steps: int, stream: NoiseStream,
-               options: ClientOptions = ClientOptions()) -> RoundReport:
+               local_steps: int, stream: NoiseStream) -> RoundReport:
     """K private local steps of each client in ``client_ids``, whose rows
     are ``client_data``; returns their report, rows in that order.
     A client's batch size floor(s * len(y)) and noise std follow from its
@@ -96,14 +86,14 @@ def run_client(model: Model, round_state: RoundState, client_ids,
         raise ConfigurationError(f"unknown variant {variant!r}")
     sizes = [dp_cfg.batch_size(len(y)) for _, y in client_data]
     rows = [0, *itertools.accumulate(sizes)]  # client i's batch rows
-    # The variant's mechanisms, resolved once: only dp_fedadamw warm-starts,
-    # removes the noise bias and aligns; dp_fedavg_sgd steps along g itself.
+    # The variant's mechanisms, resolved once: only dp_fedadamw reads opt's
+    # warm start, bias correction and gamma; dp_fedavg_sgd steps along g.
     fedadamw = variant == "dp_fedadamw"
     sgd = variant == "dp_fedavg_sgd"
     v0 = (broadcast_blocks(round_state.v_bar, model.layout)
-          if fedadamw and options.warm_start else None)
+          if fedadamw and opt.warm_start else None)
     tau = (np.array([[dp_cfg.noise_std(b)] for b in sizes])
-           if fedadamw and options.bias_correction else 0.0)
+           if fedadamw and opt.bias_correction else 0.0)
     delta_g = round_state.delta_g if fedadamw else None
     state = init_round((len(sizes), model.d), opt, v0)
     theta = np.tile(round_state.theta, (len(sizes), 1))
@@ -120,7 +110,7 @@ def run_client(model: Model, round_state: RoundState, client_ids,
             m_hat, precond = g, 1.0
         else:
             m_hat, v_hat = moment_update(state, g)
-            precond = (1.0 if options.identity_preconditioner
+            precond = (1.0 if opt.identity_preconditioner
                        else corrected_preconditioner(v_hat, tau, opt.eps))
         theta = local_step(theta, m_hat, precond, delta_g, opt)
     return RoundReport(np.asarray(client_ids), theta - round_state.theta,
@@ -151,14 +141,13 @@ def run_round(round_state: RoundState, model: Model,
               client_data: list[tuple[np.ndarray, np.ndarray]],
               dp_cfg: DPConfig, opt: AdamWParams, variant: str,
               local_steps: int, num_selected: int, stream: NoiseStream,
-              options: ClientOptions = ClientOptions(),
               ) -> tuple[RoundState, RoundReport]:
     """One full synchronous round over a sampled client subset."""
     selected = sample_clients(len(client_data), num_selected, stream,
                               round_state.t)
     report = run_client(model, round_state, selected,
                         [client_data[cid] for cid in selected], dp_cfg, opt,
-                        variant, local_steps, stream, options)
+                        variant, local_steps, stream)
     return aggregate(round_state, report, local_steps, opt.lr), report
 
 

@@ -2,9 +2,9 @@
 
 The building blocks take their mechanisms as arguments (a warm-start
 vector, the noise standard deviation to subtract, an alignment
-direction); which ones a variant uses is decided by the round's client
-loop in ``federation``. Every vector may also be an (S, d) stack with one
-row per client. With m_hat = g and a preconditioner of 1.0,
+direction); the round's client loop in ``federation`` picks a variant's
+from ``AdamWParams``' switches. Every vector may also be an (S, d) stack
+with one row per client. With m_hat = g and a preconditioner of 1.0,
 ``local_step`` is the plain DP-SGD step of the FedAvg baseline.
 
 Known erratum handling: the source update rule prints the weight-decay
@@ -33,6 +33,9 @@ class AdamWParams:
     eps: float = 1e-8
     weight_decay: float = 0.0
     align_coef: float = 0.0  # gamma
+    warm_start: bool = True  # v starts at the broadcast block means
+    bias_correction: bool = True  # the DP noise variance leaves v_hat
+    identity_preconditioner: bool = False  # ablation: step along m_hat
 
     def __post_init__(self):
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):

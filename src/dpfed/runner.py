@@ -23,8 +23,8 @@ from .data import (FederatedDataset, dirichlet_partition, load_csv,
                    make_blobs, make_client_quadratics, quadratic_client_data)
 from .diagnostics import MetricRecord, client_drift, cross_client_var_v
 from .dp import DOMAIN_INIT, DPConfig, NoiseStream
-from .federation import (STRATEGY_BY_VARIANT, ClientOptions, RoundState,
-                         payload_count, run_round)
+from .federation import (STRATEGY_BY_VARIANT, RoundState, payload_count,
+                         run_round)
 from .models import build_model
 from .optimizer import AdamWParams, DivergenceError
 
@@ -113,7 +113,9 @@ class RunConfig:
 
     def adamw_params(self) -> AdamWParams:
         return AdamWParams(self.lr, self.beta1, self.beta2, self.adam_eps,
-                           self.weight_decay, self.gamma)
+                           self.weight_decay, self.gamma, warm_start=self.warm_start,
+                           bias_correction=self.bias_correction,
+                           identity_preconditioner=self.identity_preconditioner)
 
     def dp_config(self) -> DPConfig:
         return DPConfig(self.clip_norm, self.noise_multiplier, self.sample_rate)
@@ -262,9 +264,6 @@ def run(config: RunConfig) -> RunSummary:
     theta0 = model.init_params(stream.rng((DOMAIN_INIT,)))
     state = RoundState.initial(theta0, model.layout)
     opt = config.adamw_params()
-    options = ClientOptions(warm_start=config.warm_start,
-                            bias_correction=config.bias_correction,
-                            identity_preconditioner=config.identity_preconditioner)
     ledger = PrivacyLedger()
     per_client_payload = payload_count(config.variant, model.d,
                                        model.layout.num_blocks)
@@ -277,7 +276,7 @@ def run(config: RunConfig) -> RunSummary:
         try:
             state, report = run_round(
                 state, model, fed.clients, dp_cfg, opt, config.variant,
-                config.local_steps, selected, stream, options)
+                config.local_steps, selected, stream)
         except DivergenceError:
             _write_csv(config.output_dir, "metrics.csv", METRICS_COLUMNS,
                        map(astuple, records))

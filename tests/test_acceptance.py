@@ -18,8 +18,8 @@ from dpfed.accounting import (PrivacyLedger, compose_and_convert,
 from dpfed.data import make_client_quadratics, quadratic_client_data
 from dpfed.diagnostics import bias_probe
 from dpfed.dp import DPConfig, NoiseStream, clip_batch
-from dpfed.federation import (ClientOptions, RoundState, payload_count,
-                              run_client, run_round)
+from dpfed.federation import (RoundState, payload_count, run_client,
+                              run_round)
 from dpfed.models import build_model
 from dpfed.optimizer import AdamWParams, corrected_preconditioner
 from dpfed.runner import RunConfig, run
@@ -303,8 +303,7 @@ def test_criterion_12_reductions():
     model, data, dp_cfg, stream = _reduction_problem()
     theta0 = model.init_params(stream.rng((3,)))
     opt = AdamWParams(lr=0.05, beta2=0.9, eps=1e-2, weight_decay=0.0,
-                      align_coef=0.0)
-    options = ClientOptions(warm_start=False)
+                      align_coef=0.0, warm_start=False)
 
     # sigma=0, gamma=0, lambda=0, warm-start off: bit-identical variants
     trajectories = {}
@@ -313,7 +312,7 @@ def test_criterion_12_reductions():
         thetas = []
         for _ in range(5):
             state, _ = run_round(state, model, data, dp_cfg, opt, variant,
-                                 5, 3, stream, options)
+                                 5, 3, stream)
             thetas.append(state.theta.copy())
         trajectories[variant] = thetas
     bitwise = all(np.array_equal(a, b)
@@ -322,12 +321,12 @@ def test_criterion_12_reductions():
 
     # identity preconditioner + beta1=0 reduces to plain local SGD per step
     sgd_opt = replace(opt, beta1=0.0)
-    id_options = ClientOptions(warm_start=False, identity_preconditioner=True)
+    id_opt = replace(sgd_opt, identity_preconditioner=True)
     state = RoundState.initial(theta0, model.layout)
     max_step_err = 0.0
     for k in range(1, 6):
-        adam_like = run_client(model, state, [0], data[:1], dp_cfg,
-                               sgd_opt, "dp_fedadamw", k, stream, id_options)
+        adam_like = run_client(model, state, [0], data[:1], dp_cfg, id_opt,
+                               "dp_fedadamw", k, stream)
         sgd = run_client(model, state, [0], data[:1], dp_cfg, sgd_opt,
                          "dp_fedavg_sgd", k, stream)
         max_step_err = max(max_step_err, float(np.max(np.abs(

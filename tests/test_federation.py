@@ -5,10 +5,9 @@ import pytest
 
 from dpfed.blocks import ConfigurationError
 from dpfed.dp import DPConfig, NoiseStream
-from dpfed.federation import (STRATEGY_BY_VARIANT, ClientOptions,
-                              RoundReport, RoundState, aggregate,
-                              payload_count, run_client, run_round,
-                              sample_clients)
+from dpfed.federation import (STRATEGY_BY_VARIANT, RoundReport, RoundState,
+                              aggregate, payload_count, run_client,
+                              run_round, sample_clients)
 from dpfed.models import build_model
 from dpfed.optimizer import AdamWParams
 
