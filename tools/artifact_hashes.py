@@ -1,7 +1,9 @@
-"""Print the sha256 of metrics.csv + summary.json for a fixed matrix of runs.
+"""Print the sha256 of metrics.csv and of summary.json for a fixed matrix
+of runs, one line per run: its label, then the two hashes in that order.
 
 Two source trees write byte-identical artifacts on this matrix exactly
-when this script prints the same lines for both. The ``dpfed`` package is
+when this script prints the same lines for both. A change that moves only
+``config_hash`` shows in the second column alone. The ``dpfed`` package is
 imported from PYTHONPATH (this tree's ``src`` if it is not set), so one
 copy of the script checks any tree:
 
@@ -14,8 +16,12 @@ x 3 variants x seeds 0-9, plus each workload with one mechanism changed
 (warm start off, bias correction off, identity preconditioner,
 participation 0.5, sigma = 0, gamma = lambda = 0) x seeds 0-1, plus
 {logistic, mlp2} x 3 variants x seeds 0-1 on a CSV the script writes,
-whose rows with a feature of 1e200 take the clip's dense fallback. A
-config the tree rejects prints its error in place of the hash.
+whose rows with a feature of 1e200 take the clip's dense fallback, plus
+{logistic_blobs, quadratic_drift} x the two baselines x each client-loop
+switch (warm start off, bias correction off, identity preconditioner,
+gamma = 0) at seed 0, which checks that a baseline ignores or honours
+each: 154 sets. A config the tree rejects prints its error in place of
+the hashes.
 """
 from __future__ import annotations
 
@@ -41,6 +47,14 @@ ABLATIONS = {
 OVERFLOW_CSV = "overflow_blobs.csv"
 OVERFLOW_RUN = dict(dataset=OVERFLOW_CSV, num_clients=4, alpha=1.0,
                     rounds=4, local_steps=3, sample_rate=0.5, clip_norm=0.5)
+# The client loop's switches, on the two baselines of these workloads.
+SWITCHES = {
+    "warm_start=0": dict(warm_start=False),
+    "bias_correction=0": dict(bias_correction=False),
+    "identity_preconditioner=1": dict(identity_preconditioner=True),
+    "gamma=0": dict(gamma=0.0),
+}
+SWITCH_WORKLOADS = ("logistic_blobs", "quadratic_drift")
 
 
 def write_overflow_csv(path: str) -> None:
@@ -74,6 +88,12 @@ def matrix(workloads):
             for seed in range(2):
                 yield (f"{OVERFLOW_CSV} {model} {variant} seed={seed}",
                        replace(base, model=model, variant=variant, seed=seed))
+    for name in SWITCH_WORKLOADS:
+        for variant in VARIANTS[1:]:
+            for label, change in SWITCHES.items():
+                yield (f"{name} {variant} {label} seed=0",
+                       replace(workloads[name].config, variant=variant,
+                               seed=0, **change))
 
 
 def main() -> int:
@@ -98,10 +118,9 @@ def main() -> int:
                 except (ConfigurationError, DivergenceError) as exc:
                     print(f"{label} error: {exc}", flush=True)
                     continue
-                data = b"".join(Path(out, name).read_bytes()
-                                for name in ("metrics.csv", "summary.json"))
-                print(f"{label} {hashlib.sha256(data).hexdigest()}",
-                      flush=True)
+                hashes = [hashlib.sha256(Path(out, name).read_bytes()).hexdigest()
+                          for name in ("metrics.csv", "summary.json")]
+                print(label, *hashes, flush=True)
         finally:
             os.chdir(cwd)
     return 0
