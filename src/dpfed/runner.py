@@ -8,6 +8,7 @@ deliberately kept out of the JSON so the artifact stays deterministic.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -340,7 +341,8 @@ def _write_summary_json(out_dir: str, config: RunConfig,
 
 def compare(configs: list[RunConfig], seeds: list[int],
             axes: tuple[str, ...] = (), *, output_dir: str) -> list[dict]:
-    """Paired-seed sweep over configs differing only in declared axes.
+    """Paired-seed sweep over configs that differ only in declared axes,
+    or in fields that neither config of a pair reads.
 
     Returns one row per (config, seed) plus per-config mean/std rows and
     writes them to output_dir/comparison.csv, each run to its own
@@ -354,13 +356,13 @@ def compare(configs: list[RunConfig], seeds: list[int],
     if unknown:
         raise ConfigurationError(f"compare axes are not config keys: {unknown}")
     ignore = set(axes) | set(_NON_SEMANTIC_FIELDS) | {"seed"}
-    reference = {k: v for k, v in configs[0].semantic_items() if k not in ignore}
-    for cfg in configs[1:]:
-        other = {k: v for k, v in cfg.semantic_items() if k not in ignore}
-        if other != reference:
-            diff = {k for k in other if other[k] != reference.get(k)}
+    for a, b in itertools.combinations(configs, 2):  # a field read by either
+        skip = ignore | (a._ignored_fields() & b._ignored_fields())
+        diff = [f.name for f in fields(RunConfig) if f.name not in skip
+                and getattr(a, f.name) != getattr(b, f.name)]
+        if diff:
             raise ConfigurationError(
-                f"configs differ outside declared axes: {sorted(diff)}")
+                f"configs differ outside declared axes: {diff}")
     rows = []
     for ci, cfg in enumerate(configs):
         losses, accs = [], []

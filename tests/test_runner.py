@@ -3,7 +3,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -404,6 +404,31 @@ def test_compare_rejects_undeclared_differences(tmp_path):
     with pytest.raises(ConfigurationError):
         compare(cfgs, [0], axes=("gamma",), output_dir=str(tmp_path / "cmp"))
     assert not (tmp_path / "cmp").exists()
+
+
+def test_compare_judges_fields_by_their_written_values(tmp_path):
+    # logistic reads no hidden layer, so its hashed view resets hidden to
+    # its default; the written 8 equals mlp2's 8 and is no difference.
+    quick = dict(num_samples=200, num_clients=3, rounds=1, local_steps=1,
+                 sample_rate=0.5, hidden=8)
+    models = [RunConfig(model=m, **quick) for m in ("logistic", "mlp2")]
+    rows = compare(models, [0], axes=("model",),
+                   output_dir=str(tmp_path / "models"))
+    assert len(rows) == 4
+    with pytest.raises(ConfigurationError, match="hidden"):
+        compare([models[0], replace(models[1], hidden=16)], [0],
+                axes=("model",), output_dir=str(tmp_path / "bad"))
+    # dp_fedavg_sgd reads no beta2, dp_fedadamw does: equal values pass,
+    # different ones are an undeclared difference.
+    variants = [small_config(tmp_path, variant=v, beta2=0.9)
+                for v in ("dp_fedadamw", "dp_fedavg_sgd")]
+    rows = compare(variants, [0], axes=("variant",),
+                   output_dir=str(tmp_path / "variants"))
+    assert len(rows) == 4
+    with pytest.raises(ConfigurationError, match="beta2"):
+        compare([variants[0], replace(variants[1], beta2=0.5)], [0],
+                axes=("variant",), output_dir=str(tmp_path / "bad"))
+    assert not (tmp_path / "bad").exists()
 
 
 def test_compare_rejects_unknown_axes(tmp_path):
