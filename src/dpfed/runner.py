@@ -34,8 +34,11 @@ METRICS_COLUMNS = ("t", "global_loss", "global_acc", "var_v", "drift",
 
 # Fields that do not change what a run computes.
 _NON_SEMANTIC_FIELDS = ("output_dir",)
-# Fields read only for some models or datasets: a run that ignores them
-# hashes them at their defaults, so the same computation has one hash.
+# Fields read only by some variants, models or datasets: a run that ignores
+# them hashes them at their defaults, so one computation has one hash. The
+# baselines skip DP-FedAdamW's fixes; dp_fedavg_sgd has no moments either.
+_FEDADAMW_FIELDS = ("warm_start", "bias_correction", "gamma")
+_ADAM_FIELDS = ("beta1", "beta2", "adam_eps", "identity_preconditioner")
 _QUADRATIC_FIELDS = ("dim", "heterogeneity", "jitter", "samples_per_client")
 _BLOBS_FIELDS = ("num_features", "num_classes", "num_samples")
 _CLASSIFIER_FIELDS = (*_BLOBS_FIELDS, "hidden", "alpha")
@@ -128,10 +131,13 @@ class RunConfig:
                                 * self.num_clients))
 
     def _ignored_fields(self) -> set[str]:
-        """The fields this run's model and dataset do not read."""
+        """The fields this run's variant, model and dataset do not read."""
+        ignored = set(_FEDADAMW_FIELDS if self.variant != "dp_fedadamw" else ())
+        if self.variant == "dp_fedavg_sgd":
+            ignored.update(_ADAM_FIELDS)
         if self.model == "quadratic":
-            return set(_CLASSIFIER_FIELDS)
-        ignored = set(_QUADRATIC_FIELDS)
+            return ignored | set(_CLASSIFIER_FIELDS)
+        ignored.update(_QUADRATIC_FIELDS)
         if self.model == "logistic":
             ignored.add("hidden")
         if self.dataset != "blobs":  # a CSV fixes its features and classes

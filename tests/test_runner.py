@@ -196,6 +196,49 @@ def test_config_hash_ignores_fields_the_run_does_not_read(tmp_path):
             != small_config(tmp_path).config_hash())
 
 
+# A value other than the default for each field that only some variants read.
+VARIANT_FIELDS = dict(warm_start=False, bias_correction=False, gamma=0.0,
+                      beta1=0.5, beta2=0.9, adam_eps=0.5,
+                      identity_preconditioner=True)
+UNREAD_BY_VARIANT = {
+    "dp_local_adamw": ("warm_start", "bias_correction", "gamma"),
+    "dp_fedavg_sgd": tuple(VARIANT_FIELDS),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(UNREAD_BY_VARIANT))
+@pytest.mark.parametrize("model", ["quadratic", "logistic"])
+def test_config_hash_ignores_fields_the_variant_does_not_read(
+        tmp_path, variant, model):
+    # A baseline computes the same run whatever such a field says, so it
+    # writes the same metrics.csv under one hash.
+    data = ({} if model == "quadratic" else
+            dict(model="logistic", dataset="blobs", num_samples=200))
+    base = small_config(tmp_path, variant=variant, **data)
+    run(base)
+    expected = (tmp_path / "out" / "metrics.csv").read_bytes()
+    for key in UNREAD_BY_VARIANT[variant]:
+        changed = small_config(tmp_path, variant=variant,
+                               output_dir=str(tmp_path / key), **data,
+                               **{key: VARIANT_FIELDS[key]})
+        assert changed.config_hash() == base.config_hash(), key
+        run(changed)
+        assert (tmp_path / key / "metrics.csv").read_bytes() == expected, key
+
+
+def test_config_hash_keeps_fields_dp_fedadamw_reads(tmp_path):
+    base = small_config(tmp_path)
+    for key, value in VARIANT_FIELDS.items():
+        assert (small_config(tmp_path, **{key: value}).config_hash()
+                != base.config_hash()), key
+    # dp_local_adamw has moments and a preconditioner.
+    local = small_config(tmp_path, variant="dp_local_adamw")
+    for key in ("beta1", "beta2", "adam_eps", "identity_preconditioner"):
+        assert (small_config(tmp_path, variant="dp_local_adamw",
+                             **{key: VARIANT_FIELDS[key]}).config_hash()
+                != local.config_hash()), key
+
+
 def test_selected_clients_ceiling():
     cfg = RunConfig(num_clients=10, participation=0.25)
     assert cfg.selected_clients == 3  # ceil(0.25 * 10)
