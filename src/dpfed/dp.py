@@ -141,9 +141,10 @@ def _factored_clipped_sum(layers, clip_norm: float, rows) -> np.ndarray:
     if len(layers) == 1 and not layers[0][1].shape[1]:  # no input: rows E
         clipped = clip_batch(layers[0][0], clip_norm)
         return np.array([clipped[lo:hi].sum(axis=0) for lo, hi in bounds])
-    scales = [np.sqrt(np.vecdot(A, A) + 1.0)[:, None] for _, A in layers]
-    scaled = np.concatenate([E * s for (E, _), s in zip(layers, scales)],
-                            axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # caught below
+        scales = [np.sqrt(np.vecdot(A, A) + 1.0)[:, None] for _, A in layers]
+        scaled = np.concatenate([E * s for (E, _), s in zip(layers, scales)],
+                                axis=1)
     try:
         carrier = clip_batch(scaled, clip_norm * _CARRIER_CLIP)
     except ConfigurationError:
@@ -152,9 +153,10 @@ def _factored_clipped_sum(layers, clip_norm: float, rows) -> np.ndarray:
         # densely at C (to zero if their norm overflows) into their client's
         # sum; the other rows take the carrier path and keep their bits.
         bad = ~np.isfinite(scaled).all(axis=1)
-        dense = clip_batch(np.concatenate([part for E, A in layers for part in (
-            (E[bad][:, :, None] * A[bad][:, None, :]).reshape(bad.sum(), -1),
-            E[bad])], axis=1), clip_norm)
+        with np.errstate(over="ignore", invalid="ignore"):  # to zero rows
+            dense = clip_batch(np.concatenate([part for E, A in layers for part in (
+                (E[bad][:, :, None] * A[bad][:, None, :]).reshape(bad.sum(), -1),
+                E[bad])], axis=1), clip_norm)
         owner = np.repeat(np.arange(len(bounds)), np.diff(rows))[bad]
         kept = np.searchsorted((~bad).nonzero()[0], rows)  # rows left before
         out = _factored_clipped_sum([(E[~bad], A[~bad]) for E, A in layers],
