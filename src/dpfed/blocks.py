@@ -2,11 +2,12 @@
 
 A parameter vector is a 1-D float64 numpy array; every optimizer quantity
 (parameters, gradients, moment estimates, alignment directions) lives in
-this representation. A BlockLayout names contiguous index ranges so that
+this representation. A BlockLayout splits it into contiguous ranges so that
 second-moment statistics can be reduced to one number per block.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,19 +19,16 @@ class ConfigurationError(ValueError):
 
 @dataclass(frozen=True)
 class BlockLayout:
-    """Partition of [0, dim) into named contiguous blocks.
+    """Partition of [0, dim) into contiguous blocks.
 
     ``bounds`` has length ``num_blocks + 1`` with bounds[0] == 0 and
     bounds[-1] == dim; block b covers [bounds[b], bounds[b+1]).
     """
 
-    names: tuple[str, ...]
     bounds: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.bounds) != len(self.names) + 1:
-            raise ConfigurationError("bounds/names length mismatch")
-        if not self.names:
+        if len(self.bounds) < 2:
             raise ConfigurationError("layout must have at least one block")
         if self.bounds[0] != 0:
             raise ConfigurationError("first block must start at index 0")
@@ -39,12 +37,8 @@ class BlockLayout:
                 raise ConfigurationError("blocks must be non-empty and ordered")
 
     @classmethod
-    def from_sizes(cls, named_sizes: list[tuple[str, int]]) -> "BlockLayout":
-        names = tuple(name for name, _ in named_sizes)
-        bounds = [0]
-        for _, size in named_sizes:
-            bounds.append(bounds[-1] + int(size))
-        return cls(names, tuple(bounds))
+    def from_sizes(cls, sizes: list[int]) -> "BlockLayout":
+        return cls((0, *itertools.accumulate(int(size) for size in sizes)))
 
     @property
     def dim(self) -> int:
@@ -52,7 +46,7 @@ class BlockLayout:
 
     @property
     def num_blocks(self) -> int:
-        return len(self.names)
+        return len(self.bounds) - 1
 
     @property
     def sizes(self) -> np.ndarray:

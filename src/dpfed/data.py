@@ -65,11 +65,10 @@ def dirichlet_partition(X: np.ndarray, y: np.ndarray, num_clients: int,
 
 
 def make_blobs(num_classes: int, num_features: int, num_samples: int,
-               stream: NoiseStream, center_scale: float = 2.0,
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Labeled Gaussian blobs with unit within-class spread."""
+               stream: NoiseStream) -> tuple[np.ndarray, np.ndarray]:
+    """Labeled Gaussian blobs, centers N(0, 4 I), unit within-class spread."""
     rng = stream.rng((DOMAIN_DATA, 1))
-    centers = center_scale * rng.standard_normal((num_classes, num_features))
+    centers = 2.0 * rng.standard_normal((num_classes, num_features))
     y = rng.integers(0, num_classes, num_samples)
     X = centers[y] + rng.standard_normal((num_samples, num_features))
     return X, y

@@ -58,8 +58,7 @@ class BiasProbeResult:
 
 
 def bias_probe(cfg: DPConfig, batch_size: int, g: np.ndarray, k_steps: int,
-               n_mc: int, beta2: float, stream: NoiseStream,
-               key: tuple[int, ...] = (97,)) -> BiasProbeResult:
+               n_mc: int, beta2: float, stream: NoiseStream) -> BiasProbeResult:
     """Monte-Carlo estimate of E[v] after k steps of constant gradient g,
     privatized as a mean over batches of ``batch_size`` rows.
 
@@ -78,7 +77,7 @@ def bias_probe(cfg: DPConfig, batch_size: int, g: np.ndarray, k_steps: int,
     if tau > 0.0 and not n_mc >= 2:  # one run has no standard error
         raise ConfigurationError("bias probe needs n_mc >= 2 when sigma > 0")
     runs = 1 if tau == 0.0 else int(n_mc)
-    rng = stream.rng(key)
+    rng = stream.rng((97,))
     # One row per run, driven by the update the clients run.
     shape = (runs, len(g))
     state = DPAdamWState(m=np.zeros(shape), v=np.zeros(shape), k=0,

@@ -90,7 +90,7 @@ class QuadraticModel(Model):
 
     def __post_init__(self):
         self.d = self.dim
-        self.layout = BlockLayout.from_sizes([("all", self.d)])
+        self.layout = BlockLayout.from_sizes([self.d])
 
     def batch_loss(self, theta, X, y):
         self._check_dim(theta)
@@ -122,10 +122,8 @@ class SoftmaxModel(Model):
         widths = [self.num_features, *([self.hidden] if self.hidden else []),
                   self.num_classes]
         shapes = list(zip(widths[1:], widths[:-1]))  # (out, in) per layer
-        sizes = []
-        for i, (n_out, n_in) in enumerate(shapes, 1):
-            sizes += [(f"W{i}", n_out * n_in), (f"b{i}", n_out)]
-        self.layout = BlockLayout.from_sizes(sizes)
+        self.layout = BlockLayout.from_sizes(
+            [size for n_out, n_in in shapes for size in (n_out * n_in, n_out)])
         self.d = self.layout.dim
         s = self.layout.slices()
         self._layers = [(s[2 * i], shape, s[2 * i + 1])

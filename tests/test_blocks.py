@@ -8,7 +8,7 @@ from dpfed.blocks import (BlockLayout, ConfigurationError, block_mean,
 
 
 def layout_ab():
-    return BlockLayout.from_sizes([("A", 2), ("B", 2)])
+    return BlockLayout.from_sizes([2, 2])
 
 
 def test_block_mean_example():
@@ -27,8 +27,7 @@ def test_block_mean_of_a_stack_is_bitwise_per_row():
     # must be bitwise the (d,) call on it, also for blocks longer than
     # NumPy's pairwise-summation block.
     rng = np.random.default_rng(5)
-    layout = BlockLayout.from_sizes([("a", 1), ("b", 7), ("c", 130),
-                                     ("d", 500)])
+    layout = BlockLayout.from_sizes([1, 7, 130, 500])
     v = (rng.standard_normal((6, layout.dim)) ** 2
          * 10.0 ** rng.uniform(-6, 2, (6, 1)))
     got = block_mean(v, layout)
@@ -56,24 +55,26 @@ def test_broadcast_needs_one_mean_per_block():
 
 
 def test_broadcast_single_block_constant():
-    layout = BlockLayout.from_sizes([("all", 6)])
+    layout = BlockLayout.from_sizes([6])
     out = broadcast_blocks(np.array([0.25]), layout)
     assert np.all(out == 0.25)
 
 
 def test_layout_validation():
     with pytest.raises(ConfigurationError):
-        BlockLayout(("a",), (0, 0))
+        BlockLayout((0, 0))
     with pytest.raises(ConfigurationError):
-        BlockLayout(("a", "b"), (0, 2))
+        BlockLayout((0,))
     with pytest.raises(ConfigurationError):
-        BlockLayout(("a",), (1, 3))
+        BlockLayout((1, 3))
+    with pytest.raises(ConfigurationError):
+        BlockLayout.from_sizes([])
 
 
 @st.composite
 def vector_and_layout(draw):
     sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
-    layout = BlockLayout.from_sizes([(f"b{i}", s) for i, s in enumerate(sizes)])
+    layout = BlockLayout.from_sizes(sizes)
     vals = draw(st.lists(
         st.floats(0, 1e6, allow_nan=False, allow_infinity=False),
         min_size=layout.dim, max_size=layout.dim))

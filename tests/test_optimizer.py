@@ -20,7 +20,7 @@ def test_init_round_zero_broadcast():
 
 
 def test_init_round_warm_start_from_block_means():
-    layout = BlockLayout.from_sizes([("a", 2), ("b", 2)])
+    layout = BlockLayout.from_sizes([2, 2])
     vb = broadcast_blocks(np.array([1.5, 3.5]), layout)
     st = init_round(4, params(), v_broadcast=vb)
     assert np.array_equal(st.v, [1.5, 1.5, 3.5, 3.5])
