@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -348,7 +349,8 @@ def test_round_clips_overflowing_rows_densely_per_client():
                                  rng.integers(4, size=9))
     bounds = (0, 4, 6, 9)
     c = cfg(C=0.1, sigma=0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is handled, silently
         got = noisy_batch_mean(factors, c, [None] * 3, bounds)
         for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
             alone = mean_of([(E[lo:hi], A[lo:hi]) for E, A in factors], c,

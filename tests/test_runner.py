@@ -156,6 +156,16 @@ def test_default_config_lowers_the_loss(tmp_path):
     assert end.final_loss < start.final_loss
 
 
+# A value other than the default for each field that only some variants read.
+VARIANT_FIELDS = dict(warm_start=False, bias_correction=False, gamma=0.0,
+                      beta1=0.5, beta2=0.9, adam_eps=0.5,
+                      identity_preconditioner=True)
+UNREAD_BY_VARIANT = {
+    "dp_local_adamw": ("warm_start", "bias_correction", "gamma"),
+    "dp_fedavg_sgd": tuple(VARIANT_FIELDS),
+}
+
+
 def test_config_hash_semantics(tmp_path):
     base = small_config(tmp_path)
     assert base.config_hash() == small_config(tmp_path).config_hash()
@@ -165,8 +175,16 @@ def test_config_hash_semantics(tmp_path):
     # every semantic knob changes the hash
     assert small_config(tmp_path, lr=0.02).config_hash() != base.config_hash()
     assert small_config(tmp_path, seed=1).config_hash() != base.config_hash()
-    assert (small_config(tmp_path, warm_start=False).config_hash()
-            != base.config_hash())
+    # dp_fedadamw reads every field that only some variants read, and
+    # dp_local_adamw reads the moment ones.
+    for key, value in VARIANT_FIELDS.items():
+        assert (small_config(tmp_path, **{key: value}).config_hash()
+                != base.config_hash()), key
+    local = small_config(tmp_path, variant="dp_local_adamw")
+    for key in set(VARIANT_FIELDS) - set(UNREAD_BY_VARIANT["dp_local_adamw"]):
+        assert (small_config(tmp_path, variant="dp_local_adamw",
+                             **{key: VARIANT_FIELDS[key]}).config_hash()
+                != local.config_hash()), key
 
 
 def test_config_hash_ignores_fields_the_run_does_not_read(tmp_path):
@@ -196,16 +214,6 @@ def test_config_hash_ignores_fields_the_run_does_not_read(tmp_path):
             != small_config(tmp_path).config_hash())
 
 
-# A value other than the default for each field that only some variants read.
-VARIANT_FIELDS = dict(warm_start=False, bias_correction=False, gamma=0.0,
-                      beta1=0.5, beta2=0.9, adam_eps=0.5,
-                      identity_preconditioner=True)
-UNREAD_BY_VARIANT = {
-    "dp_local_adamw": ("warm_start", "bias_correction", "gamma"),
-    "dp_fedavg_sgd": tuple(VARIANT_FIELDS),
-}
-
-
 @pytest.mark.parametrize("variant", sorted(UNREAD_BY_VARIANT))
 @pytest.mark.parametrize("model", ["quadratic", "logistic"])
 def test_config_hash_ignores_fields_the_variant_does_not_read(
@@ -224,19 +232,6 @@ def test_config_hash_ignores_fields_the_variant_does_not_read(
         assert changed.config_hash() == base.config_hash(), key
         run(changed)
         assert (tmp_path / key / "metrics.csv").read_bytes() == expected, key
-
-
-def test_config_hash_keeps_fields_dp_fedadamw_reads(tmp_path):
-    base = small_config(tmp_path)
-    for key, value in VARIANT_FIELDS.items():
-        assert (small_config(tmp_path, **{key: value}).config_hash()
-                != base.config_hash()), key
-    # dp_local_adamw has moments and a preconditioner.
-    local = small_config(tmp_path, variant="dp_local_adamw")
-    for key in ("beta1", "beta2", "adam_eps", "identity_preconditioner"):
-        assert (small_config(tmp_path, variant="dp_local_adamw",
-                             **{key: VARIANT_FIELDS[key]}).config_hash()
-                != local.config_hash()), key
 
 
 def test_selected_clients_ceiling():
