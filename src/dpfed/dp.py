@@ -153,7 +153,7 @@ def _factored_clipped_sum(layers, clip_norm: float, rows) -> np.ndarray:
         # densely at C (to zero if their norm overflows) into their client's
         # sum; the other rows take the carrier path and keep their bits.
         bad = ~np.isfinite(scaled).all(axis=1)
-        with np.errstate(over="ignore", invalid="ignore"):  # to zero rows
+        with np.errstate(over="ignore", invalid="ignore"):  # a norm overflow: 0
             dense = clip_batch(np.concatenate([part for E, A in layers for part in (
                 (E[bad][:, :, None] * A[bad][:, None, :]).reshape(bad.sum(), -1),
                 E[bad])], axis=1), clip_norm)

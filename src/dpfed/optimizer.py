@@ -34,7 +34,7 @@ class AdamWParams:
     weight_decay: float = 0.0
     align_coef: float = 0.0  # gamma
     warm_start: bool = True  # v starts at the broadcast block means
-    bias_correction: bool = True  # the DP noise variance leaves v_hat
+    bias_correction: bool = True  # v_hat less the DP noise variance
     identity_preconditioner: bool = False  # ablation: step along m_hat
 
     def __post_init__(self):
