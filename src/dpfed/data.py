@@ -98,9 +98,9 @@ def quadratic_client_data(centers: np.ndarray, samples_per_client: int,
 
 
 def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Tabular ingestion; header must be f1..fp,label, features finite,
-    labels ints >= 0 with every class 0..max present, max >= 1. Every
-    error names the ``dataset`` key and the path."""
+    """Tabular ingestion: header f1..fp,label with p >= 1, features at
+    most 1e150 in size (no clip's squared norm overflows), labels ints >= 0
+    with every class 0..max, max >= 1. Errors name ``dataset`` and path."""
     def error(message: str) -> ConfigurationError:
         return ConfigurationError(f"{message} (dataset {path})")
 
@@ -111,9 +111,9 @@ def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
             rows = [row for row in reader if row]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise error(f"cannot read CSV: {exc}") from None
-    if not header or header[-1] != "label" or any(
+    if len(header) < 2 or header[-1] != "label" or any(
             h != f"f{i + 1}" for i, h in enumerate(header[:-1])):
-        raise error("CSV header must be f1..fp,label")
+        raise error("CSV header must be f1..fp,label with p >= 1")
     if not rows:
         raise error("CSV has no data rows")
     if any(len(row) != len(header) for row in rows):
@@ -123,8 +123,8 @@ def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
         labels = np.array([float(row[-1]) for row in rows])
     except ValueError:
         raise error("CSV fields must be numbers") from None
-    if not np.all(np.isfinite(X)):
-        raise error("CSV features must be finite")
+    if not np.all(np.abs(X) <= 1e150):  # NaN fails it too
+        raise error("CSV features must be finite and at most 1e150 in size")
     if not np.all((labels >= 0) & (labels % 1 == 0)):
         raise error("CSV labels must be integers >= 0")
     if not 2 <= len(np.unique(labels)) == labels.max() + 1:

@@ -136,34 +136,18 @@ def clip_batch(grads: np.ndarray, clip_norm: float) -> np.ndarray:
 
 def _factored_clipped_sum(layers, clip_norm: float, rows) -> np.ndarray:
     """Per client i, the sum over its rows rows[i]:rows[i + 1] of the
-    clipped rows E[j] (x) [A[j], 1], flat in block order: shape (S, d)."""
+    clipped rows E[j] (x) [A[j], 1], flat in block order: shape (S, d).
+    A non-finite carrier row, from a non-finite factor or a scale that
+    overflows, is rejected (``clip_batch`` raises ConfigurationError)."""
     bounds = list(zip(rows[:-1], rows[1:]))
     if len(layers) == 1 and not layers[0][1].shape[1]:  # no input: rows E
         clipped = clip_batch(layers[0][0], clip_norm)
         return np.array([clipped[lo:hi].sum(axis=0) for lo, hi in bounds])
-    with np.errstate(over="ignore", invalid="ignore"):  # caught below
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
         scales = [np.sqrt(np.vecdot(A, A) + 1.0)[:, None] for _, A in layers]
         scaled = np.concatenate([E * s for (E, _), s in zip(layers, scales)],
                                 axis=1)
-    try:
-        carrier = clip_batch(scaled, clip_norm * _CARRIER_CLIP)
-    except ConfigurationError:
-        # A non-finite carrier row has a non-finite input, which the dense
-        # clip rejects, or a scale that overflowed. Such rows are clipped
-        # densely at C (to zero if their norm overflows) into their client's
-        # sum; the other rows take the carrier path and keep their bits.
-        bad = ~np.isfinite(scaled).all(axis=1)
-        with np.errstate(over="ignore", invalid="ignore"):  # a norm overflow: 0
-            dense = clip_batch(np.concatenate([part for E, A in layers for part in (
-                (E[bad][:, :, None] * A[bad][:, None, :]).reshape(bad.sum(), -1),
-                E[bad])], axis=1), clip_norm)
-        owner = np.repeat(np.arange(len(bounds)), np.diff(rows))[bad]
-        kept = np.searchsorted((~bad).nonzero()[0], rows)  # rows left before
-        out = _factored_clipped_sum([(E[~bad], A[~bad]) for E, A in layers],
-                                    clip_norm, kept)
-        for i in np.unique(owner):
-            out[i] = dense[owner == i].sum(axis=0) + out[i]
-        return out
+    carrier = clip_batch(scaled, clip_norm * _CARRIER_CLIP)
     errors, col = [], 0
     for (E, A), s in zip(layers, scales):
         e = carrier[:, col:col + E.shape[1]]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -108,10 +110,11 @@ def test_quadratic_client_data_shapes():
 
 def test_csv_roundtrip(tmp_path):
     path = tmp_path / "data.csv"
-    path.write_text("f1,f2,label\n0.5,1.0,0\n-1.5,2.0,1\n")
+    path.write_text("f1,f2,label\n0.5,1.0,0\n-1.5,2.0,1\n"
+                    "1e150,-1e150,1\n")  # the largest features accepted
     X, y = load_csv(path)
-    assert np.array_equal(X, [[0.5, 1.0], [-1.5, 2.0]])
-    assert np.array_equal(y, [0, 1])
+    assert np.array_equal(X, [[0.5, 1.0], [-1.5, 2.0], [1e150, -1e150]])
+    assert np.array_equal(y, [0, 1, 1])
 
 
 def test_csv_bad_header(tmp_path):
@@ -132,6 +135,8 @@ MALFORMED_CSV = {
     "text_feature": "f1,f2,label\n0.5,abc,1\n",
     "nan_feature": "f1,f2,label\n0.5,1.0,0\n0.5,nan,1\n",
     "inf_feature": "f1,f2,label\n-inf,1.0,0\n",
+    "huge_feature": "f1,f2,label\n0.5,2e150,0\n0.5,1.0,1\n",
+    "no_feature": "label\n0\n1\n",
     "skipped_class": "f1,label\n0.5,0\n1.5,1\n2.5,5000\n",
     "single_class": "f1,f2,label\n0.5,1.0,0\n1.5,2.0,0\n-0.5,3.0,0\n",
 }
@@ -141,7 +146,7 @@ MALFORMED_CSV = {
 def test_csv_malformed_rejected(tmp_path, text):
     path = tmp_path / "bad.csv"
     path.write_text(text)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=re.escape(str(path))):
         load_csv(path)
 
 

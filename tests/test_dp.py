@@ -310,57 +310,27 @@ def test_mixed_layers_take_the_carrier_margin(monkeypatch):
     assert levels == [C * dp._CARRIER_CLIP] * 10
 
 
-def test_factored_row_whose_scale_overflows():
-    # ||A||^2 of the first row overflows. The dense reference clips that
-    # row to zero; the factored mean matches it, the other row keeps its
-    # bits, and a non-finite entry beside the overflow is still rejected.
-    m = build_model("logistic", num_features=3, num_classes=4)
-    theta = np.random.default_rng(43).uniform(-0.1, 0.1, m.d)
-    X = np.array([[1e200, 0.5, 0.1], [0.1, 0.2, 0.3]])
-    factors = m.per_sample_grads(theta, X, np.array([1, 2]))
-    c = cfg(C=0.1, sigma=0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = mean_of(factors, c, None)
-        expected = np.mean(clip_batch(dense_grads(factors), c.clip_norm),
-                           axis=0)
-        assert np.isfinite(got).all()
-        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(
-            expected)
-        assert np.array_equal(got * 2, mean_of(
-            [(E[1:], A[1:]) for E, A in factors], c, None))
-        only = mean_of([(E[:1], A[:1]) for E, A in factors], c, None)
-        assert not only.any()  # a batch of the overflowing row alone
-        for bad in (np.nan, np.inf):
-            factors[0][1][1, 0] = bad
-            with pytest.raises(ConfigurationError):
-                mean_of(factors, c, None)
-
-
-def test_round_clips_overflowing_rows_densely_per_client():
-    # One call over 3 clients: client 0 has one row whose carrier scale
-    # overflows, every row of client 1 does, and client 2 has none. Each
-    # client's mean is bitwise that of its batch alone, client 1's is 0,
-    # and a NaN beside an overflow still fails the call.
+def test_factored_scale_overflow_rejected():
+    # A feature of 1e200 overflows its row's carrier scale. The step is
+    # rejected, without a numpy warning: for that row alone, as one row
+    # of one of 3 clients, and with a NaN beside it. load_csv keeps such
+    # features out of a run.
     m = build_model("logistic", num_features=3, num_classes=4)
     rng = np.random.default_rng(47)
     X = rng.standard_normal((9, 3))
-    X[[1, 4, 5], 0] = [1e200, -1e200, 3e200]
+    X[1, 0] = 1e200
     factors = m.per_sample_grads(rng.uniform(-0.1, 0.1, m.d), X,
                                  rng.integers(4, size=9))
-    bounds = (0, 4, 6, 9)
     c = cfg(C=0.1, sigma=0.0)
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the overflow is handled, silently
-        got = noisy_batch_mean(factors, c, [None] * 3, bounds)
-        for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            alone = mean_of([(E[lo:hi], A[lo:hi]) for E, A in factors], c,
-                            None)
-            assert np.array_equal(got[i], alone)
-        assert np.isfinite(got).all() and got[0].any() and got[2].any()
-        assert not got[1].any()
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            mean_of([(E[1:2], A[1:2]) for E, A in factors], c, None)
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            noisy_batch_mean(factors, c, [None] * 3, (0, 4, 6, 9))
         factors[0][1][2, 1] = np.nan
         with pytest.raises(ConfigurationError, match="non-finite"):
-            noisy_batch_mean(factors, c, [None] * 3, bounds)
+            noisy_batch_mean(factors, c, [None] * 3, (0, 4, 6, 9))
 
 
 def test_factored_rows_never_exceed_clip_norm():

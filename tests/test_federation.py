@@ -1,4 +1,3 @@
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -147,11 +146,6 @@ def stacked(reports):
                          for f in REPORT_FIELDS))
 
 
-def row(report, i):
-    """Client row i of a report, as a one-client report."""
-    return RoundReport(*(getattr(report, f)[i:i + 1] for f in REPORT_FIELDS))
-
-
 def client_reports(variant, round_state, opt, sigma=1.0):
     model, data, cfg, _ = quadratic_setup(sigma=sigma)
     return stacked([run_client(model, round_state, [i], [(X, y)], cfg, opt,
@@ -285,32 +279,3 @@ def test_round_reports_equal_one_run_client_per_client(kind, variant, sigma):
                                    variant, 3, stream) for i in ids])
     assert len(ids) == 3 and reports_equal(report, expected)
 
-
-def test_round_falls_back_per_client_on_an_overflowing_row():
-    # A feature of 1e200 overflows its carrier scale, which sends the
-    # round's clip to each client's own factored sum: the client with
-    # that row gets its run_client report, and the others' reports are
-    # those of the round without it, all without a numpy warning. A NaN
-    # still fails the round.
-    model, data, state, opt = axis_round_problem("logistic", (6, 8, 5))
-    cfg = DPConfig(0.5, 1.0, 1.0)  # every row is in every batch
-    stream = NoiseStream(2)
-    _, clean = run_round(state, model, data, cfg, opt, "dp_fedadamw", 2, 3,
-                         stream)
-    X = data[1][0].copy()
-    X[4, 0] = 1e200
-    bad = [data[0], (X, data[1][1]), data[2]]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the overflow is handled, silently
-        _, report = run_round(state, model, bad, cfg, opt, "dp_fedadamw",
-                              2, 3, stream)
-        alone = run_client(model, state, [1], [bad[1]], cfg, opt,
-                           "dp_fedadamw", 2, stream)
-        assert reports_equal(report, stacked([row(clean, 0), alone,
-                                              row(clean, 2)]))
-        assert np.isfinite(alone.delta).all()
-        assert not np.array_equal(alone.delta, row(clean, 1).delta)
-        X[4, 0] = np.nan
-        with pytest.raises(ConfigurationError, match="non-finite"):
-            run_round(state, model, bad, cfg, opt, "dp_fedadamw", 2, 3,
-                      stream)

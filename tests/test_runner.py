@@ -577,12 +577,17 @@ MALFORMED = [(QUICK_RUN, k, v) for k, v in [
     (QUICK_LOGISTIC, k, v) for k, v in [
         ("num_classes", "0"), ("num_classes", "1"), ("num_features", "0"),
         ("num_samples", "0"), ("alpha", "inf"), ("dataset", "missing.csv"),
-        ("dataset", "bad_header.csv"), ("dataset", "one_class.csv")]
+        ("dataset", "bad_header.csv"), ("dataset", "one_class.csv"),
+        ("dataset", "huge_feature.csv")]
 ] + [([*QUICK_LOGISTIC, "--model", "mlp2"], "hidden", "0")]
 CSV_FILES = {
     "bad_header.csv": "x1,x2,label\n0.1,0.2,0\n0.3,0.4,1\n",
     "one_class.csv": "f1,f2,label\n" + "".join(f"{i / 10},{-i / 7},0\n"
                                                 for i in range(200)),
+    # 2e150 would overflow a classifier's clip: rejected at load.
+    "huge_feature.csv": "f1,f2,label\n" + "".join(
+        f"{2e150 if i == 7 else i / 10},{-i / 7},{i % 2}\n"
+        for i in range(200)),
 }
 
 
