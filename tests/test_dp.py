@@ -310,7 +310,7 @@ def test_mixed_layers_take_the_carrier_margin(monkeypatch):
     assert levels == [C * dp._CARRIER_CLIP] * 10
 
 
-def test_factored_scale_overflow_rejected():
+def test_factored_row_whose_scale_overflows():
     # A feature of 1e200 overflows its row's carrier scale. The step is
     # rejected, without a numpy warning: for that row alone, as one row
     # of one of 3 clients, and with a NaN beside it. load_csv keeps such
