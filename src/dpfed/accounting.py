@@ -41,10 +41,6 @@ def _log_factorials(size: int) -> np.ndarray:
     return table
 
 
-# log(n!) at index n, for every order of the default grid.
-_LOG_FACTORIAL = _log_factorials(513)
-
-
 @dataclass(frozen=True)
 class Budget:
     epsilon: float
@@ -59,16 +55,9 @@ class Budget:
 
 @dataclass
 class PrivacyLedger:
-    """Step counts per (noise multiplier, sampling rate), in insertion order.
-
-    The per-step RDP curve of a key (one value per order of
-    ``DEFAULT_ORDER_GRID``) is computed the first time ``add_event`` sees
-    the key and kept for the life of the ledger.
-    """
+    """Step counts per (noise multiplier, sampling rate), in insertion order."""
 
     steps: dict[tuple[float, float], int] = field(default_factory=dict)
-    _curves: dict[tuple[float, float], np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     def add_event(self, sigma: float, q: float, steps: int) -> None:
         if not sigma > 0:  # NaN fails too
@@ -81,24 +70,23 @@ class PrivacyLedger:
         if steps:
             key = (float(sigma), float(q))
             self.steps[key] = self.steps.get(key, 0) + int(steps)
-            self.curve(key)
 
-    def curve(self, key: tuple[float, float]) -> np.ndarray:
-        """Per-step RDP of the (sigma, q) key at each order of the grid."""
-        if key not in self._curves:
-            sigma, q = key
-            if q == 1.0:
-                rdp = [gaussian_rdp(order, sigma) for order in DEFAULT_ORDER_GRID]
-            else:
-                # A fractional order takes the bound at the next integer
-                # order: RDP curves are non-decreasing in the order, so this
-                # stays a bound. Each distinct integer order is evaluated once.
-                ceil = [max(2, math.ceil(order)) for order in DEFAULT_ORDER_GRID]
-                value = {a: subsampled_gaussian_rdp(a, sigma, q)
-                         for a in set(ceil)}
-                rdp = [value[a] for a in ceil]
-            self._curves[key] = np.array(rdp)
-        return self._curves[key]
+
+@functools.cache
+def _rdp_curve(sigma: float, q: float) -> np.ndarray:
+    """Read-only per-step RDP of (sigma, q) at each order of the grid."""
+    if q == 1.0:
+        rdp = [gaussian_rdp(order, sigma) for order in DEFAULT_ORDER_GRID]
+    else:
+        # A fractional order takes the bound at the next integer order: RDP
+        # curves are non-decreasing in the order, so this stays a bound.
+        # Each distinct integer order is evaluated once.
+        ceil = [max(2, math.ceil(order)) for order in DEFAULT_ORDER_GRID]
+        value = {a: subsampled_gaussian_rdp(a, sigma, q) for a in set(ceil)}
+        rdp = [value[a] for a in ceil]
+    curve = np.array(rdp)
+    curve.flags.writeable = False
+    return curve
 
 
 def gaussian_rdp(order: float, sigma: float) -> float:
@@ -134,8 +122,7 @@ def subsampled_gaussian_rdp(order: int, sigma: float, q: float) -> float:
     # j(j-1)/(2 sigma^2) overflows; checked in Python floats, which do not warn.
     if not two_var or order * (order - 1) / two_var == math.inf:
         return math.inf
-    lf = (_LOG_FACTORIAL if order < _LOG_FACTORIAL.size
-          else _log_factorials(order + 1))
+    lf = _log_factorials(max(order, 512) + 1)  # one table serves the grid
     j = np.arange(order + 1)
     a = (lf[order] - lf[:order + 1] - lf[order::-1]
          + (order - j) * math.log1p(-q) + j * math.log(q)
@@ -163,7 +150,7 @@ def compose_and_convert(ledger: PrivacyLedger, delta: float) -> Budget:
     if not ledger.steps:
         return Budget(0.0, delta)
     with np.errstate(over="ignore"):  # a total past the float range is inf
-        total = sum(n * ledger.curve(key) for key, n in ledger.steps.items())
+        total = sum(n * _rdp_curve(*key) for key, n in ledger.steps.items())
     orders = np.asarray(DEFAULT_ORDER_GRID, dtype=np.float64)
     eps = total + math.log(1.0 / delta) / (orders - 1)
     return Budget(float(eps.min()), delta)

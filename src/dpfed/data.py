@@ -39,7 +39,7 @@ def dirichlet_partition(X: np.ndarray, y: np.ndarray, num_clients: int,
     ends up empty; silent reassignment would bias the heterogeneity.
     """
     if num_clients < 2:
-        raise ConfigurationError("need at least 2 clients")
+        raise ConfigurationError("num_clients must be >= 2")
     if alpha <= 0:
         raise ConfigurationError("alpha must be > 0")
     y = np.asarray(y)
@@ -61,7 +61,8 @@ def dirichlet_partition(X: np.ndarray, y: np.ndarray, num_clients: int,
                        for ids in map(np.asarray, assignment)]
             return FederatedDataset(clients)
     raise ConfigurationError(
-        f"could not produce non-empty clients in {MAX_PARTITION_RETRIES} draws")
+        f"num_clients={num_clients} left a client empty in each of "
+        f"{MAX_PARTITION_RETRIES} draws (alpha={alpha}, {len(y)} rows)")
 
 
 def make_blobs(num_classes: int, num_features: int, num_samples: int,

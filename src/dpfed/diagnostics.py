@@ -14,7 +14,7 @@ import numpy as np
 
 from .blocks import ConfigurationError
 from .dp import DPConfig, NoiseStream
-from .optimizer import AdamWParams, DPAdamWState, moment_update
+from .optimizer import AdamWParams, init_round, moment_update
 
 
 @dataclass
@@ -79,13 +79,11 @@ def bias_probe(cfg: DPConfig, batch_size: int, g: np.ndarray, k_steps: int,
     runs = 1 if tau == 0.0 else int(n_mc)
     rng = stream.rng((97,))
     # One row per run, driven by the update the clients run.
-    shape = (runs, len(g))
-    state = DPAdamWState(m=np.zeros(shape), v=np.zeros(shape), k=0,
-                         params=AdamWParams(beta2=beta2))
+    state = init_round((runs, len(g)), AdamWParams(beta2=beta2))
     for _ in range(k_steps):
         gt = g[None, :]
         if tau > 0.0:
-            gt = gt + tau * rng.standard_normal(shape)
+            gt = gt + tau * rng.standard_normal(state.m.shape)
         _, v_hat = moment_update(state, gt)
     v = state.v
     corrected = v_hat - tau * tau

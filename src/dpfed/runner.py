@@ -268,6 +268,10 @@ def run(config: RunConfig) -> RunSummary:
     except OSError as exc:
         raise ConfigurationError(f"output_dir {config.output_dir!r} cannot be "
                                  f"a directory ({type(exc).__name__})") from None
+    for name in ("metrics.csv", "summary.json"):
+        if os.path.isdir(os.path.join(config.output_dir, name)):
+            raise ConfigurationError(f"output_dir {config.output_dir!r} holds "
+                                     f"a directory named {name}")
     theta0 = model.init_params(stream.rng((DOMAIN_INIT,)))
     state = RoundState.initial(theta0, model.layout)
     opt = config.adamw_params()

@@ -105,7 +105,7 @@ def test_log_factorials_correctly_rounded():
     table = accounting._log_factorials(701)
     reference = reference_log_factorials(701)
     assert np.array_equal(table, reference)
-    assert np.array_equal(accounting._LOG_FACTORIAL, reference[:513])
+    assert np.array_equal(accounting._log_factorials(513), reference[:513])
     assert not table.flags.writeable  # shared through the cache
     # SciPy's gammaln is not correctly rounded, but stays within 2 ulp.
     scipy_table = gammaln(np.arange(1.0, 702.0))
@@ -124,8 +124,9 @@ def test_order_above_default_table_builds_its_table_once(monkeypatch):
     monkeypatch.setattr(accounting, "_log_factorials", functools.cache(counted))
     first = subsampled_gaussian_rdp(600, 8.0, 0.01)
     assert subsampled_gaussian_rdp(600, 8.0, 0.01) == first
-    subsampled_gaussian_rdp(512, 8.0, 0.01)  # inside the default table
-    assert builds == [601]
+    subsampled_gaussian_rdp(512, 8.0, 0.01)  # builds the default table
+    subsampled_gaussian_rdp(64, 8.0, 0.01)  # which every grid order reuses
+    assert builds == [601, 513]
 
 
 def test_subsampled_full_batch_equals_gaussian():
@@ -200,15 +201,22 @@ def test_rdp_curve_computed_once_per_key(monkeypatch):
         calls.append(order)
         return subsampled_gaussian_rdp(order, sigma, q)
 
+    accounting._rdp_curve.cache_clear()
     monkeypatch.setattr(accounting, "subsampled_gaussian_rdp", counted)
-    ledger = PrivacyLedger()
-    for _ in range(50):
-        ledger.add_event(1.0, 0.1, 5)
-        compose_and_convert(ledger, 1e-5)
+    try:
+        for _ in range(3):  # the curve is shared by every ledger
+            ledger = PrivacyLedger()
+            for _ in range(50):
+                ledger.add_event(1.0, 0.1, 5)
+                compose_and_convert(ledger, 1e-5)
+        curve = accounting._rdp_curve(1.0, 0.1)
+    finally:  # no later test may read a curve computed under the patch
+        accounting._rdp_curve.cache_clear()
     # Orders 1.25, 1.5, 1.75 and 2 all take integer order 2's value, which
     # is computed once: 66 distinct orders of the 69 in the grid.
     assert len(DEFAULT_ORDER_GRID) == 69
     assert sorted(calls) == [*range(2, 65), 128, 256, 512]
+    assert not curve.flags.writeable  # shared through the cache
 
 
 def test_empty_ledger_zero_epsilon():
@@ -344,9 +352,10 @@ def test_tiny_sigma_accounts_without_warnings(sigma):
     # reference divides 0 by 0).
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        accounting._rdp_curve.cache_clear()  # computed under the filter
         ledger = PrivacyLedger()
         ledger.add_event(sigma, 0.2, 10)
-        curve = ledger.curve((sigma, 0.2))
+        curve = accounting._rdp_curve(sigma, 0.2)
         eps = compose_and_convert(ledger, 1e-5).epsilon
     assert math.isfinite(curve[0]) == (sigma >= 1e-154)
     assert math.isfinite(eps) == (sigma == 1e-152)

@@ -578,7 +578,8 @@ MALFORMED = [(QUICK_RUN, k, v) for k, v in [
         ("num_classes", "0"), ("num_classes", "1"), ("num_features", "0"),
         ("num_samples", "0"), ("alpha", "inf"), ("dataset", "missing.csv"),
         ("dataset", "bad_header.csv"), ("dataset", "one_class.csv"),
-        ("dataset", "huge_feature.csv")]
+        ("dataset", "huge_feature.csv"), ("num_clients", "1"),
+        ("num_clients", "300")]
 ] + [([*QUICK_LOGISTIC, "--model", "mlp2"], "hidden", "0")]
 CSV_FILES = {
     "bad_header.csv": "x1,x2,label\n0.1,0.2,0\n0.3,0.4,1\n",
@@ -639,13 +640,18 @@ def test_tiny_sigma_is_unbounded(tmp_path, capsys, sigma):
     assert summary.eps_rdp == math.inf
 
 
-@pytest.mark.parametrize("where", ["file", "under_file"])
+@pytest.mark.parametrize("where", ["file", "under_file", "artifact_is_dir"])
 def test_cli_unusable_output_dir_exits_2_before_any_round(tmp_path, capsys,
                                                           monkeypatch, where):
-    # An output_dir that is a file, or lies under one, is rejected with
-    # its path before round 1, not with a traceback after the last round.
-    (tmp_path / "taken").write_text("")
-    out = tmp_path / "taken" / ("x" if where == "under_file" else "")
+    # An output_dir that is a file, lies under one, or holds a directory
+    # named like an artifact is rejected with its path before round 1, not
+    # with a traceback after the last round.
+    out = tmp_path / "taken"
+    if where == "artifact_is_dir":
+        (out / "metrics.csv").mkdir(parents=True)
+    else:
+        out.write_text("")
+        out = out / ("x" if where == "under_file" else "")
     rounds = []
     real_run_round = runner.run_round
     monkeypatch.setattr(runner, "run_round", lambda *args: rounds.append(1)
@@ -654,7 +660,8 @@ def test_cli_unusable_output_dir_exits_2_before_any_round(tmp_path, capsys,
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: output_dir") and str(out) in err
-    assert not rounds and (tmp_path / "taken").read_text() == ""
+    assert not rounds
+    assert where == "artifact_is_dir" or (tmp_path / "taken").read_text() == ""
 
 
 def test_cli_invalid_config_exit_code(capsys):
@@ -685,12 +692,14 @@ def test_cli_divergence_exit_code(tmp_path, capsys):
 
 def test_import_loads_no_scipy():
     # SciPy is a test and benchmark dependency only; scipy.special alone
-    # costs a process ~0.2 s of start-up and ~18 MB of peak RSS.
+    # costs a process ~0.2 s of start-up and ~18 MB of peak RSS. Nor does
+    # the import build a log-factorial table: the first curve does.
     src = str(Path(runner.__file__).resolve().parents[1])
     path = filter(None, [src, os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     code = ("import sys, dpfed, dpfed.cli, dpfed.runner; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+            "print(sorted(m for m in sys.modules if m.startswith('scipy'))); "
+            "print(dpfed.accounting._log_factorials.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert out.split() == ["[]", "0"]
