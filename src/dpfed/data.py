@@ -7,8 +7,8 @@ concentrations produce more skewed class distributions per client.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -18,17 +18,28 @@ from .dp import DOMAIN_DATA, NoiseStream
 MAX_PARTITION_RETRIES = 100
 
 
-@dataclass
+@dataclass(frozen=True)
 class FederatedDataset:
-    """Per-client (features, labels) arrays."""
+    """Every client's rows in one read-only pooled (X, y), client by
+    client: client i owns rows bounds[i]:bounds[i + 1]."""
 
-    clients: list[tuple[np.ndarray, np.ndarray]]
+    X: np.ndarray
+    y: np.ndarray
+    bounds: tuple[int, ...]  # N + 1 ascending row offsets, 0 to len(y)
 
-    @cached_property
+    def __post_init__(self):
+        self.X.flags.writeable = self.y.flags.writeable = False
+
+    @property
     def pooled(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every client's rows in client order, concatenated on first use."""
-        return (np.concatenate([c[0] for c in self.clients]),
-                np.concatenate([c[1] for c in self.clients]))
+        """The evaluation set: every client's rows in client order."""
+        return self.X, self.y
+
+    @property
+    def clients(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-client (features, labels) views of the pooled rows."""
+        return [(self.X[lo:hi], self.y[lo:hi])
+                for lo, hi in zip(self.bounds[:-1], self.bounds[1:])]
 
 
 def dirichlet_partition(X: np.ndarray, y: np.ndarray, num_clients: int,
@@ -37,6 +48,7 @@ def dirichlet_partition(X: np.ndarray, y: np.ndarray, num_clients: int,
 
     The whole partition is re-drawn (bounded retries) whenever a client
     ends up empty; silent reassignment would bias the heterogeneity.
+    A client's rows keep their order in X.
     """
     if num_clients < 2:
         raise ConfigurationError("num_clients must be >= 2")
@@ -45,21 +57,22 @@ def dirichlet_partition(X: np.ndarray, y: np.ndarray, num_clients: int,
     y = np.asarray(y)
     classes = np.unique(y)
     rng = stream.rng((DOMAIN_DATA, 0))
+    # Each row's client, in the narrowest type: NumPy radix-sorts a stable
+    # argsort of 8- and 16-bit integers, several times faster than int64.
+    owner = np.empty(len(y), dtype=np.min_scalar_type(num_clients - 1))
     for _ in range(MAX_PARTITION_RETRIES):
-        assignment = [[] for _ in range(num_clients)]
         for c in classes:
             idx = np.flatnonzero(y == c)
             rng.shuffle(idx)
             props = rng.dirichlet(np.full(num_clients, alpha))
             counts = rng.multinomial(len(idx), props)
-            start = 0
-            for client, count in enumerate(counts):
-                assignment[client].extend(idx[start:start + count])
-                start += count
-        if all(assignment):
-            clients = [(X[np.sort(ids)], y[np.sort(ids)])
-                       for ids in map(np.asarray, assignment)]
-            return FederatedDataset(clients)
+            owner[idx] = np.repeat(np.arange(num_clients), counts)
+        sizes = np.bincount(owner, minlength=num_clients)
+        if sizes.all():
+            order = np.argsort(owner, kind="stable")  # by client, then row
+            return FederatedDataset(
+                X[order], y[order],
+                (0, *itertools.accumulate(sizes.tolist())))
     raise ConfigurationError(
         f"num_clients={num_clients} left a client empty in each of "
         f"{MAX_PARTITION_RETRIES} draws (alpha={alpha}, {len(y)} rows)")
@@ -90,12 +103,14 @@ def quadratic_client_data(centers: np.ndarray, samples_per_client: int,
     """Datasets for the quadratic model: features are noisy copies of
     each client's center, labels are unused placeholders."""
     rng = stream.rng((DOMAIN_DATA, 3))
-    clients = []
-    for center in centers:
-        X = center[None, :] + jitter * rng.standard_normal(
-            (samples_per_client, len(center)))
-        clients.append((X, np.zeros(samples_per_client, dtype=np.int64)))
-    return FederatedDataset(clients)
+    num_clients, dim = centers.shape
+    n = num_clients * samples_per_client
+    # One draw of every client's noise: the generator fills it client by
+    # client, as one (samples_per_client, dim) draw per client would.
+    X = (np.repeat(centers, samples_per_client, axis=0)
+         + jitter * rng.standard_normal((n, dim)))
+    return FederatedDataset(X, np.zeros(n, dtype=np.int64),
+                            tuple(range(0, n + 1, samples_per_client)))
 
 
 def load_csv(path) -> tuple[np.ndarray, np.ndarray]:

@@ -154,9 +154,12 @@ def _factored_clipped_sum(layers, clip_norm: float, rows) -> np.ndarray:
         e /= s  # in place: this layer's clipped output errors E'
         col += E.shape[1]
         errors.append((e, A))
-    return np.array([np.concatenate([part for e, A in errors for part in (
-        (e[lo:hi].T @ A[lo:hi]).ravel(), e[lo:hi].sum(axis=0))])
-        for lo, hi in bounds])
+    out = np.empty((len(bounds), sum(e.shape[1] * (A.shape[1] + 1)
+                                     for e, A in errors)))
+    for row, (lo, hi) in zip(out, bounds):
+        np.concatenate([part for e, A in errors for part in (
+            (e[lo:hi].T @ A[lo:hi]).ravel(), e[lo:hi].sum(axis=0))], out=row)
+    return out
 
 
 def noisy_batch_mean(grads, cfg: DPConfig, rngs, rows) -> np.ndarray:
@@ -177,6 +180,8 @@ def noisy_batch_mean(grads, cfg: DPConfig, rngs, rows) -> np.ndarray:
         if any(r is None for r in rngs):
             raise ConfigurationError("a generator is required when sigma > 0")
         std = np.array([cfg.noise_std(n) for n in b])
-        mean = mean + std[:, None] * np.array(
-            [r.standard_normal(mean.shape[1]) for r in rngs])
+        noise = np.empty_like(mean)
+        for r, row in zip(rngs, noise):
+            r.standard_normal(out=row)
+        mean = mean + std[:, None] * noise
     return mean

@@ -5,10 +5,10 @@ One round follows the synchronous protocol: the server broadcasts
 K private local steps, and the server folds the reports in ascending
 client-id order. The selected clients run together: their parameters,
 moments and reports are the rows of (S, ·) arrays and their batches are
-concatenated, so a local step is one call per layer for the round. Each
-client keeps its own generator and batch size, every row-wise operation
-is per row and the matmuls run per client, so a client's row is bitwise
-the one it gets when ``run_client`` runs it alone.
+one gather from the pooled rows, so a local step is one call per layer
+for the round. Each client keeps its own generator and batch size, every
+row-wise operation is per row and the matmuls run per client, so a
+client's row is bitwise the one it gets when ``run_client`` runs it alone.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ import numpy as np
 
 from .blocks import (BlockLayout, ConfigurationError, block_mean,
                      broadcast_blocks)
+from .data import FederatedDataset
 from .dp import (DOMAIN_BATCH, DOMAIN_CLIENTS, DPConfig, NoiseStream,
                  noisy_batch_mean)
 from .models import Model
@@ -74,18 +75,23 @@ def sample_clients(num_clients: int, num_selected: int,
 
 
 def run_client(model: Model, round_state: RoundState, client_ids,
-               client_data: list[tuple[np.ndarray, np.ndarray]],
-               dp_cfg: DPConfig, opt: AdamWParams, variant: str,
-               local_steps: int, stream: NoiseStream) -> RoundReport:
-    """K private local steps of each client in ``client_ids``, whose rows
-    are ``client_data``; returns their report, rows in that order.
-    A client's batch size floor(s * len(y)) and noise std follow from its
-    row count; its K batches and noise vectors come from one generator
-    keyed (t, client), so its report does not depend on the others."""
+               fed: FederatedDataset, dp_cfg: DPConfig, opt: AdamWParams,
+               variant: str, local_steps: int, stream: NoiseStream,
+               ) -> RoundReport:
+    """K private local steps of each client in ``client_ids``, clients of
+    ``fed``; returns their report, rows in that order.
+    A client's batch size floor(s * R) for its R rows and its noise std
+    follow from its row count; its K batches and noise vectors come from
+    one generator keyed (t, client), so its report does not depend on the
+    others."""
     if variant not in STRATEGY_BY_VARIANT:
         raise ConfigurationError(f"unknown variant {variant!r}")
-    sizes = [dp_cfg.batch_size(len(y)) for _, y in client_data]
+    X, y = fed.pooled
+    starts = [fed.bounds[cid] for cid in client_ids]
+    counts = [fed.bounds[cid + 1] - lo for cid, lo in zip(client_ids, starts)]
+    sizes = [dp_cfg.batch_size(n) for n in counts]
     rows = [0, *itertools.accumulate(sizes)]  # client i's batch rows
+    offsets = np.repeat(starts, sizes)  # each batch row's client start
     # The variant's mechanisms, resolved once: only dp_fedadamw reads opt's
     # warm start, bias correction and gamma; dp_fedavg_sgd steps along g.
     fedadamw = variant == "dp_fedadamw"
@@ -100,11 +106,10 @@ def run_client(model: Model, round_state: RoundState, client_ids,
     rngs = [stream.rng((DOMAIN_BATCH, round_state.t, cid))
             for cid in client_ids]
     for _ in range(local_steps):
-        idx = [np.sort(rng.choice(len(y), size=b, replace=False))
-               for rng, (_, y), b in zip(rngs, client_data, sizes)]
-        X_b = np.concatenate([X[i] for (X, _), i in zip(client_data, idx)])
-        y_b = np.concatenate([y[i] for (_, y), i in zip(client_data, idx)])
-        grads = model.per_sample_grads(theta, X_b, y_b, rows)
+        idx = np.concatenate([np.sort(rng.choice(n, size=b, replace=False))
+                              for rng, n, b in zip(rngs, counts, sizes)])
+        idx += offsets
+        grads = model.per_sample_grads(theta, X[idx], y[idx], rows)
         g = noisy_batch_mean(grads, dp_cfg, rngs, rows)
         if sgd:
             m_hat, precond = g, 1.0
@@ -137,16 +142,14 @@ def aggregate(round_state: RoundState, report: RoundReport,
     )
 
 
-def run_round(round_state: RoundState, model: Model,
-              client_data: list[tuple[np.ndarray, np.ndarray]],
+def run_round(round_state: RoundState, model: Model, fed: FederatedDataset,
               dp_cfg: DPConfig, opt: AdamWParams, variant: str,
               local_steps: int, num_selected: int, stream: NoiseStream,
               ) -> tuple[RoundState, RoundReport]:
     """One full synchronous round over a sampled client subset."""
-    selected = sample_clients(len(client_data), num_selected, stream,
+    selected = sample_clients(len(fed.bounds) - 1, num_selected, stream,
                               round_state.t)
-    report = run_client(model, round_state, selected,
-                        [client_data[cid] for cid in selected], dp_cfg, opt,
+    report = run_client(model, round_state, selected, fed, dp_cfg, opt,
                         variant, local_steps, stream)
     return aggregate(round_state, report, local_steps, opt.lr), report
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from .accounting import PrivacyLedger, compose_and_convert, third_party_epsilon
 from .blocks import ConfigurationError
-from .data import (FederatedDataset, dirichlet_partition, load_csv,
-                   make_blobs, make_client_quadratics, quadratic_client_data)
+from .data import (dirichlet_partition, load_csv, make_blobs,
+                   make_client_quadratics, quadratic_client_data)
 from .diagnostics import MetricRecord, client_drift, cross_client_var_v
 from .dp import DOMAIN_INIT, DPConfig, NoiseStream
 from .federation import (STRATEGY_BY_VARIANT, RoundState, payload_count,
@@ -248,14 +248,6 @@ def account_round(config: RunConfig, ledger: PrivacyLedger,
                                 config.delta, config.noise_multiplier))
 
 
-def _global_metrics(model, fed: FederatedDataset, theta) -> tuple[float, float]:
-    X, y = fed.pooled
-    loss = model.batch_loss(theta, X, y)
-    pred = model.predict(theta, X)
-    acc = float("nan") if pred is None else float(np.mean(pred == y))
-    return loss, acc
-
-
 def run(config: RunConfig) -> RunSummary:
     """Execute T rounds, writing metrics.csv and summary.json; a diverged
     run leaves only metrics.csv, with the rounds completed before it."""
@@ -286,14 +278,14 @@ def run(config: RunConfig) -> RunSummary:
     for _ in range(config.rounds):
         try:
             state, report = run_round(
-                state, model, fed.clients, dp_cfg, opt, config.variant,
+                state, model, fed, dp_cfg, opt, config.variant,
                 config.local_steps, selected, stream)
         except DivergenceError:
             _write_csv(config.output_dir, "metrics.csv", METRICS_COLUMNS,
                        map(astuple, records))
             raise
         eps_rdp, eps_paper = account_round(config, ledger, state.t)
-        loss, acc = _global_metrics(model, fed, state.theta)
+        loss, acc = model.evaluate(state.theta, *fed.pooled)
         S = len(report.client_ids)
         records.append(MetricRecord(
             t=state.t, global_loss=loss, global_accuracy=acc,
@@ -307,7 +299,7 @@ def run(config: RunConfig) -> RunSummary:
         last = records[-1]
         final_loss, final_acc = last.global_loss, last.global_accuracy
     else:
-        final_loss, final_acc = _global_metrics(model, fed, state.theta)
+        final_loss, final_acc = model.evaluate(state.theta, *fed.pooled)
     _write_csv(config.output_dir, "metrics.csv", METRICS_COLUMNS,
                map(astuple, records))
     summary = RunSummary(final_loss=final_loss, final_accuracy=final_acc,

@@ -5,9 +5,14 @@ a terminal-summary hook prints one pass/fail line per criterion at the
 end of the session so the verdicts are visible even under output capture.
 Tests that need a model's gradient rows build them from its per-layer
 (E, A) factors with dense_grads(); a layer without input has A of shape
-(n, 0), so its rows are E.
+(n, 0), so its rows are E. Tests that hand a round its clients' rows
+pool them with federated().
 """
+import itertools
+
 import numpy as np
+
+from dpfed.data import FederatedDataset
 
 ACCEPTANCE_RESULTS: dict[int, tuple[bool, str]] = {}
 
@@ -24,6 +29,14 @@ def dense_grads(factors) -> np.ndarray:
         n, o, i = len(E), E.shape[1], A.shape[1]
         blocks += [np.einsum("no,ni->noi", E, A).reshape(n, o * i), E]
     return np.concatenate(blocks, axis=1)
+
+
+def federated(clients) -> FederatedDataset:
+    """The FederatedDataset of per-client (X, y) pairs, pooled in order."""
+    sizes = [len(y) for _, y in clients]
+    return FederatedDataset(np.concatenate([X for X, _ in clients]),
+                            np.concatenate([y for _, y in clients]),
+                            (0, *itertools.accumulate(sizes)))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

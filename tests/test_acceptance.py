@@ -296,7 +296,7 @@ def _reduction_problem():
     stream = NoiseStream(7)
     centers = make_client_quadratics(4, 3, 1.0, stream)
     fed = quadratic_client_data(centers, 20, stream, 0.1)
-    return model, fed.clients, DPConfig(1.0, 0.0, 0.5), stream
+    return model, fed, DPConfig(1.0, 0.0, 0.5), stream
 
 
 def test_criterion_12_reductions():
@@ -325,9 +325,9 @@ def test_criterion_12_reductions():
     state = RoundState.initial(theta0, model.layout)
     max_step_err = 0.0
     for k in range(1, 6):
-        adam_like = run_client(model, state, [0], data[:1], dp_cfg, id_opt,
+        adam_like = run_client(model, state, [0], data, dp_cfg, id_opt,
                                "dp_fedadamw", k, stream)
-        sgd = run_client(model, state, [0], data[:1], dp_cfg, sgd_opt,
+        sgd = run_client(model, state, [0], data, dp_cfg, sgd_opt,
                          "dp_fedavg_sgd", k, stream)
         max_step_err = max(max_step_err, float(np.max(np.abs(
             adam_like.theta - sgd.theta))))

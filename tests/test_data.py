@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from dpfed.blocks import ConfigurationError
-from dpfed.data import (dirichlet_partition, load_csv, make_blobs,
-                        make_client_quadratics, quadratic_client_data)
-from dpfed.dp import NoiseStream
+from dpfed.data import (MAX_PARTITION_RETRIES, dirichlet_partition, load_csv,
+                        make_blobs, make_client_quadratics,
+                        quadratic_client_data)
+from dpfed.dp import DOMAIN_DATA, NoiseStream
 
 
 def blob_data(seed=0, n=600, classes=4, p=3):
@@ -20,12 +21,58 @@ def test_partition_is_exact():
     seen, seen_y = fed.pooled  # the evaluation set: clients in order
     assert np.array_equal(seen, np.concatenate([c[0] for c in fed.clients]))
     assert np.array_equal(seen_y, np.concatenate([c[1] for c in fed.clients]))
-    assert fed.pooled[0] is seen  # built once
+    assert fed.pooled[0] is seen  # one pooled copy, not rebuilt
+    # Clients are read-only views of the pooled rows, in ascending bounds.
+    assert fed.bounds[0] == 0 and fed.bounds[-1] == len(y)
+    assert all(lo < hi for lo, hi in zip(fed.bounds[:-1], fed.bounds[1:]))
+    for Xc, yc in fed.clients:
+        assert Xc.base is seen and yc.base is seen_y
+        assert not (Xc.flags.writeable or yc.flags.writeable)
+    assert not (seen.flags.writeable or seen_y.flags.writeable)
     assert seen.shape == X.shape
     # disjoint exact cover: multiset of rows matches the global set
     order_a = np.lexsort(X.T)
     order_b = np.lexsort(seen.T)
     assert np.array_equal(X[order_a], seen[order_b])
+
+
+def per_class_lists_partition(X, y, num_clients, alpha, stream):
+    """Reference: the partition as per-client lists of row ids, extended
+    class by class, each client's rows gathered in sorted order. Returns
+    the clients and the number of draws it took."""
+    rng = stream.rng((DOMAIN_DATA, 0))
+    for draws in range(1, MAX_PARTITION_RETRIES + 1):
+        assignment = [[] for _ in range(num_clients)]
+        for c in np.unique(y):
+            idx = np.flatnonzero(y == c)
+            rng.shuffle(idx)
+            props = rng.dirichlet(np.full(num_clients, alpha))
+            counts = rng.multinomial(len(idx), props)
+            start = 0
+            for client, count in enumerate(counts):
+                assignment[client].extend(idx[start:start + count])
+                start += count
+        if all(assignment):
+            return [(X[np.sort(ids)], y[np.sort(ids)])
+                    for ids in map(np.asarray, assignment)], draws
+    raise AssertionError("the reference found no partition")
+
+
+@pytest.mark.parametrize(("num_clients", "alpha", "seeds"),
+                         [(5, 0.5, range(30)), (15, 0.1, [0])])
+def test_partition_equals_per_class_lists(num_clients, alpha, seeds):
+    # Seed 0 at 15 clients and alpha = 0.1 leaves a client empty and
+    # re-draws, so the retry path is compared too.
+    X, y = blob_data()
+    for seed in seeds:
+        fed = dirichlet_partition(X, y, num_clients, alpha, NoiseStream(seed))
+        expected, draws = per_class_lists_partition(X, y, num_clients, alpha,
+                                                    NoiseStream(seed))
+        assert len(fed.clients) == num_clients
+        for (Xc, yc), (Xe, ye) in zip(fed.clients, expected):
+            assert np.array_equal(Xc, Xe) and np.array_equal(yc, ye)
+    if num_clients == 15:
+        assert draws > 1
 
 
 def test_no_empty_clients():
@@ -103,9 +150,15 @@ def test_quadratic_client_data_shapes():
     centers = make_client_quadratics(3, 4, 1.0, NoiseStream(0))
     fed = quadratic_client_data(centers, 12, NoiseStream(0), jitter=0.05)
     assert len(fed.clients) == 4
+    assert fed.bounds == (0, 12, 24, 36, 48)
+    # Reference: one (12, 3) draw per client from the same generator.
+    rng = NoiseStream(0).rng((DOMAIN_DATA, 3))
     for (Xc, yc), center in zip(fed.clients, centers):
         assert Xc.shape == (12, 3)
         assert np.linalg.norm(Xc.mean(axis=0) - center) < 0.1
+        assert np.array_equal(
+            Xc, center[None, :] + 0.05 * rng.standard_normal((12, 3)))
+        assert np.array_equal(yc, np.zeros(12, dtype=np.int64))
 
 
 def test_csv_roundtrip(tmp_path):

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import federated
 from dpfed.blocks import ConfigurationError
 from dpfed.dp import DPConfig, NoiseStream
 from dpfed.federation import (STRATEGY_BY_VARIANT, RoundReport, RoundState,
@@ -16,8 +17,8 @@ def quadratic_setup(num_clients=2, dim=3, sigma=0.0, seed=0):
     model = build_model("quadratic", dim=dim)
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((num_clients, dim))
-    data = [(np.tile(c, (10, 1)), np.zeros(10, dtype=np.int64))
-            for c in centers]
+    data = federated([(np.tile(c, (10, 1)), np.zeros(10, dtype=np.int64))
+                      for c in centers])
     return model, data, DPConfig(10.0, sigma, 1.0), centers
 
 
@@ -130,8 +131,8 @@ def test_round_trajectory_deterministic():
 def test_client_failure_aborts_round():
     model, data, _, _ = quadratic_setup()
     state = RoundState.initial(np.zeros(3), model.layout)
-    X, y = data[1]
-    small = [data[0], (X[:4], y[:4])]  # floor(0.2 * 4) = 0: no batch
+    X, y = data.clients[1]
+    small = federated([data.clients[0], (X[:4], y[:4])])  # floor(0.2 * 4) = 0
     with pytest.raises(ConfigurationError, match="must be >= 1"):
         run_round(state, model, small, DPConfig(10.0, 0.0, 0.2),
                   AdamWParams(lr=0.1), "dp_fedavg_sgd", 1, 2, NoiseStream(0))
@@ -148,9 +149,9 @@ def stacked(reports):
 
 def client_reports(variant, round_state, opt, sigma=1.0):
     model, data, cfg, _ = quadratic_setup(sigma=sigma)
-    return stacked([run_client(model, round_state, [i], [(X, y)], cfg, opt,
+    return stacked([run_client(model, round_state, [i], data, cfg, opt,
                                variant, 3, NoiseStream(7))
-                    for i, (X, y) in enumerate(data)])
+                    for i in range(len(data.clients))])
 
 
 def reports_equal(a, b):
@@ -164,15 +165,15 @@ def test_client_order_does_not_change_reports():
     # id order gives bitwise the same reports.
     model = build_model("quadratic", dim=3)
     rng = np.random.default_rng(3)
-    data = [(rng.standard_normal((12, 3)), np.zeros(12, dtype=np.int64))
-            for _ in range(4)]
+    data = federated([(rng.standard_normal((12, 3)),
+                       np.zeros(12, dtype=np.int64)) for _ in range(4)])
     state = RoundState(rng.standard_normal(3), np.full(1, 0.5),
                        rng.standard_normal(3), t=3)
     opt = AdamWParams(lr=0.05, align_coef=0.5)
     stream = NoiseStream(8)
 
     def reports(order):
-        return stacked(sorted((run_client(model, state, [i], [data[i]],
+        return stacked(sorted((run_client(model, state, [i], data,
                                           DPConfig(1.0, 1.0, 0.5), opt,
                                           "dp_fedadamw", 3, stream)
                                for i in order),
@@ -251,8 +252,8 @@ def axis_round_problem(kind, sizes=(2, 7, 12, 5), seed=11):
     rng = np.random.default_rng(seed)
     model = build_model(kind, dim=3, num_features=4, num_classes=3, hidden=5)
     width = 3 if kind == "quadratic" else 4
-    data = [(rng.standard_normal((n, width)), rng.integers(3, size=n))
-            for n in sizes]
+    data = federated([(rng.standard_normal((n, width)),
+                       rng.integers(3, size=n)) for n in sizes])
     state = RoundState(rng.uniform(-0.5, 0.5, model.d),
                        rng.uniform(0.0, 0.1, model.layout.num_blocks),
                        rng.standard_normal(model.d), t=3)
@@ -275,7 +276,7 @@ def test_round_reports_equal_one_run_client_per_client(kind, variant, sigma):
     _, report = run_round(state, model, data, cfg, opt, variant, 3, 3,
                           stream)
     ids = report.client_ids
-    expected = stacked([run_client(model, state, [i], [data[i]], cfg, opt,
+    expected = stacked([run_client(model, state, [i], data, cfg, opt,
                                    variant, 3, stream) for i in ids])
     assert len(ids) == 3 and reports_equal(report, expected)
 

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import dense_grads
 from dpfed.blocks import ConfigurationError
-from dpfed.models import _softmax, build_model
+from dpfed.models import _log_softmax, _row_max, _softmax, build_model
 
 RNG = np.random.default_rng(12345)
 
@@ -196,6 +196,43 @@ def test_batch_loss_is_mean_of_losses(kind):
     mean_loss = np.mean([m.batch_loss(theta, X[i:i + 1], y[i:i + 1])
                          for i in range(6)])
     assert m.batch_loss(theta, X, y) == pytest.approx(mean_loss, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp2"])
+def test_evaluate_is_batch_loss_and_accuracy(kind):
+    # The global evaluation's one pass gives bitwise the loss and the
+    # accuracy of batch_loss and predict; the quadratic has no accuracy.
+    m = make(kind)
+    rng = np.random.default_rng(23)
+    theta = rng.standard_normal(m.d)
+    X, y = random_batch(m, rng, n=40)
+    loss, acc = m.evaluate(theta, X, y)
+    assert loss == m.batch_loss(theta, X, y)
+    if kind == "quadratic":
+        assert math.isnan(acc)
+    else:
+        assert acc == float(np.mean(m.predict(theta, X) == y))
+        assert 0 < acc < 1
+
+
+def test_row_max_equals_max_over_last_axis():
+    special = np.array([[0.0, -0.0, -1.0], [-0.0, 0.0, -2.0],
+                        [-0.0, -0.0, -3.0], [np.nan, 1.0, 2.0],
+                        [1.0, np.inf, 2.0], [-np.inf, -np.inf, -np.inf],
+                        [-np.inf, 3.0, np.nan], [np.inf, np.nan, 0.0]])
+    for z in (special, RNG.standard_normal((7, 10)),
+              RNG.standard_normal((1, 1))):
+        np.testing.assert_array_equal(_row_max(z),
+                                      z.max(axis=-1, keepdims=True))
+    # A tie at +-0 may pick either zero; the softmax outputs are bitwise
+    # those of the max either way.
+    ties = special[:3]
+    shifted = ties - ties.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    assert _softmax(ties).tobytes() == (
+        e / e.sum(axis=-1, keepdims=True)).tobytes()
+    assert _log_softmax(ties).tobytes() == (
+        shifted - np.log(e.sum(axis=-1, keepdims=True))).tobytes()
 
 
 def test_quadratic_average_minimizer_is_mean_center():
