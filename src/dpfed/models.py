@@ -39,9 +39,11 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e
 
 
-def _log_softmax(z: np.ndarray) -> np.ndarray:
+def _log_softmax_at(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """log softmax(z[i])[y[i]] per row i: the full log-softmax's z - max,
+    exp, sum and log, subtracted at the label entries only."""
     z = z - _row_max(z)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return z[np.arange(len(y)), y] - np.log(np.exp(z).sum(axis=-1))
 
 
 class Model:
@@ -153,8 +155,7 @@ class SoftmaxModel(Model):
         return layers, z, bounds
 
     def batch_loss(self, theta, X, y):
-        logp = _log_softmax(self._forward(theta, X)[1])
-        return float(-logp[np.arange(len(y)), y].mean())
+        return float(-_log_softmax_at(self._forward(theta, X)[1], y).mean())
 
     def per_sample_grads(self, theta, X, y, rows=None):
         layers, z, bounds = self._forward(theta, X, rows)
@@ -173,14 +174,8 @@ class SoftmaxModel(Model):
         return np.argmax(self._forward(theta, X)[1], axis=1)
 
     def evaluate(self, theta, X, y):
-        # One forward pass for both. The loss takes the log-softmax at the
-        # labels only, from the same z - max, exp, sum and log calls as
-        # _log_softmax, so it is bitwise batch_loss's.
-        z = self._forward(theta, X)[1]
-        shifted = z - _row_max(z)
-        logp = (shifted[np.arange(len(y)), y]
-                - np.log(np.exp(shifted).sum(axis=-1)))
-        return (float(-logp.mean()),
+        z = self._forward(theta, X)[1]  # one forward pass for both
+        return (float(-_log_softmax_at(z, y).mean()),
                 float(np.mean(np.argmax(z, axis=1) == y)))
 
 

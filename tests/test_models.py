@@ -5,7 +5,7 @@ import pytest
 
 from conftest import dense_grads
 from dpfed.blocks import ConfigurationError
-from dpfed.models import _log_softmax, _row_max, _softmax, build_model
+from dpfed.models import _log_softmax_at, _row_max, _softmax, build_model
 
 RNG = np.random.default_rng(12345)
 
@@ -210,9 +210,14 @@ def test_evaluate_is_batch_loss_and_accuracy(kind):
     assert loss == m.batch_loss(theta, X, y)
     if kind == "quadratic":
         assert math.isnan(acc)
-    else:
-        assert acc == float(np.mean(m.predict(theta, X) == y))
-        assert 0 < acc < 1
+        return
+    assert acc == float(np.mean(m.predict(theta, X) == y))
+    assert 0 < acc < 1
+    # Reference: the full log-softmax matrix, read at the labels.
+    z = m._forward(theta, X)[1]
+    z = z - z.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    assert loss == float(-logp[np.arange(len(y)), y].mean())
 
 
 def test_row_max_equals_max_over_last_axis():
@@ -231,8 +236,10 @@ def test_row_max_equals_max_over_last_axis():
     e = np.exp(shifted)
     assert _softmax(ties).tobytes() == (
         e / e.sum(axis=-1, keepdims=True)).tobytes()
-    assert _log_softmax(ties).tobytes() == (
-        shifted - np.log(e.sum(axis=-1, keepdims=True))).tobytes()
+    logp = shifted - np.log(e.sum(axis=-1, keepdims=True))
+    for label in range(3):
+        y = np.full(3, label)
+        assert _log_softmax_at(ties, y).tobytes() == logp[:, label].tobytes()
 
 
 def test_quadratic_average_minimizer_is_mean_center():
