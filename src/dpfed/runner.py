@@ -230,8 +230,8 @@ def _build_problem(config: RunConfig, stream: NoiseStream):
         model = build_model(config.model, num_features=X.shape[1],
                             num_classes=int(y.max()) + 1, hidden=config.hidden)
     dp_cfg = config.dp_config()
-    for _, y_i in fed.clients:  # a client without one full batch fails here
-        dp_cfg.batch_size(len(y_i))
+    for lo, hi in zip(fed.bounds, fed.bounds[1:]):
+        dp_cfg.batch_size(hi - lo)  # a client without one full batch fails
     return model, fed, dp_cfg
 
 
