@@ -39,7 +39,7 @@ class FederatedDataset:
     def clients(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per-client (features, labels) views of the pooled rows."""
         return [(self.X[lo:hi], self.y[lo:hi])
-                for lo, hi in zip(self.bounds[:-1], self.bounds[1:])]
+                for lo, hi in zip(self.bounds, self.bounds[1:])]
 
 
 def dirichlet_partition(X: np.ndarray, y: np.ndarray, num_clients: int,
