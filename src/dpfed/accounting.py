@@ -4,8 +4,8 @@ Per-order RDP values compose additively over steps; conversion to
 (epsilon, delta) minimizes over a fixed order grid. Fixed-size batches
 are accounted with the Poisson-subsampling bound at rate q = s, the
 ubiquitous DP-SGD approximation. The closed forms of the source analysis
-(third-party and server-side budgets) are computed alongside as
-clearly-labeled asymptotic reference numbers, never as guarantees.
+(third-party and server-side budgets) are kept as asymptotic reference
+numbers for comparison; no run reports them, and they are no guarantees.
 Its log-factorials come from ``decimal``, so it needs no SciPy.
 """
 from __future__ import annotations

@@ -59,7 +59,6 @@ def main(argv=None) -> int:
             print(f"final_loss={summary.final_loss:.6g} "
                   f"final_accuracy={summary.final_accuracy:.6g} "
                   f"eps_rdp={summary.eps_rdp:.6g} "
-                  f"eps_paper={summary.eps_paper:.6g} "
                   f"wall_time_s={summary.wall_time_s:.3f}")
         elif args.command == "compare":
             seeds = [config_from_strings({"seed": s}).seed  # checked as a run's
@@ -74,11 +73,11 @@ def main(argv=None) -> int:
             # Its flags are config keys, parsed and checked as a run's are.
             cfg = _config_from_args(args)
             ledger = PrivacyLedger()
-            rows = ["round,eps_rdp,eps_paper"]
+            rows = ["round,eps_rdp"]
             for t in range(1, cfg.rounds + 1):
-                eps, eps_ref = account_round(cfg, ledger, t)
+                eps = account_round(cfg, ledger)
                 if t % args.every == 0 or t == cfg.rounds:
-                    rows.append(f"{t},{eps:.12g},{eps_ref:.12g}")
+                    rows.append(f"{t},{eps:.12g}")
             print("\n".join(rows))
     except (ConfigurationError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -55,6 +55,9 @@ def dirichlet_partition(X: np.ndarray, y: np.ndarray, num_clients: int,
     if alpha <= 0:
         raise ConfigurationError("alpha must be > 0")
     y = np.asarray(y)
+    if num_clients > len(y):  # no draw could give every client a row
+        raise ConfigurationError(
+            f"num_clients={num_clients} exceeds the {len(y)} rows to partition")
     classes = np.unique(y)
     rng = stream.rng((DOMAIN_DATA, 0))
     # Each row's client, in the narrowest type: NumPy radix-sorts a stable

@@ -17,21 +17,6 @@ from .dp import DPConfig, NoiseStream
 from .optimizer import AdamWParams, init_round, moment_update
 
 
-@dataclass
-class MetricRecord:
-    """One row of per-round metrics."""
-
-    t: int
-    global_loss: float
-    global_accuracy: float  # nan for regression-style models
-    var_v: float
-    drift: float
-    uplink_floats: int
-    downlink_floats: int
-    eps_rdp: float
-    eps_paper: float
-
-
 def cross_client_var_v(v_vectors: np.ndarray) -> float:
     """Mean over coordinates of the unbiased variance across S clients' v."""
     if len(v_vectors) < 2:

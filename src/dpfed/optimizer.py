@@ -40,9 +40,10 @@ class AdamWParams:
     def __post_init__(self):
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigurationError("betas must lie in [0, 1)")
-        if not (0 < self.lr < math.inf and 0 < self.eps < math.inf):  # NaN too
-            raise ConfigurationError(
-                "lr and eps (adam_eps) must be finite and > 0")
+        if not (0 < self.lr < math.inf and 0 < self.eps < math.inf  # NaN too
+                and 1.0 / self.eps < math.inf):  # the preconditioner's clamp
+            raise ConfigurationError("lr and eps (adam_eps) must be finite and"
+                                     " > 0, eps >= ~5.6e-309 (1/eps finite)")
         if not (0 <= self.weight_decay < math.inf
                 and 0 <= self.align_coef < math.inf):
             raise ConfigurationError(

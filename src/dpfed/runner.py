@@ -18,11 +18,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .accounting import PrivacyLedger, compose_and_convert, third_party_epsilon
+from .accounting import PrivacyLedger, compose_and_convert
 from .blocks import ConfigurationError
 from .data import (dirichlet_partition, load_csv, make_blobs,
                    make_client_quadratics, quadratic_client_data)
-from .diagnostics import MetricRecord, client_drift, cross_client_var_v
+from .diagnostics import client_drift, cross_client_var_v
 from .dp import DOMAIN_INIT, DPConfig, NoiseStream
 from .federation import (STRATEGY_BY_VARIANT, RoundState, payload_count,
                          run_round)
@@ -30,7 +30,22 @@ from .models import build_model
 from .optimizer import AdamWParams, DivergenceError
 
 METRICS_COLUMNS = ("t", "global_loss", "global_acc", "var_v", "drift",
-                   "uplink", "downlink", "eps_rdp", "eps_paper")
+                   "uplink", "downlink", "eps_rdp")
+
+
+@dataclass
+class MetricRecord:
+    """One row of metrics.csv, field for field in METRICS_COLUMNS' order."""
+
+    t: int
+    global_loss: float
+    global_accuracy: float  # nan for regression-style models
+    var_v: float
+    drift: float
+    uplink_floats: int
+    downlink_floats: int
+    eps_rdp: float
+
 
 # Fields that do not change what a run computes.
 _NON_SEMANTIC_FIELDS = ("output_dir",)
@@ -199,10 +214,11 @@ def config_from_strings(values: dict[str, str]) -> RunConfig:
 
 @dataclass
 class RunSummary:
+    """A run's result: eps_rdp, the composed RDP bound, is its one epsilon."""
+
     final_loss: float
     final_accuracy: float
     eps_rdp: float
-    eps_paper: float
     wall_time_s: float
     config_hash: str
     metrics: list[MetricRecord]
@@ -235,17 +251,14 @@ def _build_problem(config: RunConfig, stream: NoiseStream):
     return model, fed, dp_cfg
 
 
-def account_round(config: RunConfig, ledger: PrivacyLedger,
-                  t: int) -> tuple[float, float]:
-    """Charge round t's K steps to the ledger; (eps_rdp, eps_paper) after
-    it. A round released without noise (sigma = 0) has no finite guarantee."""
+def account_round(config: RunConfig, ledger: PrivacyLedger) -> float:
+    """Charge one round's K steps to the ledger; eps_rdp after it. A round
+    released without noise (sigma = 0) has no finite guarantee."""
     if config.noise_multiplier == 0:
-        return math.inf, math.inf
+        return math.inf
     ledger.add_event(config.noise_multiplier, config.sample_rate,
                      config.local_steps)
-    return (compose_and_convert(ledger, config.delta).epsilon,
-            third_party_epsilon(config.sample_rate, t, config.local_steps,
-                                config.delta, config.noise_multiplier))
+    return compose_and_convert(ledger, config.delta).epsilon
 
 
 def run(config: RunConfig) -> RunSummary:
@@ -273,7 +286,6 @@ def run(config: RunConfig) -> RunSummary:
 
     records: list[MetricRecord] = []
     eps_rdp = 0.0
-    eps_paper = 0.0
     selected = config.selected_clients  # Fraction arithmetic: once a run
     for _ in range(config.rounds):
         try:
@@ -284,7 +296,7 @@ def run(config: RunConfig) -> RunSummary:
             _write_csv(config.output_dir, "metrics.csv", METRICS_COLUMNS,
                        map(astuple, records))
             raise
-        eps_rdp, eps_paper = account_round(config, ledger, state.t)
+        eps_rdp = account_round(config, ledger)
         loss, acc = model.evaluate(state.theta, *fed.pooled)
         S = len(report.client_ids)
         records.append(MetricRecord(
@@ -292,8 +304,7 @@ def run(config: RunConfig) -> RunSummary:
             var_v=cross_client_var_v(report.v) if S >= 2 else float("nan"),
             drift=client_drift(report.theta) if S >= 2 else float("nan"),
             uplink_floats=per_client_payload[0] * S,
-            downlink_floats=per_client_payload[1] * S,
-            eps_rdp=eps_rdp, eps_paper=eps_paper))
+            downlink_floats=per_client_payload[1] * S, eps_rdp=eps_rdp))
 
     if records:  # theta has not moved since the last round's evaluation
         last = records[-1]
@@ -303,8 +314,7 @@ def run(config: RunConfig) -> RunSummary:
     _write_csv(config.output_dir, "metrics.csv", METRICS_COLUMNS,
                map(astuple, records))
     summary = RunSummary(final_loss=final_loss, final_accuracy=final_acc,
-                         eps_rdp=eps_rdp, eps_paper=eps_paper,
-                         wall_time_s=time.perf_counter() - start,
+                         eps_rdp=eps_rdp, wall_time_s=time.perf_counter() - start,
                          config_hash=config.config_hash(), metrics=records)
     _write_summary_json(config.output_dir, config, summary)
     return summary
@@ -335,7 +345,6 @@ def _write_summary_json(out_dir: str, config: RunConfig,
         "final_loss": summary.final_loss,
         "final_accuracy": summary.final_accuracy,
         "eps_rdp": summary.eps_rdp,
-        "eps_paper": summary.eps_paper,
     }
     _write_text(out_dir, "summary.json",
                 json.dumps(payload, indent=2, allow_nan=True) + "\n")

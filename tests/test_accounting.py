@@ -294,10 +294,10 @@ def test_third_party_epsilon_can_understate():
     for _ in range(10):
         ledger.add_event(1.0, 0.01, 1)
     eps_rdp = compose_and_convert(ledger, 1e-5).epsilon
-    eps_paper = third_party_epsilon(0.01, 10, 1, 1e-5, 1.0)
-    assert eps_paper == pytest.approx(0.4208, abs=1e-4)
+    eps_ref = third_party_epsilon(0.01, 10, 1, 1e-5, 1.0)
+    assert eps_ref == pytest.approx(0.4208, abs=1e-4)
     assert eps_rdp == pytest.approx(1.4569, abs=1e-4)
-    assert eps_paper < eps_rdp / 3
+    assert eps_ref < eps_rdp / 3
 
 
 def test_third_party_epsilon_structure():

@@ -124,6 +124,14 @@ def test_partition_validation():
         dirichlet_partition(X, y, 5, 0.0, NoiseStream(0))
 
 
+def test_partition_rejects_more_clients_than_rows():
+    # Checked before the first draw: no draw could fill every client.
+    X, y = blob_data(n=50)
+    with pytest.raises(ConfigurationError,
+                       match="num_clients=51 exceeds the 50 rows"):
+        dirichlet_partition(X, y, len(y) + 1, 0.5, NoiseStream(0))
+
+
 def test_quadratic_centers_iid_limit():
     centers = make_client_quadratics(4, 6, 0.0, NoiseStream(0))
     assert np.allclose(centers, centers[0][None, :])

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -33,7 +34,7 @@ def small_config(tmp_path, **kw):
 def test_zero_rounds_run(tmp_path):
     cfg = small_config(tmp_path, rounds=0)
     summary = run(cfg)
-    assert summary.eps_rdp == 0.0 and summary.eps_paper == 0.0
+    assert summary.eps_rdp == 0.0
     assert math.isfinite(summary.final_loss)
     csv = (tmp_path / "out" / "metrics.csv").read_text()
     assert csv == ",".join(METRICS_COLUMNS) + "\n"  # header only
@@ -44,23 +45,22 @@ def test_zero_noise_reports_infinite_epsilon(tmp_path, capsys):
     # Without noise nothing is private: a run of >= 1 round must not
     # claim a finite epsilon, in any artifact or on the command line.
     summary = run(small_config(tmp_path, noise_multiplier=0.0))
-    assert summary.eps_rdp == math.inf and summary.eps_paper == math.inf
-    assert all(r.eps_rdp == math.inf and r.eps_paper == math.inf
-               for r in summary.metrics)
+    assert summary.eps_rdp == math.inf
+    assert all(r.eps_rdp == math.inf for r in summary.metrics)
     rows = (tmp_path / "out" / "metrics.csv").read_text().splitlines()[1:]
-    assert [row.split(",")[-2:] for row in rows] == [["inf", "inf"]] * 2
+    assert [row.split(",")[-1] for row in rows] == ["inf"] * 2
     text = (tmp_path / "out" / "summary.json").read_text()
-    assert '"eps_rdp": Infinity' in text and '"eps_paper": Infinity' in text
+    assert '"eps_rdp": Infinity' in text
     assert json.loads(text)["eps_rdp"] == math.inf
     zero = run(small_config(tmp_path, noise_multiplier=0.0, rounds=0))
-    assert zero.eps_rdp == 0.0 and zero.eps_paper == 0.0
+    assert zero.eps_rdp == 0.0
     rc = cli_main(["run", "--model", "quadratic", "--dataset", "quadratics",
                    "--dim", "3", "--num_clients", "3", "--rounds", "1",
                    "--local_steps", "1", "--sample_rate", "0.5",
                    "--samples_per_client", "10", "--noise_multiplier", "0",
                    "--output_dir", str(tmp_path / "cli")])
     assert rc == 0
-    assert "eps_rdp=inf eps_paper=inf" in capsys.readouterr().out
+    assert "eps_rdp=inf wall_time_s=" in capsys.readouterr().out
 
 
 def test_divergence_keeps_completed_rounds(tmp_path, monkeypatch):
@@ -109,7 +109,7 @@ def test_csv_schema_and_float_roundtrip(tmp_path):
     summary = run(cfg)
     lines = (tmp_path / "out" / "metrics.csv").read_text(
         encoding="utf-8").split("\n")
-    assert lines[0] == "t,global_loss,global_acc,var_v,drift,uplink,downlink,eps_rdp,eps_paper"
+    assert lines[0] == "t,global_loss,global_acc,var_v,drift,uplink,downlink,eps_rdp"
     assert lines[-1] == ""  # trailing LF
     body = lines[1:-1]
     assert len(body) == cfg.rounds
@@ -117,8 +117,13 @@ def test_csv_schema_and_float_roundtrip(tmp_path):
     assert int(last[0]) == cfg.rounds
     # 17-significant-digit floats round-trip exactly
     assert float(last[1]) == summary.final_loss
-    assert float(last[7]) == summary.eps_rdp
-    assert float(last[8]) == summary.eps_paper
+    assert len(last) == 8 and float(last[7]) == summary.eps_rdp
+
+
+def test_readme_lists_the_metrics_columns():
+    # Quoted whole, so a column list that only starts with it is stale too.
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    assert f"`{','.join(METRICS_COLUMNS)}`" in readme.read_text("utf-8")
 
 
 def test_summary_json_fields(tmp_path):
@@ -127,7 +132,7 @@ def test_summary_json_fields(tmp_path):
     payload = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert list(payload) == ["config_hash", "variant", "model", "seed",
                              "rounds", "final_loss", "final_accuracy",
-                             "eps_rdp", "eps_paper"]
+                             "eps_rdp"]
     assert payload["config_hash"] == cfg.config_hash()
     assert payload["final_loss"] == summary.final_loss
 
@@ -519,7 +524,7 @@ def test_cli_account_table(capsys):
                    "--rounds", "4", "--every", "2"])
     assert rc == 0
     lines = capsys.readouterr().out.strip().split("\n")
-    assert lines[0] == "round,eps_rdp,eps_paper"
+    assert lines[0] == "round,eps_rdp"
     assert [int(l.split(",")[0]) for l in lines[1:]] == [2, 4]
     eps = [float(l.split(",")[1]) for l in lines[1:]]
     assert 0 < eps[0] < eps[1]
@@ -559,10 +564,9 @@ def test_cli_account_zero_sigma_is_unbounded(tmp_path, capsys):
                    "--sample_rate", "0.1", "--local_steps", "1",
                    "--rounds", "3", "--every", "2"])
     assert rc == 0
-    assert capsys.readouterr().out == ("round,eps_rdp,eps_paper\n"
-                                       "2,inf,inf\n3,inf,inf\n")
+    assert capsys.readouterr().out == "round,eps_rdp\n2,inf\n3,inf\n"
     summary = run(small_config(tmp_path, noise_multiplier=0.0, rounds=3))
-    assert summary.eps_rdp == summary.eps_paper == math.inf
+    assert summary.eps_rdp == math.inf
 
 
 QUICK_RUN = ["--model", "quadratic", "--dataset", "quadratics", "--dim", "3",
@@ -609,6 +613,23 @@ def test_cli_malformed_input_exits_2_naming_the_key(tmp_path, capsys, base,
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
     assert key != "dataset" or value in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_adam_eps_with_infinite_reciprocal_rejected(tmp_path, capsys):
+    # 1/eps is the preconditioner's clamp: below ~5.6e-309 it overflows,
+    # which used to end the run as a divergence after numpy warnings.
+    with pytest.raises(ConfigurationError, match="adam_eps"):
+        RunConfig(adam_eps=1e-320)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli_main(["run", "--rounds", "2", "--local_steps", "2",
+                       "--adam_eps", "1e-320",
+                       "--output_dir", str(tmp_path / "out")])
+    assert rc == 2 and caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "adam_eps" in err
+    assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
