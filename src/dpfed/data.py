@@ -87,7 +87,8 @@ def make_blobs(num_classes: int, num_features: int, num_samples: int,
     rng = stream.rng((DOMAIN_DATA, 1))
     centers = 2.0 * rng.standard_normal((num_classes, num_features))
     y = rng.integers(0, num_classes, num_samples)
-    X = centers[y] + rng.standard_normal((num_samples, num_features))
+    X = rng.standard_normal((num_samples, num_features))
+    X += centers[y]  # in place: each entry is the sum centers[y] + noise
     return X, y
 
 

@@ -25,7 +25,8 @@ its own carrier: its rows are E, clipped at C and summed in order.
 A round's S clients are clipped as one batch: client i's rows are
 rows[i]:rows[i + 1] of the factors, every clip operation is per row, and
 each client's rows are summed and noised on their own, so its mean is
-bitwise the one its batch gives alone.
+bitwise the one its batch gives alone. Each client's E'^T A and column
+sums are written straight into its row of the one (S, d) result.
 """
 from __future__ import annotations
 
@@ -157,8 +158,14 @@ def _factored_clipped_sum(layers, clip_norm: float, rows) -> np.ndarray:
     out = np.empty((len(bounds), sum(e.shape[1] * (A.shape[1] + 1)
                                      for e, A in errors)))
     for row, (lo, hi) in zip(out, bounds):
-        np.concatenate([part for e, A in errors for part in (
-            (e[lo:hi].T @ A[lo:hi]).ravel(), e[lo:hi].sum(axis=0))], out=row)
+        col = 0  # this client's E'^T A and column sum of E', per layer
+        for e, A in errors:
+            n_out, n_in = e.shape[1], A.shape[1]
+            np.matmul(e[lo:hi].T, A[lo:hi],
+                      out=row[col:col + n_out * n_in].reshape(n_out, n_in))
+            col += n_out * n_in
+            e[lo:hi].sum(axis=0, out=row[col:col + n_out])
+            col += n_out
     return out
 
 

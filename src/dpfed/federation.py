@@ -78,14 +78,22 @@ def run_client(model: Model, round_state: RoundState, client_ids,
                fed: FederatedDataset, dp_cfg: DPConfig, opt: AdamWParams,
                variant: str, local_steps: int, stream: NoiseStream,
                ) -> RoundReport:
-    """K private local steps of each client in ``client_ids``, clients of
-    ``fed``; returns their report, rows in that order.
+    """K private local steps of each client in ``client_ids``, one or more
+    strictly ascending ids of clients of ``fed``; returns their report,
+    rows in that order.
     A client's batch size floor(s * R) for its R rows and its noise std
     follow from its row count; its K batches and noise vectors come from
     one generator keyed (t, client), so its report does not depend on the
     others."""
     if variant not in STRATEGY_BY_VARIANT:
         raise ConfigurationError(f"unknown variant {variant!r}")
+    ids, num_clients = np.asarray(client_ids), len(fed.bounds) - 1
+    if not (ids.ndim == 1 and ids.size and ids.dtype.kind in "iu"
+            and 0 <= ids[0] and ids[-1] < num_clients
+            and (ids[1:] > ids[:-1]).all()):
+        raise ConfigurationError(
+            "client_ids must be one or more strictly ascending integers in "
+            f"[0, {num_clients}), got {ids.tolist()}")
     X, y = fed.pooled
     starts = [fed.bounds[cid] for cid in client_ids]
     counts = [fed.bounds[cid + 1] - lo for cid, lo in zip(client_ids, starts)]
@@ -106,9 +114,10 @@ def run_client(model: Model, round_state: RoundState, client_ids,
     rngs = [stream.rng((DOMAIN_BATCH, round_state.t, cid))
             for cid in client_ids]
     for _ in range(local_steps):
-        idx = np.concatenate([np.sort(rng.choice(n, size=b, replace=False))
+        idx = np.concatenate([rng.choice(n, size=b, replace=False)
                               for rng, n, b in zip(rngs, counts, sizes)])
         idx += offsets
+        idx.sort()  # sorts each client's rows: their ranges are disjoint
         grads = model.per_sample_grads(theta, X[idx], y[idx], rows)
         g = noisy_batch_mean(grads, dp_cfg, rngs, rows)
         if sgd:
@@ -118,7 +127,7 @@ def run_client(model: Model, round_state: RoundState, client_ids,
             precond = (1.0 if opt.identity_preconditioner
                        else corrected_preconditioner(v_hat, tau, opt.eps))
         theta = local_step(theta, m_hat, precond, delta_g, opt)
-    return RoundReport(np.asarray(client_ids), theta - round_state.theta,
+    return RoundReport(ids, theta - round_state.theta,
                        block_mean(state.v, model.layout), state.v, theta)
 
 

@@ -34,16 +34,20 @@ def _row_max(z: np.ndarray) -> np.ndarray:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - _row_max(z))
+    e = z - _row_max(z)
+    np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
 def _log_softmax_at(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """log softmax(z[i])[y[i]] per row i: the full log-softmax's z - max,
-    exp, sum and log, subtracted at the label entries only."""
+    exp, sum and log, subtracted at the label entries only. z is left
+    unchanged: the exp runs in place on the shifted copy, after the label
+    entries are read from it."""
     z = z - _row_max(z)
-    return z[np.arange(len(y)), y] - np.log(np.exp(z).sum(axis=-1))
+    at = z[np.arange(len(y)), y]
+    return at - np.log(np.exp(z, out=z).sum(axis=-1))
 
 
 class Model:
@@ -142,16 +146,19 @@ class SoftmaxModel(Model):
 
     def _forward(self, theta, X, rows=None):
         """Each layer's (input, per-client W), the logits and the clients'
-        row bounds; the matmuls run per client, row-wise ops on all rows."""
+        row bounds; the matmuls run per client, each into its rows of the
+        layer's one (n, out) output, and row-wise ops on all rows."""
         theta, bounds = self._stack(theta, len(X), rows)
         layers, a = [], X
         for w, shape, b in self._layers:
             if layers:
-                a = np.tanh(z)
+                a = np.tanh(z, out=z)
             Ws = [t[w].reshape(shape) for t in theta]
             layers.append((a, Ws))
-            z = np.concatenate([a[lo:hi] @ W.T + t[b]
-                                for (lo, hi), W, t in zip(bounds, Ws, theta)])
+            z = np.empty((len(a), shape[0]))
+            for (lo, hi), W, t in zip(bounds, Ws, theta):
+                np.matmul(a[lo:hi], W.T, out=z[lo:hi])
+                z[lo:hi] += t[b]
         return layers, z, bounds
 
     def batch_loss(self, theta, X, y):
@@ -166,8 +173,10 @@ class SoftmaxModel(Model):
             a, Ws = layers[i]
             factors.append((err, a))
             if i:
-                err = np.concatenate([err[lo:hi] @ W for (lo, hi), W
-                                      in zip(bounds, Ws)]) * (1.0 - a * a)
+                back = np.empty_like(a)
+                for (lo, hi), W in zip(bounds, Ws):
+                    np.matmul(err[lo:hi], W, out=back[lo:hi])
+                err = np.multiply(back, 1.0 - a * a, out=back)
         return factors[::-1]
 
     def predict(self, theta, X):

@@ -11,9 +11,10 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import os
 import time
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -45,6 +46,10 @@ class MetricRecord:
     uplink_floats: int
     downlink_floats: int
     eps_rdp: float
+
+
+# A record's fields as a flat tuple, without astuple's recursive deep copy.
+_metric_fields = operator.attrgetter(*(f.name for f in fields(MetricRecord)))
 
 
 # Fields that do not change what a run computes.
@@ -294,7 +299,7 @@ def run(config: RunConfig) -> RunSummary:
                 config.local_steps, selected, stream)
         except DivergenceError:
             _write_csv(config.output_dir, "metrics.csv", METRICS_COLUMNS,
-                       map(astuple, records))
+                       map(_metric_fields, records))
             raise
         eps_rdp = account_round(config, ledger)
         loss, acc = model.evaluate(state.theta, *fed.pooled)
@@ -312,7 +317,7 @@ def run(config: RunConfig) -> RunSummary:
     else:
         final_loss, final_acc = model.evaluate(state.theta, *fed.pooled)
     _write_csv(config.output_dir, "metrics.csv", METRICS_COLUMNS,
-               map(astuple, records))
+               map(_metric_fields, records))
     summary = RunSummary(final_loss=final_loss, final_accuracy=final_acc,
                          eps_rdp=eps_rdp, wall_time_s=time.perf_counter() - start,
                          config_hash=config.config_hash(), metrics=records)

@@ -154,6 +154,17 @@ def test_heterogeneity_knob_monotone():
     assert means[0] < means[1] < means[2]
 
 
+def test_make_blobs_is_centers_plus_noise():
+    # The noise is drawn into X and the centers are added in place: X is
+    # bitwise centers[y] + noise drawn from the same DOMAIN_DATA key.
+    X, y = blob_data(seed=3, n=500, classes=5, p=7)
+    rng = NoiseStream(3).rng((DOMAIN_DATA, 1))
+    centers = 2.0 * rng.standard_normal((5, 7))
+    assert np.array_equal(y, rng.integers(0, 5, 500))
+    assert X.tobytes() == (centers[y]
+                           + rng.standard_normal((500, 7))).tobytes()
+
+
 def test_quadratic_client_data_shapes():
     centers = make_client_quadratics(3, 4, 1.0, NoiseStream(0))
     fed = quadratic_client_data(centers, 12, NoiseStream(0), jitter=0.05)

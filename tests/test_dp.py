@@ -336,6 +336,8 @@ def test_factored_row_whose_scale_overflows():
 def test_factored_rows_never_exceed_clip_norm():
     # A one-row batch's mean is its assembled clipped row. Over 100k rows
     # with norms from 1e-3 C to 1e3 C, many landing on C, none is past C.
+    # Each row is its own client of one round, which gives bitwise its
+    # one-row batch alone (every clip operation is per row).
     rng = np.random.default_rng(37)
     C = 0.7
     worst = 0.0
@@ -343,11 +345,9 @@ def test_factored_rows_never_exceed_clip_norm():
         norms = C * np.concatenate([10.0 ** rng.uniform(-3, 3, 40_000),
                                     np.ones(10_000)])
         factors = factors_at_norms(kind, norms, rng)
-        c = cfg(C=C, sigma=0.0)
-        for i in range(len(norms)):
-            row = mean_of([(E[i:i + 1], A[i:i + 1]) for E, A in factors],
-                          c, None)
-            worst = max(worst, np.linalg.norm(row))
+        means = noisy_batch_mean(factors, cfg(C=C, sigma=0.0),
+                                 [None] * len(norms), range(len(norms) + 1))
+        worst = max(worst, dp._row_norms(means).max())
     assert worst <= C
 
 

@@ -207,6 +207,19 @@ def test_unknown_variant_rejected_by_run_client():
         client_reports("dp_fedyogi", state, AdamWParams(lr=0.1))
 
 
+@pytest.mark.parametrize("ids", [[2], [-1], [0, 0], [1, 0]],
+                         ids=["past_N", "negative", "repeated", "descending"])
+def test_run_client_rejects_ids_not_strictly_ascending_in_range(ids):
+    # A step draws every client's batch and sorts the pooled row indices
+    # once, which keeps each client's rows in place only for ascending,
+    # distinct ids of existing clients (here N = 2).
+    state = RoundState(np.zeros(3), np.zeros(1), np.zeros(3))
+    model, data, cfg, _ = quadratic_setup()
+    with pytest.raises(ConfigurationError, match="client_ids"):
+        run_client(model, state, ids, data, cfg, AdamWParams(lr=0.1),
+                   "dp_fedadamw", 3, NoiseStream(7))
+
+
 def test_payload_counts():
     d, B = 5_700_000, 1000
     up_noagg, down_noagg = payload_count("noagg", d, B)

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import dense_grads
 from dpfed.blocks import ConfigurationError
+from dpfed.data import make_blobs
+from dpfed.dp import NoiseStream
 from dpfed.models import _log_softmax_at, _row_max, _softmax, build_model
 
 RNG = np.random.default_rng(12345)
@@ -218,6 +221,65 @@ def test_evaluate_is_batch_loss_and_accuracy(kind):
     z = z - z.max(axis=-1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
     assert loss == float(-logp[np.arange(len(y)), y].mean())
+
+
+@pytest.mark.parametrize("kind", ["logistic", "mlp2"])
+def test_one_client_theta_is_the_stack_of_one(kind):
+    # A 1-D theta runs the (S, d) path with S = 1: the forward pass and the
+    # global evaluation are bitwise those of theta[None] over all n rows.
+    m = make(kind)
+    rng = np.random.default_rng(29)
+    theta = rng.standard_normal(m.d)
+    X, y = random_batch(m, rng, n=40)
+    layers, z, _ = m._forward(theta, X)
+    layers1, z1, _ = m._forward(theta[None], X, (0, 40))
+    assert z.tobytes() == z1.tobytes()
+    for (a, _), (a1, _) in zip(layers, layers1):
+        assert a.tobytes() == a1.tobytes()
+    loss, acc = m.evaluate(theta, X, y)
+    assert loss == float(-_log_softmax_at(z1, y).mean())
+    assert acc == float(np.mean(np.argmax(z1, axis=1) == y))
+
+
+def test_mlp2_stacked_backward_equals_each_client_alone():
+    # Each client's hidden-layer error comes from its own W2 and rows,
+    # written into its rows of one buffer: bitwise its own backward pass.
+    m = make("mlp2")
+    rng = np.random.default_rng(31)
+    rows = (0, 1, 7, 7 + 12)
+    theta = rng.standard_normal((3, m.d))
+    X, y = random_batch(m, rng, n=rows[-1])
+    got = m.per_sample_grads(theta, X, y, rows)
+    for i, (lo, hi) in enumerate(zip(rows[:-1], rows[1:])):
+        alone = m.per_sample_grads(theta[i], X[lo:hi], y[lo:hi])
+        for (E, A), (E1, A1) in zip(got, alone):
+            assert E[lo:hi].tobytes() == E1.tobytes()
+            assert A[lo:hi].tobytes() == A1.tobytes()
+
+
+def test_log_softmax_at_leaves_its_argument_unchanged():
+    z = RNG.standard_normal((6, 4))
+    before = z.copy()
+    _log_softmax_at(z, np.array([0, 1, 2, 3, 0, 1]))
+    _softmax(z)
+    assert z.tobytes() == before.tobytes()
+
+
+def test_evaluate_peak_memory_is_bounded_by_the_logits():
+    # On logistic_blobs-sized data (5000 rows, 20 features, 10 classes)
+    # the evaluation holds the logits and one shifted copy, each written
+    # in place, and a few per-row vectors: at most 2.5x the logits' bytes.
+    m = build_model("logistic", num_features=20, num_classes=10)
+    X, y = make_blobs(10, 20, 5000, NoiseStream(0))
+    theta = m.init_params(np.random.default_rng(0))
+    m.evaluate(theta, X, y)
+    tracemalloc.start()
+    try:
+        m.evaluate(theta, X, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 5000 * 10 * 8
 
 
 def test_row_max_equals_max_over_last_axis():
