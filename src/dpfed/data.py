@@ -31,11 +31,6 @@ class FederatedDataset:
         self.X.flags.writeable = self.y.flags.writeable = False
 
     @property
-    def pooled(self) -> tuple[np.ndarray, np.ndarray]:
-        """The evaluation set: every client's rows in client order."""
-        return self.X, self.y
-
-    @property
     def clients(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per-client (features, labels) views of the pooled rows."""
         return [(self.X[lo:hi], self.y[lo:hi])

@@ -21,15 +21,14 @@ def cross_client_var_v(v_vectors: np.ndarray) -> float:
     """Mean over coordinates of the unbiased variance across S clients' v."""
     if len(v_vectors) < 2:
         raise ConfigurationError("need at least 2 clients for a variance")
-    stacked = np.stack(v_vectors)
-    return float(np.var(stacked, axis=0, ddof=1).mean())
+    return float(np.var(np.asarray(v_vectors), axis=0, ddof=1).mean())
 
 
 def client_drift(endpoints: np.ndarray) -> float:
     """Mean squared distance of S client endpoints (rows) to their mean."""
     if len(endpoints) < 2:
         raise ConfigurationError("need at least 2 clients for drift")
-    stacked = np.stack(endpoints)
+    stacked = np.asarray(endpoints)
     centered = stacked - stacked.mean(axis=0, keepdims=True)
     return float(np.mean(np.sum(centered * centered, axis=1)))
 

@@ -149,23 +149,19 @@ def _factored_clipped_sum(layers, clip_norm: float, rows) -> np.ndarray:
         scaled = np.concatenate([E * s for (E, _), s in zip(layers, scales)],
                                 axis=1)
     carrier = clip_batch(scaled, clip_norm * _CARRIER_CLIP)
-    errors, col = [], 0
+    out = np.empty((len(bounds), sum(E.shape[1] * (A.shape[1] + 1)
+                                     for E, A in layers)))
+    c = col = 0  # this layer's first carrier column and first entry in out
     for (E, A), s in zip(layers, scales):
-        e = carrier[:, col:col + E.shape[1]]
+        n_out, n_in = E.shape[1], A.shape[1]
+        e = carrier[:, c:c + n_out]
         e /= s  # in place: this layer's clipped output errors E'
-        col += E.shape[1]
-        errors.append((e, A))
-    out = np.empty((len(bounds), sum(e.shape[1] * (A.shape[1] + 1)
-                                     for e, A in errors)))
-    for row, (lo, hi) in zip(out, bounds):
-        col = 0  # this client's E'^T A and column sum of E', per layer
-        for e, A in errors:
-            n_out, n_in = e.shape[1], A.shape[1]
-            np.matmul(e[lo:hi].T, A[lo:hi],
-                      out=row[col:col + n_out * n_in].reshape(n_out, n_in))
-            col += n_out * n_in
-            e[lo:hi].sum(axis=0, out=row[col:col + n_out])
-            col += n_out
+        W = out[:, col:col + n_out * n_in].reshape(len(out), n_out, n_in)
+        b = out[:, col + n_out * n_in:col + n_out * (n_in + 1)]
+        for Wi, bi, (lo, hi) in zip(W, b, bounds):  # each client's rows
+            np.matmul(e[lo:hi].T, A[lo:hi], out=Wi)
+            e[lo:hi].sum(axis=0, out=bi)
+        c, col = c + n_out, col + n_out * (n_in + 1)
     return out
 
 

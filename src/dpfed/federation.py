@@ -94,7 +94,7 @@ def run_client(model: Model, round_state: RoundState, client_ids,
         raise ConfigurationError(
             "client_ids must be one or more strictly ascending integers in "
             f"[0, {num_clients}), got {ids.tolist()}")
-    X, y = fed.pooled
+    X, y = fed.X, fed.y
     starts = [fed.bounds[cid] for cid in client_ids]
     counts = [fed.bounds[cid + 1] - lo for cid, lo in zip(client_ids, starts)]
     sizes = [dp_cfg.batch_size(n) for n in counts]

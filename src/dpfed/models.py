@@ -51,14 +51,16 @@ def _log_softmax_at(z: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 class Model:
-    """Common interface: flat dim ``d``, a BlockLayout, loss and gradients."""
+    """Common interface: flat dim ``d``, a BlockLayout, loss and gradients.
+    Each model's ``evaluate(theta, X, y)`` is the (mean loss, accuracy) of
+    one theta, the accuracy NaN for a model without classes."""
 
     kind: str
     d: int
     layout: BlockLayout
 
     def batch_loss(self, theta, X, y) -> float:
-        raise NotImplementedError
+        return self.evaluate(theta, X, y)[0]
 
     def per_sample_grads(self, theta, X, y, rows=None
                          ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -68,11 +70,6 @@ class Model:
         An (S, d) theta stacks S clients' parameters; client i's samples
         are rows[i]:rows[i + 1] of X and y. A 1-D theta is one client."""
         raise NotImplementedError
-
-    def evaluate(self, theta, X, y) -> tuple[float, float]:
-        """(batch_loss, accuracy) of one theta on (X, y); the accuracy is
-        NaN for a model without classes."""
-        return self.batch_loss(theta, X, y), float("nan")
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(-0.1, 0.1, self.d)
@@ -107,10 +104,10 @@ class QuadraticModel(Model):
         self.d = self.dim
         self.layout = BlockLayout.from_sizes([self.d])
 
-    def batch_loss(self, theta, X, y):
+    def evaluate(self, theta, X, y):
         self._check_dim(theta)
         r = theta[None, :] - X
-        return float(0.5 * np.mean(np.sum(r * r, axis=1)))
+        return float(0.5 * np.mean(np.sum(r * r, axis=1))), float("nan")
 
     def per_sample_grads(self, theta, X, y, rows=None):
         theta, bounds = self._stack(theta, len(X), rows)
@@ -160,9 +157,6 @@ class SoftmaxModel(Model):
                 np.matmul(a[lo:hi], W.T, out=z[lo:hi])
                 z[lo:hi] += t[b]
         return layers, z, bounds
-
-    def batch_loss(self, theta, X, y):
-        return float(-_log_softmax_at(self._forward(theta, X)[1], y).mean())
 
     def per_sample_grads(self, theta, X, y, rows=None):
         layers, z, bounds = self._forward(theta, X, rows)

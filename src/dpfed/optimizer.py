@@ -72,7 +72,7 @@ def init_round(shape, params: AdamWParams,
         raise ConfigurationError("v broadcast dim mismatch")
     if np.any(v < 0):
         raise ConfigurationError("v broadcast must be non-negative")
-    return DPAdamWState(m=m, v=np.array(np.broadcast_to(v, m.shape)), k=0,
+    return DPAdamWState(m=m, v=np.broadcast_to(v, m.shape).copy(), k=0,
                         params=params)
 
 

@@ -11,11 +11,11 @@ import hashlib
 import itertools
 import json
 import math
-import operator
 import os
 import time
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +34,7 @@ METRICS_COLUMNS = ("t", "global_loss", "global_acc", "var_v", "drift",
                    "uplink", "downlink", "eps_rdp")
 
 
-@dataclass
-class MetricRecord:
+class MetricRecord(NamedTuple):
     """One row of metrics.csv, field for field in METRICS_COLUMNS' order."""
 
     t: int
@@ -46,10 +45,6 @@ class MetricRecord:
     uplink_floats: int
     downlink_floats: int
     eps_rdp: float
-
-
-# A record's fields as a flat tuple, without astuple's recursive deep copy.
-_metric_fields = operator.attrgetter(*(f.name for f in fields(MetricRecord)))
 
 
 # Fields that do not change what a run computes.
@@ -299,10 +294,10 @@ def run(config: RunConfig) -> RunSummary:
                 config.local_steps, selected, stream)
         except DivergenceError:
             _write_csv(config.output_dir, "metrics.csv", METRICS_COLUMNS,
-                       map(_metric_fields, records))
+                       records)
             raise
         eps_rdp = account_round(config, ledger)
-        loss, acc = model.evaluate(state.theta, *fed.pooled)
+        loss, acc = model.evaluate(state.theta, fed.X, fed.y)
         S = len(report.client_ids)
         records.append(MetricRecord(
             t=state.t, global_loss=loss, global_accuracy=acc,
@@ -315,9 +310,8 @@ def run(config: RunConfig) -> RunSummary:
         last = records[-1]
         final_loss, final_acc = last.global_loss, last.global_accuracy
     else:
-        final_loss, final_acc = model.evaluate(state.theta, *fed.pooled)
-    _write_csv(config.output_dir, "metrics.csv", METRICS_COLUMNS,
-               map(_metric_fields, records))
+        final_loss, final_acc = model.evaluate(state.theta, fed.X, fed.y)
+    _write_csv(config.output_dir, "metrics.csv", METRICS_COLUMNS, records)
     summary = RunSummary(final_loss=final_loss, final_accuracy=final_acc,
                          eps_rdp=eps_rdp, wall_time_s=time.perf_counter() - start,
                          config_hash=config.config_hash(), metrics=records)

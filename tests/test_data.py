@@ -18,10 +18,9 @@ def test_partition_is_exact():
     X, y = blob_data()
     fed = dirichlet_partition(X, y, 5, 0.5, NoiseStream(1))
     assert sum(len(yc) for _, yc in fed.clients) == len(y)
-    seen, seen_y = fed.pooled  # the evaluation set: clients in order
+    seen, seen_y = fed.X, fed.y  # the evaluation set: clients in order
     assert np.array_equal(seen, np.concatenate([c[0] for c in fed.clients]))
     assert np.array_equal(seen_y, np.concatenate([c[1] for c in fed.clients]))
-    assert fed.pooled[0] is seen  # one pooled copy, not rebuilt
     # Clients are read-only views of the pooled rows, in ascending bounds.
     assert fed.bounds[0] == 0 and fed.bounds[-1] == len(y)
     assert all(lo < hi for lo, hi in zip(fed.bounds[:-1], fed.bounds[1:]))

@@ -25,6 +25,10 @@ def test_init_round_warm_start_from_block_means():
     st = init_round(4, params(), v_broadcast=vb)
     assert np.array_equal(st.v, [1.5, 1.5, 3.5, 3.5])
     assert st.v is not vb
+    # S clients' rows start at the same v, in C order like m.
+    st = init_round((3, 4), params(), v_broadcast=vb)
+    assert np.array_equal(st.v, np.tile(vb, (3, 1)))
+    assert st.v.flags.c_contiguous and st.v.flags.writeable
 
 
 def test_init_round_rejects_bad_broadcast():

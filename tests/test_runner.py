@@ -118,6 +118,10 @@ def test_csv_schema_and_float_roundtrip(tmp_path):
     # 17-significant-digit floats round-trip exactly
     assert float(last[1]) == summary.final_loss
     assert len(last) == 8 and float(last[7]) == summary.eps_rdp
+    # Each line is its record, field for field: ints as str, floats .17g.
+    assert body == [",".join(str(x) if isinstance(x, int) else
+                             format(x, ".17g") for x in record)
+                    for record in summary.metrics]
 
 
 def test_readme_lists_the_metrics_columns():
