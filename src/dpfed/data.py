@@ -120,7 +120,7 @@ def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
         return ConfigurationError(f"{message} (dataset {path})")
 
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
             rows = [row for row in reader if row]

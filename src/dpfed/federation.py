@@ -125,7 +125,7 @@ def run_client(model: Model, round_state: RoundState, client_ids,
         else:
             m_hat, v_hat = moment_update(state, g)
             precond = (1.0 if opt.identity_preconditioner
-                       else corrected_preconditioner(v_hat, tau, opt.eps))
+                       else corrected_preconditioner(v_hat, tau, opt.adam_eps))
         theta = local_step(theta, m_hat, precond, delta_g, opt)
     return RoundReport(ids, theta - round_state.theta,
                        block_mean(state.v, model.layout), state.v, theta)

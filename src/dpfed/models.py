@@ -19,7 +19,7 @@ input: it returns [(E, A)] with A of shape (n, 0), so its rows are E.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +55,6 @@ class Model:
     Each model's ``evaluate(theta, X, y)`` is the (mean loss, accuracy) of
     one theta, the accuracy NaN for a model without classes."""
 
-    kind: str
     d: int
     layout: BlockLayout
 
@@ -98,7 +97,6 @@ class QuadraticModel(Model):
     """0.5 * ||theta - a||^2 with sample features as center a."""
 
     dim: int
-    kind: str = field(default="quadratic", init=False)
 
     def __post_init__(self):
         self.d = self.dim
@@ -130,7 +128,6 @@ class SoftmaxModel(Model):
     def __post_init__(self):
         if self.hidden < 0:
             raise ConfigurationError("hidden must be >= 0")
-        self.kind = "mlp2" if self.hidden else "logistic"
         widths = [self.num_features, *([self.hidden] if self.hidden else []),
                   self.num_classes]
         shapes = list(zip(widths[1:], widths[:-1]))  # (out, in) per layer

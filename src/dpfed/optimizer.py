@@ -30,9 +30,9 @@ class AdamWParams:
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
-    eps: float = 1e-8
+    adam_eps: float = 1e-8
     weight_decay: float = 0.0
-    align_coef: float = 0.0  # gamma
+    gamma: float = 0.0  # weight of the alignment direction
     warm_start: bool = True  # v starts at the broadcast block means
     bias_correction: bool = True  # v_hat less the DP noise variance
     identity_preconditioner: bool = False  # ablation: step along m_hat
@@ -40,14 +40,13 @@ class AdamWParams:
     def __post_init__(self):
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigurationError("betas must lie in [0, 1)")
-        if not (0 < self.lr < math.inf and 0 < self.eps < math.inf  # NaN too
-                and 1.0 / self.eps < math.inf):  # the preconditioner's clamp
-            raise ConfigurationError("lr and eps (adam_eps) must be finite and"
-                                     " > 0, eps >= ~5.6e-309 (1/eps finite)")
-        if not (0 <= self.weight_decay < math.inf
-                and 0 <= self.align_coef < math.inf):
+        if not (0 < self.lr < math.inf and 0 < self.adam_eps < math.inf  # NaN too
+                and 1.0 / self.adam_eps < math.inf):  # the preconditioner's clamp
+            raise ConfigurationError("lr and adam_eps must be finite and > 0,"
+                                     " adam_eps >= ~5.6e-309 (1/adam_eps finite)")
+        if not (0 <= self.weight_decay < math.inf and 0 <= self.gamma < math.inf):
             raise ConfigurationError(
-                "weight_decay and align_coef (gamma) must be finite and >= 0")
+                "weight_decay and gamma must be finite and >= 0")
 
 
 @dataclass
@@ -103,10 +102,10 @@ def local_step(theta: np.ndarray, m_hat: np.ndarray,
                precond: np.ndarray | float, delta_g: np.ndarray | None,
                params: AdamWParams) -> np.ndarray:
     """One AdamW step with decoupled weight decay; it adds
-    align_coef * delta_g only when a direction is given."""
+    gamma * delta_g only when a direction is given."""
     update = m_hat * precond
-    if delta_g is not None and params.align_coef != 0.0:
-        update = update + params.align_coef * delta_g
+    if delta_g is not None and params.gamma != 0.0:
+        update = update + params.gamma * delta_g
     new_theta = theta - params.lr * update
     if params.weight_decay != 0.0:
         new_theta = new_theta - params.lr * params.weight_decay * theta

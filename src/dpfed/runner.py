@@ -123,21 +123,14 @@ class RunConfig:
             raise ConfigurationError("delta must lie in (0, 1)")
         if not (self.alpha > 0 and math.isfinite(self.alpha)):  # NaN fails too
             raise ConfigurationError("alpha must be finite and > 0")
-        # The optimizer's checks (lr, betas, adam_eps, weight_decay and
-        # gamma) and the DP mechanism's (clip_norm, noise_multiplier,
-        # sample_rate) for every variant: a bad value fails here, before
-        # any data is built.
-        self.adamw_params()
-        self.dp_config()
+        # The optimizer's and the DP mechanism's checks, for every variant:
+        # a bad value fails here, before any data is built.
+        self._settings(AdamWParams)
+        self._settings(DPConfig)
 
-    def adamw_params(self) -> AdamWParams:
-        return AdamWParams(self.lr, self.beta1, self.beta2, self.adam_eps,
-                           self.weight_decay, self.gamma, warm_start=self.warm_start,
-                           bias_correction=self.bias_correction,
-                           identity_preconditioner=self.identity_preconditioner)
-
-    def dp_config(self) -> DPConfig:
-        return DPConfig(self.clip_norm, self.noise_multiplier, self.sample_rate)
+    def _settings(self, cls):
+        """An AdamWParams or DPConfig of this config's same-named fields."""
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
 
     @property
     def selected_clients(self) -> int:
@@ -159,14 +152,12 @@ class RunConfig:
             ignored.update(_BLOBS_FIELDS)
         return ignored
 
-    def semantic_items(self) -> list[tuple[str, str]]:
-        ignored = self._ignored_fields()
-        return [(f.name, repr(f.default if f.name in ignored
-                              else getattr(self, f.name)))
-                for f in fields(self) if f.name not in _NON_SEMANTIC_FIELDS]
-
     def config_hash(self) -> str:
-        payload = "\n".join(f"{k}={v}" for k, v in sorted(self.semantic_items()))
+        ignored = self._ignored_fields()
+        items = sorted((f.name, repr(f.default if f.name in ignored
+                                     else getattr(self, f.name)))
+                       for f in fields(self) if f.name not in _NON_SEMANTIC_FIELDS)
+        payload = "\n".join(f"{k}={v}" for k, v in items)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -245,7 +236,7 @@ def _build_problem(config: RunConfig, stream: NoiseStream):
         fed = dirichlet_partition(X, y, config.num_clients, config.alpha, stream)
         model = build_model(config.model, num_features=X.shape[1],
                             num_classes=int(y.max()) + 1, hidden=config.hidden)
-    dp_cfg = config.dp_config()
+    dp_cfg = config._settings(DPConfig)
     for lo, hi in zip(fed.bounds, fed.bounds[1:]):
         dp_cfg.batch_size(hi - lo)  # a client without one full batch fails
     return model, fed, dp_cfg
@@ -279,7 +270,7 @@ def run(config: RunConfig) -> RunSummary:
                                      f"a directory named {name}")
     theta0 = model.init_params(stream.rng((DOMAIN_INIT,)))
     state = RoundState.initial(theta0, model.layout)
-    opt = config.adamw_params()
+    opt = config._settings(AdamWParams)
     ledger = PrivacyLedger()
     per_client_payload = payload_count(config.variant, model.d,
                                        model.layout.num_blocks)

@@ -20,7 +20,7 @@ from dpfed.diagnostics import bias_probe
 from dpfed.dp import DPConfig, NoiseStream, clip_batch
 from dpfed.federation import (RoundState, payload_count, run_client,
                               run_round)
-from dpfed.models import build_model
+from dpfed.models import QuadraticModel, build_model
 from dpfed.optimizer import AdamWParams, corrected_preconditioner
 from dpfed.runner import RunConfig, run
 
@@ -91,7 +91,7 @@ def test_criterion_04_gradient_oracle():
     for m in models:
         for _ in range(100):
             theta = rng.standard_normal(m.d)
-            if m.kind == "quadratic":
+            if isinstance(m, QuadraticModel):
                 X, y = rng.standard_normal((1, m.d)), np.zeros(1, dtype=int)
             else:
                 X = rng.standard_normal((1, m.num_features))
@@ -302,8 +302,8 @@ def _reduction_problem():
 def test_criterion_12_reductions():
     model, data, dp_cfg, stream = _reduction_problem()
     theta0 = model.init_params(stream.rng((3,)))
-    opt = AdamWParams(lr=0.05, beta2=0.9, eps=1e-2, weight_decay=0.0,
-                      align_coef=0.0, warm_start=False)
+    opt = AdamWParams(lr=0.05, beta2=0.9, adam_eps=1e-2, weight_decay=0.0,
+                      gamma=0.0, warm_start=False)
 
     # sigma=0, gamma=0, lambda=0, warm-start off: bit-identical variants
     trajectories = {}

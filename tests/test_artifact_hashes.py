@@ -19,10 +19,10 @@ def load(path, name, monkeypatch):
     return module
 
 
-def test_matrix_has_154_distinct_sets(monkeypatch):
+def test_matrix_has_156_distinct_sets(monkeypatch):
     tool = load(ROOT / "tools" / "artifact_hashes.py", "artifact_hashes",
                 monkeypatch)
     workloads = load(ROOT / "bench" / "workloads.py", "bench_workloads",
                      monkeypatch)
     labels = [label for label, _ in tool.matrix(workloads.WORKLOADS)]
-    assert len(labels) == len(set(labels)) == 154
+    assert len(labels) == len(set(labels)) == 156

@@ -188,6 +188,16 @@ def test_csv_roundtrip(tmp_path):
     assert np.array_equal(y, [0, 1, 1])
 
 
+def test_csv_with_utf8_bom_loads_like_plain(tmp_path):
+    # Spreadsheets save "CSV UTF-8" with a byte-order mark before f1.
+    text = b"f1,f2,label\n0.5,1.0,0\n-1.5,2.0,1\n"
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(text)
+    bom.write_bytes(b"\xef\xbb\xbf" + text)
+    (X, y), (Xb, yb) = load_csv(plain), load_csv(bom)
+    assert np.array_equal(X, Xb) and np.array_equal(y, yb)
+
+
 def test_csv_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,label\n1,2,0\n")

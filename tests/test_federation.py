@@ -116,7 +116,7 @@ def test_aggregation_linearity_power_of_two_scale():
 
 def test_round_trajectory_deterministic():
     model, data, cfg, _ = quadratic_setup(sigma=1.0)
-    opt = AdamWParams(lr=0.01, align_coef=0.5)
+    opt = AdamWParams(lr=0.01, gamma=0.5)
     outs = []
     for _ in range(2):
         state = RoundState.initial(np.zeros(3), model.layout)
@@ -169,7 +169,7 @@ def test_client_order_does_not_change_reports():
                        np.zeros(12, dtype=np.int64)) for _ in range(4)])
     state = RoundState(rng.standard_normal(3), np.full(1, 0.5),
                        rng.standard_normal(3), t=3)
-    opt = AdamWParams(lr=0.05, align_coef=0.5)
+    opt = AdamWParams(lr=0.05, gamma=0.5)
     stream = NoiseStream(8)
 
     def reports(order):
@@ -193,7 +193,7 @@ def test_baselines_ignore_broadcast_and_direction(variant):
     blank = RoundState(theta, np.zeros(1), np.zeros(3), t=2)
     rich = RoundState(theta, np.full(1, 4.0), np.array([1.0, -2.0, 3.0]), t=2)
     opt = AdamWParams(lr=0.05)
-    aligned = AdamWParams(lr=0.05, align_coef=0.5)
+    aligned = AdamWParams(lr=0.05, gamma=0.5)
     plain = client_reports(variant, blank, opt)
     assert reports_equal(plain, client_reports(variant, rich, opt))
     assert reports_equal(plain, client_reports(variant, rich, aligned))
@@ -248,7 +248,7 @@ def test_payload_invalid():
 
 def test_warm_start_and_alignment_flow_through():
     model, data, cfg, _ = quadratic_setup(sigma=1.0)
-    opt = AdamWParams(lr=0.01, align_coef=0.5)
+    opt = AdamWParams(lr=0.01, gamma=0.5)
     state = RoundState.initial(np.zeros(3), model.layout)
     stream = NoiseStream(4)
     state, _ = run_round(state, model, data, cfg, opt, "dp_fedadamw", 3, 2,
@@ -270,8 +270,8 @@ def axis_round_problem(kind, sizes=(2, 7, 12, 5), seed=11):
     state = RoundState(rng.uniform(-0.5, 0.5, model.d),
                        rng.uniform(0.0, 0.1, model.layout.num_blocks),
                        rng.standard_normal(model.d), t=3)
-    opt = AdamWParams(lr=0.05, beta2=0.9, eps=1e-2, weight_decay=0.01,
-                      align_coef=0.5)
+    opt = AdamWParams(lr=0.05, beta2=0.9, adam_eps=1e-2, weight_decay=0.01,
+                      gamma=0.5)
     return model, data, state, opt
 
 

@@ -8,7 +8,8 @@ from conftest import dense_grads
 from dpfed.blocks import ConfigurationError
 from dpfed.data import make_blobs
 from dpfed.dp import NoiseStream
-from dpfed.models import _log_softmax_at, _row_max, _softmax, build_model
+from dpfed.models import (QuadraticModel, _log_softmax_at, _row_max, _softmax,
+                          build_model)
 
 RNG = np.random.default_rng(12345)
 
@@ -26,7 +27,7 @@ def central_difference(f, theta, coords, step=1e-6):
 
 def random_batch(model, rng, n=1):
     """(X, y) with n rows: centers for the quadratic, labeled points else."""
-    if model.kind == "quadratic":
+    if isinstance(model, QuadraticModel):
         return rng.standard_normal((n, model.d)), np.zeros(n, dtype=np.int64)
     return (rng.standard_normal((n, model.num_features)),
             rng.integers(model.num_classes, size=n))
@@ -173,8 +174,6 @@ def test_mlp2_needs_a_hidden_unit():
     for hidden in (0, -1):
         with pytest.raises(ConfigurationError, match="hidden"):
             build_model("mlp2", num_features=5, num_classes=3, hidden=hidden)
-    assert make("logistic").kind == "logistic"
-    assert make("mlp2").kind == "mlp2"
     assert [m.layout.sizes.tolist() for m in map(make, ("logistic", "mlp2"))
             ] == [[15, 3], [20, 4, 12, 3]]
 

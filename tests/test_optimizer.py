@@ -9,7 +9,7 @@ from dpfed.optimizer import (AdamWParams, DivergenceError,
 
 
 def params(**kw):
-    defaults = dict(lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+    defaults = dict(lr=0.1, beta1=0.9, beta2=0.999, adam_eps=1e-8)
     defaults.update(kw)
     return AdamWParams(**defaults)
 
@@ -86,7 +86,7 @@ def test_preconditioner_clamp_bounds():
 
 
 def test_local_step_reduces_to_adamw_without_extras():
-    p = params(weight_decay=0.0, align_coef=0.0)
+    p = params(weight_decay=0.0, gamma=0.0)
     theta = np.array([1.0, -2.0])
     m_hat = np.array([0.3, 0.1])
     precond = np.array([2.0, 4.0])
@@ -99,9 +99,9 @@ def test_local_step_aligns_only_with_a_direction():
     m_hat = np.array([0.3, 0.1])
     plain = local_step(theta, m_hat, 2.0, None, params())
     assert np.array_equal(
-        local_step(theta, m_hat, 2.0, None, params(align_coef=0.5)), plain)
+        local_step(theta, m_hat, 2.0, None, params(gamma=0.5)), plain)
     delta_g = np.array([1.0, 1.0])
-    aligned = local_step(theta, m_hat, 2.0, delta_g, params(align_coef=0.5))
+    aligned = local_step(theta, m_hat, 2.0, delta_g, params(gamma=0.5))
     assert np.array_equal(aligned, theta - 0.1 * (m_hat * 2.0 + 0.5 * delta_g))
 
 
@@ -116,7 +116,7 @@ def test_local_step_matches_straight_line_oracle():
     # Independent straight-line reimplementation of one inner iteration,
     # compared bitwise on a fixed seed-0 instance.
     rng = np.random.default_rng(0)
-    p = params(lr=0.05, weight_decay=0.01, align_coef=0.5)
+    p = params(lr=0.05, weight_decay=0.01, gamma=0.5)
     tau = DPConfig(0.1, 1.0, 1.0).noise_std(10)
     theta = rng.standard_normal(4)
     delta_g = rng.standard_normal(4)
@@ -124,7 +124,7 @@ def test_local_step_matches_straight_line_oracle():
 
     st = init_round(4, p)
     m_hat, v_hat = moment_update(st, g)
-    precond = corrected_preconditioner(v_hat, tau, p.eps)
+    precond = corrected_preconditioner(v_hat, tau, p.adam_eps)
     got = local_step(theta, m_hat, precond, delta_g, p)
 
     m = (1 - p.beta1) * g
@@ -132,8 +132,8 @@ def test_local_step_matches_straight_line_oracle():
     mh = m / (1 - p.beta1)
     vh = v / (1 - p.beta2)
     tau2 = tau * tau
-    pc = 1.0 / (np.sqrt(np.maximum(vh - tau2, 0.0)) + p.eps)
-    expected = theta - p.lr * (mh * pc + p.align_coef * delta_g)
+    pc = 1.0 / (np.sqrt(np.maximum(vh - tau2, 0.0)) + p.adam_eps)
+    expected = theta - p.lr * (mh * pc + p.gamma * delta_g)
     expected = expected - p.lr * p.weight_decay * theta
     assert np.array_equal(got, expected)
 

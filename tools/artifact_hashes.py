@@ -20,8 +20,10 @@ which keeps CSV ingestion in the matrix, plus
 {logistic_blobs, quadratic_drift} x the two baselines x each client-loop
 switch (warm start off, bias correction off, identity preconditioner,
 gamma = 0) at seed 0, which checks that a baseline ignores or honours
-each: 154 sets. A config the tree rejects prints its error in place of
-the hashes.
+each, plus the shipped ``configs/default.cfg`` (10 quadratic clients, so
+the server folds more than two clients' rows) read through
+``parse_config_file`` at seeds 0-1: 156 sets. A config the tree rejects
+prints its error in place of the hashes.
 """
 from __future__ import annotations
 
@@ -55,6 +57,7 @@ SWITCHES = {
     "gamma=0": dict(gamma=0.0),
 }
 SWITCH_WORKLOADS = ("logistic_blobs", "quadratic_drift")
+DEFAULT_CFG = "configs/default.cfg"
 
 
 def write_blobs_csv(path: str) -> None:
@@ -92,6 +95,10 @@ def matrix(workloads):
                 yield (f"{name} {variant} {label} seed=0",
                        replace(workloads[name].config, variant=variant,
                                seed=0, **change))
+    from dpfed.runner import parse_config_file
+    for seed in range(2):
+        yield (f"{DEFAULT_CFG} seed={seed}",
+               parse_config_file(ROOT / DEFAULT_CFG, {"seed": seed}))
 
 
 def main() -> int:
