@@ -42,6 +42,7 @@ import math
 import numpy as np
 
 from .blocks import ConfigurationError
+from .optimizer import DivergenceError
 
 # Domain tags keeping keyed RNG streams disjoint across uses of one seed.
 DOMAIN_BATCH = 1
@@ -124,7 +125,7 @@ def clip_batch(grads: np.ndarray, clip_norm: float) -> np.ndarray:
     norms = _row_norms(grads)
     # A NaN/inf entry makes its norm non-finite; a finite row's may overflow.
     if not (math.isfinite(np.add.reduce(norms)) or np.isfinite(grads).all()):
-        raise ConfigurationError("gradient contains non-finite entries")
+        raise DivergenceError("non-finite gradient entries")
     # One multiply, which also makes the copy: by C/||g|| over C, and by
     # exactly 1.0, which leaves the row bitwise unchanged, at or below it.
     out = grads * (clip_norm / np.maximum(norms, clip_norm))[:, None]
@@ -147,7 +148,7 @@ def noisy_batch_mean(grads, cfg: DPConfig, rngs, rows) -> np.ndarray:
     ``rngs`` their S generators: client i's mean is that of its b clipped
     rows E[j] (x) [A[j], 1], flat in block order, plus noise of its own b
     drawn from rngs[i]. The rows are clipped here, so the guarantee does
-    not rest on the caller; a non-finite carrier row is a ConfigurationError."""
+    not rest on the caller; a non-finite gradient entry is a DivergenceError."""
     bounds = list(zip(rows[:-1], rows[1:]))
     b = [hi - lo for lo, hi in bounds]
     if min(b) == 0:

@@ -23,8 +23,8 @@ from .data import FederatedDataset
 from .dp import (DOMAIN_BATCH, DOMAIN_CLIENTS, DPConfig, NoiseStream,
                  noisy_batch_mean)
 from .models import Model
-from .optimizer import (AdamWParams, corrected_preconditioner, init_round,
-                        local_step, moment_update)
+from .optimizer import (AdamWParams, DivergenceError, corrected_preconditioner,
+                        init_round, local_step, moment_update)
 
 # The variant names; each maps to its communication strategy.
 STRATEGY_BY_VARIANT = {
@@ -143,8 +143,11 @@ def aggregate(round_state: RoundState, report: RoundReport,
     for delta, block_v in zip(report.delta, report.block_v):
         delta_sum = delta_sum + delta
         v_sum = v_sum + block_v
+    theta = round_state.theta + delta_sum / S
+    if not np.isfinite(theta).all():  # finite deltas can sum past the range
+        raise DivergenceError("non-finite parameters after aggregation")
     return RoundState(
-        theta=round_state.theta + delta_sum / S,
+        theta=theta,
         v_bar=v_sum / S,
         delta_g=-delta_sum / (S * local_steps * lr),
         t=round_state.t + 1,

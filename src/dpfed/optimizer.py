@@ -22,7 +22,8 @@ from .blocks import ConfigurationError
 
 
 class DivergenceError(RuntimeError):
-    """Raised when an update produces non-finite parameters."""
+    """A run's first non-finite number: parameters after a local step or
+    after aggregation, or a gradient entry at the clip."""
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .dp import DOMAIN_INIT, DPConfig, NoiseStream
 from .federation import (STRATEGY_BY_VARIANT, RoundState, payload_count,
                          run_round)
 from .models import build_model
-from .optimizer import AdamWParams, DivergenceError
+from .optimizer import AdamWParams
 
 METRICS_COLUMNS = ("t", "global_loss", "global_acc", "var_v", "drift",
                    "uplink", "downlink", "eps_rdp")
@@ -104,6 +104,9 @@ class RunConfig:
             raise ConfigurationError(f"unknown variant {self.variant!r}")
         if self.model not in ("quadratic", "logistic", "mlp2"):
             raise ConfigurationError(f"unknown model {self.model!r}")
+        if (self.model == "quadratic") != (self.dataset == "quadratics"):
+            raise ConfigurationError("dataset=quadratics goes with "
+                                     "model=quadratic, and only with it")
         if not (0 < self.participation <= 1):
             raise ConfigurationError("participation must be in (0, 1]")
         if self.rounds < 0:
@@ -162,11 +165,11 @@ class RunConfig:
 
 
 def parse_config_file(path, overrides: dict | None = None) -> RunConfig:
-    """Flat UTF-8 key = value file, each key on one line, # comments."""
+    """UTF-8 key = value file, BOM optional, one key a line, # comments."""
     values: dict[str, str] = {}
     linenos: dict[str, int] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.read().split("\n")  # newlines already translated
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(
@@ -218,8 +221,6 @@ class RunSummary:
 def _build_problem(config: RunConfig, stream: NoiseStream):
     """Model, per-client datasets and the run's DP mechanism."""
     if config.model == "quadratic":
-        if config.dataset != "quadratics":
-            raise ConfigurationError("quadratic model requires dataset=quadratics")
         centers = make_client_quadratics(config.dim, config.num_clients,
                                          config.heterogeneity, stream)
         fed = quadratic_client_data(centers, config.samples_per_client,
@@ -229,8 +230,6 @@ def _build_problem(config: RunConfig, stream: NoiseStream):
         if config.dataset == "blobs":
             X, y = make_blobs(config.num_classes, config.num_features,
                               config.num_samples, stream)
-        elif config.dataset == "quadratics":
-            raise ConfigurationError("classification models need labeled data")
         else:
             X, y = load_csv(config.dataset)
         fed = dirichlet_partition(X, y, config.num_clients, config.alpha, stream)
@@ -253,8 +252,8 @@ def account_round(config: RunConfig, ledger: PrivacyLedger) -> float:
 
 
 def run(config: RunConfig) -> RunSummary:
-    """Execute T rounds, writing metrics.csv and summary.json; a diverged
-    run leaves only metrics.csv, with the rounds completed before it."""
+    """Execute T rounds, writing metrics.csv and summary.json; a run that
+    stops early, for any reason, writes only its completed rows."""
     start = time.perf_counter()
 
     stream = NoiseStream(config.seed)
@@ -278,35 +277,39 @@ def run(config: RunConfig) -> RunSummary:
     records: list[MetricRecord] = []
     eps_rdp = 0.0
     selected = config.selected_clients  # Fraction arithmetic: once a run
-    for _ in range(config.rounds):
-        try:
+    try:
+        for _ in range(config.rounds):
             state, report = run_round(
                 state, model, fed, dp_cfg, opt, config.variant,
                 config.local_steps, selected, stream)
-        except DivergenceError:
-            _write_csv(config.output_dir, "metrics.csv", METRICS_COLUMNS,
-                       records)
-            raise
-        eps_rdp = account_round(config, ledger)
-        loss, acc = model.evaluate(state.theta, fed.X, fed.y)
-        S = len(report.client_ids)
-        records.append(MetricRecord(
-            t=state.t, global_loss=loss, global_accuracy=acc,
-            var_v=cross_client_var_v(report.v) if S >= 2 else float("nan"),
-            drift=client_drift(report.theta) if S >= 2 else float("nan"),
-            uplink_floats=per_client_payload[0] * S,
-            downlink_floats=per_client_payload[1] * S, eps_rdp=eps_rdp))
+            eps_rdp = account_round(config, ledger)
+            loss, acc = model.evaluate(state.theta, fed.X, fed.y)
+            S = len(report.client_ids)
+            records.append(MetricRecord(
+                t=state.t, global_loss=loss, global_accuracy=acc,
+                var_v=cross_client_var_v(report.v) if S >= 2 else float("nan"),
+                drift=client_drift(report.theta) if S >= 2 else float("nan"),
+                uplink_floats=per_client_payload[0] * S,
+                downlink_floats=per_client_payload[1] * S, eps_rdp=eps_rdp))
+    finally:  # a finished, diverged or interrupted run alike
+        _write_csv(config.output_dir, "metrics.csv", METRICS_COLUMNS, records)
+        stale = os.path.join(config.output_dir, "summary.json")
+        if len(records) < config.rounds and os.path.exists(stale):
+            os.remove(stale)  # a stopped run keeps no earlier run's summary
 
     if records:  # theta has not moved since the last round's evaluation
         last = records[-1]
         final_loss, final_acc = last.global_loss, last.global_accuracy
     else:
         final_loss, final_acc = model.evaluate(state.theta, fed.X, fed.y)
-    _write_csv(config.output_dir, "metrics.csv", METRICS_COLUMNS, records)
     summary = RunSummary(final_loss=final_loss, final_accuracy=final_acc,
                          eps_rdp=eps_rdp, wall_time_s=time.perf_counter() - start,
                          config_hash=config.config_hash(), metrics=records)
-    _write_summary_json(config.output_dir, config, summary)
+    _write_text(config.output_dir, "summary.json", json.dumps({
+        "config_hash": summary.config_hash, "variant": config.variant,
+        "model": config.model, "seed": config.seed, "rounds": config.rounds,
+        "final_loss": final_loss, "final_accuracy": final_acc,
+        "eps_rdp": eps_rdp}, indent=2, allow_nan=True) + "\n")
     return summary
 
 
@@ -322,22 +325,6 @@ def _write_csv(out_dir: str, name: str, columns, rows) -> None:
     lines += [",".join(format(float(x), ".17g") if isinstance(x, float)
                        else str(x) for x in row) for row in rows]
     _write_text(out_dir, name, "\n".join(lines) + "\n")
-
-
-def _write_summary_json(out_dir: str, config: RunConfig,
-                        summary: RunSummary) -> None:
-    payload = {
-        "config_hash": summary.config_hash,
-        "variant": config.variant,
-        "model": config.model,
-        "seed": config.seed,
-        "rounds": config.rounds,
-        "final_loss": summary.final_loss,
-        "final_accuracy": summary.final_accuracy,
-        "eps_rdp": summary.eps_rdp,
-    }
-    _write_text(out_dir, "summary.json",
-                json.dumps(payload, indent=2, allow_nan=True) + "\n")
 
 
 def compare(configs: list[RunConfig], seeds: list[int],

@@ -11,6 +11,7 @@ from dpfed import dp
 from dpfed.blocks import ConfigurationError
 from dpfed.dp import DPConfig, NoiseStream, clip_batch, noisy_batch_mean
 from dpfed.models import build_model
+from dpfed.optimizer import DivergenceError
 
 
 def cfg(C=0.1, sigma=1.0, s=1.0):
@@ -145,12 +146,12 @@ def test_clip_zero():
 
 def test_clip_rejects_nonfinite():
     for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DivergenceError):
             clip_one(np.array([bad, 1.0]), 0.1)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DivergenceError):
             clip_batch(np.array([[0.0, 1.0], [bad, 0.0]]), 0.1)
         # Also next to a finite row whose norm overflows to inf.
-        with np.errstate(over="ignore"), pytest.raises(ConfigurationError):
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError):
             clip_batch(np.array([[1e200, -1e200], [0.5, bad]]), 0.1)
 
 
@@ -324,12 +325,12 @@ def test_factored_row_whose_scale_overflows():
     c = cfg(C=0.1, sigma=0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ConfigurationError, match="non-finite"):
+        with pytest.raises(DivergenceError, match="non-finite"):
             mean_of([(E[1:2], A[1:2]) for E, A in factors], c, None)
-        with pytest.raises(ConfigurationError, match="non-finite"):
+        with pytest.raises(DivergenceError, match="non-finite"):
             noisy_batch_mean(factors, c, [None] * 3, (0, 4, 6, 9))
         factors[0][1][2, 1] = np.nan
-        with pytest.raises(ConfigurationError, match="non-finite"):
+        with pytest.raises(DivergenceError, match="non-finite"):
             noisy_batch_mean(factors, c, [None] * 3, (0, 4, 6, 9))
 
 
@@ -358,7 +359,7 @@ def test_factored_nonfinite_rejected(bad):
         for which in (0, 1):  # E, then A
             factors = factors_at_norms("mlp2", [0.5, 2.0, 0.0], rng)
             factors[layer][which][1, 2] = bad
-            with pytest.raises(ConfigurationError):
+            with pytest.raises(DivergenceError):
                 mean_of(factors, cfg(sigma=0.0), None)
 
 

@@ -10,7 +10,7 @@ from dpfed.federation import (STRATEGY_BY_VARIANT, RoundReport, RoundState,
                               aggregate, payload_count, run_client,
                               run_round, sample_clients)
 from dpfed.models import build_model
-from dpfed.optimizer import AdamWParams
+from dpfed.optimizer import AdamWParams, DivergenceError
 
 
 def quadratic_setup(num_clients=2, dim=3, sigma=0.0, seed=0):
@@ -79,6 +79,16 @@ def test_delta_g_cancellation():
                     lr=eta)
     assert np.allclose(new.delta_g, u, rtol=1e-12)
     assert np.allclose(new.theta, -eta * u, rtol=1e-12)
+
+
+def test_aggregate_overflow_is_divergence():
+    # Two finite deltas of 1e308 sum past the float range: the new theta
+    # is inf, which the server step reports as a divergence.
+    model, _, _, _ = quadratic_setup()
+    state = RoundState.initial(np.zeros(3), model.layout)
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError,
+                                                   match="non-finite"):
+        aggregate(state, delta_report(np.full((2, 3), 1e308)), 1, 0.1)
 
 
 def test_run_round_matches_hand_computed_quadratic():

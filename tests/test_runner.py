@@ -85,6 +85,33 @@ def test_divergence_keeps_completed_rounds(tmp_path, monkeypatch):
     assert not (tmp_path / "b" / "summary.json").exists()
 
 
+@pytest.mark.parametrize("stop", [DivergenceError, KeyboardInterrupt])
+def test_stopped_run_keeps_its_rows_and_no_stale_summary(tmp_path,
+                                                          monkeypatch, stop):
+    # A run stopped in round 3 of 4, by a divergence or by an interrupt,
+    # leaves the header and its 2 rows, and removes the summary.json that
+    # an earlier finished run left in the same directory.
+    cfg = small_config(tmp_path, rounds=4)
+    run(cfg)
+    out = tmp_path / "out"
+    expected = (out / "metrics.csv").read_text().splitlines(True)
+    assert (out / "summary.json").exists()
+    calls = []
+    real_run_round = runner.run_round
+
+    def stop_on_third_call(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise stop()
+        return real_run_round(*args)
+
+    monkeypatch.setattr(runner, "run_round", stop_on_third_call)
+    with pytest.raises(stop):
+        run(cfg)
+    assert (out / "metrics.csv").read_text() == "".join(expected[:3])
+    assert not (out / "summary.json").exists()
+
+
 def test_rerun_byte_identical(tmp_path):
     cfg = small_config(tmp_path)
     run(cfg)
@@ -265,6 +292,10 @@ def test_config_validation():
         RunConfig(delta=1.0)
     with pytest.raises(ConfigurationError):
         RunConfig(rounds=-1)
+    with pytest.raises(ConfigurationError, match="quadratics"):
+        RunConfig(model="quadratic", dataset="blobs")
+    with pytest.raises(ConfigurationError, match="quadratics"):
+        RunConfig(model="logistic", dataset="quadratics")
 
 
 DP_SETTINGS = {
@@ -298,9 +329,9 @@ INVALID_CONFIG = {
 
 @pytest.mark.parametrize("kw", INVALID_CONFIG.values(), ids=INVALID_CONFIG)
 def test_mismatched_model_dataset_writes_nothing(tmp_path, kw):
-    # Rejected by RunConfig (optimizer settings) or by run() (model and
-    # dataset, a client without one batch): either way no output
-    # directory may appear.
+    # Rejected by RunConfig (model and dataset, optimizer settings) or by
+    # run() (a client without one batch): either way no output directory
+    # may appear.
     with pytest.raises(ConfigurationError):
         run(small_config(tmp_path, **kw))
     assert not (tmp_path / "out").exists()
@@ -335,6 +366,10 @@ def test_parse_config_file(tmp_path):
     # CLI-style overrides win over file keys
     cfg2 = parse_config_file(path, overrides={"lr": "0.25"})
     assert cfg2.lr == 0.25
+    # A byte-order mark before the first key is skipped, as load_csv does.
+    bom = tmp_path / "bom.cfg"
+    bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert parse_config_file(bom) == cfg
 
 
 def test_parse_config_errors(tmp_path):
@@ -713,6 +748,39 @@ def test_cli_divergence_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: non-finite parameters")
     assert "final_loss=" not in captured.out
+
+
+DIVERGENT = {  # with test_cli_divergence_exit_code's lr = gamma = 1e308
+    "quadratic": ["--model", "quadratic", "--dataset", "quadratics",
+                  "--dim", "3", "--samples_per_client", "10"],
+    "logistic": ["--model", "logistic", "--num_samples", "400"],
+    "mlp2": ["--model", "mlp2", "--num_samples", "400"],
+}
+
+
+@pytest.mark.parametrize("model", DIVERGENT)
+def test_cli_divergence_ends_alike_wherever_it_shows(tmp_path, capsys, model):
+    # By seed, the blow-up first shows in a local step, in the server's
+    # sum or as a non-finite gradient at the clip. Each is a divergence
+    # (exit 1) that keeps the rows of the rounds completed before it: the
+    # bytes a run of just those rounds writes.
+    def cli_run(seed, rounds, out):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return cli_main([
+                "run", *DIVERGENT[model], "--num_clients", "3",
+                "--rounds", str(rounds), "--local_steps", "2",
+                "--sample_rate", "0.5", "--lr", "1e308", "--gamma", "1e308",
+                "--seed", str(seed), "--output_dir", str(out)])
+
+    for seed in range(20):
+        out = tmp_path / f"s{seed}"
+        assert cli_run(seed, 2, out) == 1
+        assert capsys.readouterr().err.startswith("error: non-finite")
+        assert not (out / "summary.json").exists()
+        rows = (out / "metrics.csv").read_text().splitlines(True)
+        assert rows[0] == ",".join(METRICS_COLUMNS) + "\n" and len(rows) <= 2
+        assert cli_run(seed, len(rows) - 1, tmp_path / "done") == 0
+        assert (tmp_path / "done" / "metrics.csv").read_text() == "".join(rows)
 
 
 def test_import_loads_no_scipy():
