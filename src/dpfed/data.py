@@ -16,6 +16,7 @@ from .blocks import ConfigurationError
 from .dp import DOMAIN_DATA, NoiseStream
 
 MAX_PARTITION_RETRIES = 100
+MAX_FEATURE = 1e150  # |x| bound: no clip's squared norm overflows
 
 
 @dataclass(frozen=True)
@@ -108,14 +109,16 @@ def quadratic_client_data(centers: np.ndarray, samples_per_client: int,
     # client, as one (samples_per_client, dim) draw per client would.
     X = (np.repeat(centers, samples_per_client, axis=0)
          + jitter * rng.standard_normal((n, dim)))
+    if not np.all(np.abs(X) <= MAX_FEATURE):  # NaN fails it too
+        raise ConfigurationError(f"heterogeneity and jitter put quadratic "
+                                 f"features past {MAX_FEATURE:g} in size")
     return FederatedDataset(X, np.zeros(n, dtype=np.int64),
                             tuple(range(0, n + 1, samples_per_client)))
 
 
 def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Tabular ingestion: header f1..fp,label with p >= 1, features at
-    most 1e150 in size (no clip's squared norm overflows), labels ints >= 0
-    with every class 0..max, max >= 1. Errors name ``dataset`` and path."""
+    """Tabular ingestion: header f1..fp,label (p >= 1), features at most
+    MAX_FEATURE in size, labels ints >= 0 covering classes 0..max, max >= 1."""
     def error(message: str) -> ConfigurationError:
         return ConfigurationError(f"{message} (dataset {path})")
 
@@ -138,8 +141,8 @@ def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
         labels = np.array([float(row[-1]) for row in rows])
     except ValueError:
         raise error("CSV fields must be numbers") from None
-    if not np.all(np.abs(X) <= 1e150):  # NaN fails it too
-        raise error("CSV features must be finite and at most 1e150 in size")
+    if not np.all(np.abs(X) <= MAX_FEATURE):  # NaN fails it too
+        raise error(f"CSV features must be finite and at most {MAX_FEATURE:g}")
     if not np.all((labels >= 0) & (labels % 1 == 0)):
         raise error("CSV labels must be integers >= 0")
     if not 2 <= len(np.unique(labels)) == labels.max() + 1:

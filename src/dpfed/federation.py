@@ -13,7 +13,7 @@ client's row is bitwise the one it gets when ``run_client`` runs it alone.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,11 +26,15 @@ from .models import Model
 from .optimizer import (AdamWParams, DivergenceError, corrected_preconditioner,
                         init_round, local_step, moment_update)
 
-# The variant names; each maps to its communication strategy.
-STRATEGY_BY_VARIANT = {
-    "dp_fedadamw": "agg_mean_v",
-    "dp_local_adamw": "noagg",
-    "dp_fedavg_sgd": "noagg",
+# DP-FedAdamW's three fixes, as its baselines run them: switched off.
+FIXES_OFF = {"warm_start": False, "bias_correction": False, "gamma": 0.0}
+# Each variant's payload strategy and the AdamWParams settings its clients
+# do not read: a baseline's fixes are off, and dp_fedavg_sgd keeps no moments.
+VARIANTS = {
+    "dp_fedadamw": ("agg_mean_v", ()),
+    "dp_local_adamw": ("noagg", tuple(FIXES_OFF)),
+    "dp_fedavg_sgd": ("noagg", (*FIXES_OFF, "beta1", "beta2", "adam_eps",
+                                "identity_preconditioner")),
 }
 
 
@@ -85,7 +89,7 @@ def run_client(model: Model, round_state: RoundState, client_ids,
     follow from its row count; its K batches and noise vectors come from
     one generator keyed (t, client), so its report does not depend on the
     others."""
-    if variant not in STRATEGY_BY_VARIANT:
+    if variant not in VARIANTS:
         raise ConfigurationError(f"unknown variant {variant!r}")
     ids, num_clients = np.asarray(client_ids), len(fed.bounds) - 1
     if not (ids.ndim == 1 and ids.size and ids.dtype.kind in "iu"
@@ -100,15 +104,12 @@ def run_client(model: Model, round_state: RoundState, client_ids,
     sizes = [dp_cfg.batch_size(n) for n in counts]
     rows = [0, *itertools.accumulate(sizes)]  # client i's batch rows
     offsets = np.repeat(starts, sizes)  # each batch row's client start
-    # The variant's mechanisms, resolved once: only dp_fedadamw reads opt's
-    # warm start, bias correction and gamma; dp_fedavg_sgd steps along g.
-    fedadamw = variant == "dp_fedadamw"
-    sgd = variant == "dp_fedavg_sgd"
+    unread = VARIANTS[variant][1]  # the fixes among them are switched off
+    opt = replace(opt, **{k: v for k, v in FIXES_OFF.items() if k in unread})
     v0 = (broadcast_blocks(round_state.v_bar, model.layout)
-          if fedadamw and opt.warm_start else None)
+          if opt.warm_start else None)
     tau = (np.array([[dp_cfg.noise_std(b)] for b in sizes])
-           if fedadamw and opt.bias_correction else 0.0)
-    delta_g = round_state.delta_g if fedadamw else None
+           if opt.bias_correction else 0.0)
     state = init_round((len(sizes), model.d), opt, v0)
     theta = np.tile(round_state.theta, (len(sizes), 1))
     rngs = [stream.rng((DOMAIN_BATCH, round_state.t, cid))
@@ -120,13 +121,13 @@ def run_client(model: Model, round_state: RoundState, client_ids,
         idx.sort()  # sorts each client's rows: their ranges are disjoint
         grads = model.per_sample_grads(theta, X[idx], y[idx], rows)
         g = noisy_batch_mean(grads, dp_cfg, rngs, rows)
-        if sgd:
+        if variant == "dp_fedavg_sgd":  # no moments: a step along g
             m_hat, precond = g, 1.0
         else:
             m_hat, v_hat = moment_update(state, g)
             precond = (1.0 if opt.identity_preconditioner
                        else corrected_preconditioner(v_hat, tau, opt.adam_eps))
-        theta = local_step(theta, m_hat, precond, delta_g, opt)
+        theta = local_step(theta, m_hat, precond, round_state.delta_g, opt)
     return RoundReport(ids, theta - round_state.theta,
                        block_mean(state.v, model.layout), state.v, theta)
 
@@ -140,6 +141,7 @@ def aggregate(round_state: RoundState, report: RoundReport,
         raise ConfigurationError("cannot aggregate an empty round")
     delta_sum = np.zeros_like(round_state.theta)
     v_sum = np.zeros_like(report.block_v[0])
+    # Row by row: sum(axis=0) adds an (S, 1) stack pairwise from S = 8.
     for delta, block_v in zip(report.delta, report.block_v):
         delta_sum = delta_sum + delta
         v_sum = v_sum + block_v
@@ -177,7 +179,7 @@ def payload_count(variant_or_strategy: str, d: int, num_blocks: int,
     """
     if not 1 <= num_blocks <= d:
         raise ConfigurationError("need 1 <= B <= d")
-    strategy = STRATEGY_BY_VARIANT.get(variant_or_strategy, variant_or_strategy)
+    strategy = VARIANTS.get(variant_or_strategy, (variant_or_strategy,))[0]
     if strategy == "noagg":
         return d, d
     if strategy == "agg_v":

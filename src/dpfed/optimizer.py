@@ -23,7 +23,7 @@ from .blocks import ConfigurationError
 
 class DivergenceError(RuntimeError):
     """A run's first non-finite number: parameters after a local step or
-    after aggregation, or a gradient entry at the clip."""
+    the server's sum, a gradient entry at the clip, or a round's metrics."""
 
 
 @dataclass(frozen=True)

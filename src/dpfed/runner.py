@@ -25,10 +25,9 @@ from .data import (dirichlet_partition, load_csv, make_blobs,
                    make_client_quadratics, quadratic_client_data)
 from .diagnostics import client_drift, cross_client_var_v
 from .dp import DOMAIN_INIT, DPConfig, NoiseStream
-from .federation import (STRATEGY_BY_VARIANT, RoundState, payload_count,
-                         run_round)
+from .federation import VARIANTS, RoundState, payload_count, run_round
 from .models import build_model
-from .optimizer import AdamWParams
+from .optimizer import AdamWParams, DivergenceError
 
 METRICS_COLUMNS = ("t", "global_loss", "global_acc", "var_v", "drift",
                    "uplink", "downlink", "eps_rdp")
@@ -49,11 +48,9 @@ class MetricRecord(NamedTuple):
 
 # Fields that do not change what a run computes.
 _NON_SEMANTIC_FIELDS = ("output_dir",)
-# Fields read only by some variants, models or datasets: a run that ignores
-# them hashes them at their defaults, so one computation has one hash. The
-# baselines skip DP-FedAdamW's fixes; dp_fedavg_sgd has no moments either.
-_FEDADAMW_FIELDS = ("warm_start", "bias_correction", "gamma")
-_ADAM_FIELDS = ("beta1", "beta2", "adam_eps", "identity_preconditioner")
+# Fields read only by some variants (federation.VARIANTS), models or
+# datasets: a run that ignores them hashes them at their defaults, so one
+# computation has one hash.
 _QUADRATIC_FIELDS = ("dim", "heterogeneity", "jitter", "samples_per_client")
 _BLOBS_FIELDS = ("num_features", "num_classes", "num_samples")
 _CLASSIFIER_FIELDS = (*_BLOBS_FIELDS, "hidden", "alpha")
@@ -100,7 +97,7 @@ class RunConfig:
     output_dir: str = "runs/out"
 
     def __post_init__(self):
-        if self.variant not in STRATEGY_BY_VARIANT:
+        if self.variant not in VARIANTS:
             raise ConfigurationError(f"unknown variant {self.variant!r}")
         if self.model not in ("quadratic", "logistic", "mlp2"):
             raise ConfigurationError(f"unknown model {self.model!r}")
@@ -143,9 +140,7 @@ class RunConfig:
 
     def _ignored_fields(self) -> set[str]:
         """The fields this run's variant, model and dataset do not read."""
-        ignored = set(_FEDADAMW_FIELDS if self.variant != "dp_fedadamw" else ())
-        if self.variant == "dp_fedavg_sgd":
-            ignored.update(_ADAM_FIELDS)
+        ignored = set(VARIANTS[self.variant][1])
         if self.model == "quadratic":
             return ignored | set(_CLASSIFIER_FIELDS)
         ignored.update(_QUADRATIC_FIELDS)
@@ -251,6 +246,7 @@ def account_round(config: RunConfig, ledger: PrivacyLedger) -> float:
     return compose_and_convert(ledger, config.delta).epsilon
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a blow-up is DivergenceError
 def run(config: RunConfig) -> RunSummary:
     """Execute T rounds, writing metrics.csv and summary.json; a run that
     stops early, for any reason, writes only its completed rows."""
@@ -285,12 +281,13 @@ def run(config: RunConfig) -> RunSummary:
             eps_rdp = account_round(config, ledger)
             loss, acc = model.evaluate(state.theta, fed.X, fed.y)
             S = len(report.client_ids)
+            spread = ((cross_client_var_v(report.v), client_drift(report.theta))
+                      if S >= 2 else ())  # var_v and drift; NaN for S = 1
+            if not np.isfinite((loss, *spread)).all():
+                raise DivergenceError(f"non-finite metrics in round {state.t}")
             records.append(MetricRecord(
-                t=state.t, global_loss=loss, global_accuracy=acc,
-                var_v=cross_client_var_v(report.v) if S >= 2 else float("nan"),
-                drift=client_drift(report.theta) if S >= 2 else float("nan"),
-                uplink_floats=per_client_payload[0] * S,
-                downlink_floats=per_client_payload[1] * S, eps_rdp=eps_rdp))
+                state.t, loss, acc, *(spread or (math.nan, math.nan)),
+                per_client_payload[0] * S, per_client_payload[1] * S, eps_rdp))
     finally:  # a finished, diverged or interrupted run alike
         _write_csv(config.output_dir, "metrics.csv", METRICS_COLUMNS, records)
         stale = os.path.join(config.output_dir, "summary.json")

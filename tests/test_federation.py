@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -6,9 +6,9 @@ import pytest
 from conftest import federated
 from dpfed.blocks import ConfigurationError
 from dpfed.dp import DPConfig, NoiseStream
-from dpfed.federation import (STRATEGY_BY_VARIANT, RoundReport, RoundState,
-                              aggregate, payload_count, run_client,
-                              run_round, sample_clients)
+from dpfed.federation import (VARIANTS, RoundReport, RoundState, aggregate,
+                              payload_count, run_client, run_round,
+                              sample_clients)
 from dpfed.models import build_model
 from dpfed.optimizer import AdamWParams, DivergenceError
 
@@ -89,6 +89,22 @@ def test_aggregate_overflow_is_divergence():
     with np.errstate(over="ignore"), pytest.raises(DivergenceError,
                                                    match="non-finite"):
         aggregate(state, delta_report(np.full((2, 3), 1e308)), 1, 0.1)
+
+
+def test_aggregate_folds_block_means_row_by_row():
+    # The server adds the rows one at a time in ascending id order. On an
+    # (S, 1) stack, numpy's sum(axis=0) adds pairwise once S >= 8, and on
+    # these ten rows it gives other bits.
+    block_v = np.random.default_rng(1).uniform(0.0, 1.0, (10, 1))
+    fold = np.zeros(1)
+    for row in block_v:
+        fold = fold + row
+    assert not np.array_equal(fold / 10, block_v.sum(axis=0) / 10)
+    report = RoundReport(np.arange(10), np.zeros((10, 3)), block_v,
+                         np.zeros((10, 3)), np.zeros((10, 3)))
+    state = RoundState.initial(np.zeros(3), build_model("quadratic",
+                                                        dim=3).layout)
+    assert np.array_equal(aggregate(state, report, 1, 0.1).v_bar, fold / 10)
 
 
 def test_run_round_matches_hand_computed_quadratic():
@@ -211,6 +227,33 @@ def test_baselines_ignore_broadcast_and_direction(variant):
                              client_reports("dp_fedadamw", rich, aligned))
 
 
+# A value other than axis_round_problem's for each AdamWParams setting.
+OTHER_SETTINGS = dict(lr=0.03, beta1=0.5, beta2=0.99, adam_eps=0.1,
+                      weight_decay=0.1, gamma=0.25, warm_start=False,
+                      bias_correction=False, identity_preconditioner=True)
+
+
+@pytest.mark.parametrize("key", OTHER_SETTINGS)
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_run_client_reads_the_settings_the_table_does_not_list(variant, key):
+    # config_hash hashes a setting at its default where VARIANTS lists it
+    # as unread, so changing it must leave the report bitwise alone, and
+    # changing any other setting must move it. With sigma > 0 and a
+    # non-zero theta, v_bar and delta_g every setting has a way to act.
+    assert set(OTHER_SETTINGS) == {f.name for f in fields(AdamWParams)}
+    model, data, state, opt = axis_round_problem("logistic")
+    assert all(np.all(x) for x in (state.theta, state.v_bar, state.delta_g))
+
+    def report(settings):
+        return run_client(model, state, [0, 1, 2, 3], data,
+                          DPConfig(0.5, 1.0, 0.5), settings, variant, 3,
+                          NoiseStream(5))
+
+    changed = replace(opt, **{key: OTHER_SETTINGS[key]})
+    assert (reports_equal(report(opt), report(changed))
+            == (key in VARIANTS[variant][1]))
+
+
 def test_unknown_variant_rejected_by_run_client():
     state = RoundState(np.zeros(3), np.zeros(1), np.zeros(3))
     with pytest.raises(ConfigurationError, match="unknown variant"):
@@ -286,7 +329,7 @@ def axis_round_problem(kind, sizes=(2, 7, 12, 5), seed=11):
 
 
 @pytest.mark.parametrize("sigma", [0.0, 1.0])
-@pytest.mark.parametrize("variant", list(STRATEGY_BY_VARIANT))
+@pytest.mark.parametrize("variant", list(VARIANTS))
 @pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp2"])
 def test_round_reports_equal_one_run_client_per_client(kind, variant, sigma):
     # A round runs its selected clients as rows of one state; each report

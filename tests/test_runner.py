@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from dpfed import runner
 from dpfed.blocks import ConfigurationError
 from dpfed.cli import main as cli_main
-from dpfed.federation import STRATEGY_BY_VARIANT
+from dpfed.federation import VARIANTS
 from dpfed.optimizer import DivergenceError
 from dpfed.runner import (METRICS_COLUMNS, RunConfig, compare,
                           config_from_strings, parse_config_file, run)
@@ -337,7 +337,7 @@ def test_mismatched_model_dataset_writes_nothing(tmp_path, kw):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("variant", sorted(STRATEGY_BY_VARIANT))
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_cli_optimizer_settings_checked_for_every_variant(tmp_path, capsys,
                                                           variant):
     rc = cli_main(["run", "--variant", variant, "--gamma", "-1",
@@ -615,7 +615,8 @@ QUICK_LOGISTIC = ["--num_samples", "200", "--num_clients", "3", "--rounds", "1",
                   "--local_steps", "1", "--sample_rate", "0.5"]
 MALFORMED = [(QUICK_RUN, k, v) for k, v in [
     ("dim", "-2"), ("dim", "0"), ("seed", "-1"), ("heterogeneity", "nan"),
-    ("heterogeneity", "inf"), ("jitter", "nan"), ("lr", "inf"),
+    ("heterogeneity", "inf"), ("heterogeneity", "1e200"), ("jitter", "nan"),
+    ("jitter", "1e300"), ("lr", "inf"),
     ("weight_decay", "inf"), ("gamma", "inf"), ("adam_eps", "inf")]] + [
     (QUICK_LOGISTIC, k, v) for k, v in [
         ("num_classes", "0"), ("num_classes", "1"), ("num_features", "0"),
@@ -635,12 +636,14 @@ CSV_FILES = {
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("base,key,value", MALFORMED,
                          ids=[f"{k}={v}" for _, k, v in MALFORMED])
 def test_cli_malformed_input_exits_2_naming_the_key(tmp_path, capsys, base,
                                                     key, value):
-    # Rejected before any round, with an error naming the input: no
-    # traceback, no misleading cause, no output directory.
+    # Rejected before any round, with one error line naming the input: no
+    # traceback, no warning, no misleading cause, no output directory. A
+    # quadratic feature past 1e150, a CSV's bound, is malformed too.
     if key == "dataset":  # a CSV error also names the file
         path = tmp_path / value
         if value in CSV_FILES:
@@ -650,7 +653,7 @@ def test_cli_malformed_input_exits_2_naming_the_key(tmp_path, capsys, base,
                    "--output_dir", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and key in err
+    assert err.startswith("error:") and key in err and err.count("\n") == 1
     assert key != "dataset" or value in err
     assert not (tmp_path / "out").exists()
 
@@ -685,15 +688,15 @@ def test_cli_single_class_csv_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("sigma", ["1e-160", "1e-200"])
 def test_tiny_sigma_is_unbounded(tmp_path, capsys, sigma):
     # Noise too small for a finite RDP curve gives inf, as sigma = 0 does,
-    # in the budget table and in a run.
-    with np.errstate(over="ignore"):
-        rc = cli_main(["account", "--noise_multiplier", sigma,
-                       "--sample_rate", "0.2", "--local_steps", "10",
-                       "--rounds", "2"])
-        summary = run(small_config(tmp_path, noise_multiplier=float(sigma)))
+    # in the budget table and in a run, without a floating-point warning.
+    rc = cli_main(["account", "--noise_multiplier", sigma,
+                   "--sample_rate", "0.2", "--local_steps", "10",
+                   "--rounds", "2"])
+    summary = run(small_config(tmp_path, noise_multiplier=float(sigma)))
     assert rc == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [row.split(",")[1] for row in rows] == ["inf", "inf"]
@@ -736,14 +739,13 @@ def test_cli_unparsable_flag_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
 def test_cli_divergence_exit_code(tmp_path, capsys):
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = cli_main(["run", "--model", "quadratic", "--dataset", "quadratics",
-                       "--dim", "3", "--num_clients", "3", "--rounds", "2",
-                       "--local_steps", "2", "--sample_rate", "0.5",
-                       "--samples_per_client", "10", "--lr", "1e308",
-                       "--gamma", "1e308",
-                       "--output_dir", str(tmp_path / "out")])
+    rc = cli_main(["run", "--model", "quadratic", "--dataset", "quadratics",
+                   "--dim", "3", "--num_clients", "3", "--rounds", "2",
+                   "--local_steps", "2", "--sample_rate", "0.5",
+                   "--samples_per_client", "10", "--lr", "1e308",
+                   "--gamma", "1e308", "--output_dir", str(tmp_path / "out")])
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: non-finite parameters")
@@ -758,6 +760,7 @@ DIVERGENT = {  # with test_cli_divergence_exit_code's lr = gamma = 1e308
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("model", DIVERGENT)
 def test_cli_divergence_ends_alike_wherever_it_shows(tmp_path, capsys, model):
     # By seed, the blow-up first shows in a local step, in the server's
@@ -765,22 +768,44 @@ def test_cli_divergence_ends_alike_wherever_it_shows(tmp_path, capsys, model):
     # (exit 1) that keeps the rows of the rounds completed before it: the
     # bytes a run of just those rounds writes.
     def cli_run(seed, rounds, out):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return cli_main([
-                "run", *DIVERGENT[model], "--num_clients", "3",
-                "--rounds", str(rounds), "--local_steps", "2",
-                "--sample_rate", "0.5", "--lr", "1e308", "--gamma", "1e308",
-                "--seed", str(seed), "--output_dir", str(out)])
+        return cli_main([
+            "run", *DIVERGENT[model], "--num_clients", "3",
+            "--rounds", str(rounds), "--local_steps", "2",
+            "--sample_rate", "0.5", "--lr", "1e308", "--gamma", "1e308",
+            "--seed", str(seed), "--output_dir", str(out)])
 
     for seed in range(20):
         out = tmp_path / f"s{seed}"
         assert cli_run(seed, 2, out) == 1
-        assert capsys.readouterr().err.startswith("error: non-finite")
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite") and err.count("\n") == 1
         assert not (out / "summary.json").exists()
         rows = (out / "metrics.csv").read_text().splitlines(True)
         assert rows[0] == ",".join(METRICS_COLUMNS) + "\n" and len(rows) <= 2
         assert cli_run(seed, len(rows) - 1, tmp_path / "done") == 0
         assert (tmp_path / "done" / "metrics.csv").read_text() == "".join(rows)
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_metric_is_divergence_but_documented_nan_is_not(
+        tmp_path, capsys):
+    # lr = 1e160 keeps theta finite, but the loss and the drift overflow:
+    # a divergence before the round's row is kept. With S = 1, var_v and
+    # drift are NaN by definition, global_acc is NaN for the quadratic,
+    # and eps_rdp is inf at sigma = 0: none of these ends a run.
+    out = tmp_path / "out"
+    rc = cli_main(["run", *DIVERGENT["quadratic"], "--num_clients", "3",
+                   "--rounds", "2", "--local_steps", "2", "--sample_rate",
+                   "0.5", "--lr", "1e160", "--gamma", "0",
+                   "--output_dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: non-finite metrics in round 1\n"
+    assert (out / "metrics.csv").read_text() == ",".join(METRICS_COLUMNS) + "\n"
+    one = run(small_config(tmp_path, participation=0.3, noise_multiplier=0.0))
+    assert len(one.metrics) == 2 and all(
+        math.isnan(r.var_v) and math.isnan(r.drift)
+        and math.isnan(r.global_accuracy) and r.eps_rdp == math.inf
+        for r in one.metrics)
 
 
 def test_import_loads_no_scipy():
