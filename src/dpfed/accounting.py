@@ -1,12 +1,12 @@
-"""Renyi-DP accounting for the subsampled Gaussian mechanism.
+"""Renyi-DP accounting for the subsampled Gaussian mechanism, sigma >= 0.
 
 Per-order RDP values compose additively over steps; conversion to
-(epsilon, delta) minimizes over a fixed order grid. Fixed-size batches
-are accounted with the Poisson-subsampling bound at rate q = s, the
-ubiquitous DP-SGD approximation. The closed forms of the source analysis
-(third-party and server-side budgets) are kept as asymptotic reference
-numbers for comparison; no run reports them, and they are no guarantees.
-Its log-factorials come from ``decimal``, so it needs no SciPy.
+(epsilon, delta) minimizes over a fixed order grid. A noiseless step
+(sigma = 0) has RDP inf at every order, so its ledger's epsilon is inf.
+Fixed-size batches are accounted with the Poisson-subsampling bound at
+q = s, the usual DP-SGD approximation. The source analysis's closed forms
+(third-party and server-side budgets) are asymptotic references, not
+guarantees; no run reports them. Log-factorials use ``decimal``, not SciPy.
 """
 from __future__ import annotations
 
@@ -55,13 +55,13 @@ class Budget:
 
 @dataclass
 class PrivacyLedger:
-    """Step counts per (noise multiplier, sampling rate), in insertion order."""
+    """Step counts per (sigma >= 0, sampling rate), in insertion order."""
 
     steps: dict[tuple[float, float], int] = field(default_factory=dict)
 
     def add_event(self, sigma: float, q: float, steps: int) -> None:
-        if not sigma > 0:  # NaN fails too
-            raise ConfigurationError("accounted events need sigma > 0")
+        if not sigma >= 0:  # NaN fails too
+            raise ConfigurationError("accounted events need sigma >= 0")
         if not (0 < q <= 1):
             raise ConfigurationError("sampling rate must be in (0, 1]")
         # 2.5 or NaN must not be truncated to a smaller charge
@@ -93,10 +93,10 @@ def gaussian_rdp(order: float, sigma: float) -> float:
     """RDP of the Gaussian mechanism with sensitivity 1: order / (2 sigma^2)."""
     if order <= 1:
         raise ConfigurationError("RDP order must be > 1")
-    if not sigma > 0:  # NaN fails too
-        raise ConfigurationError("sigma must be > 0")
+    if not sigma >= 0:  # NaN fails too
+        raise ConfigurationError("sigma must be >= 0")
     two_var = 2.0 * sigma * sigma
-    return order / two_var if two_var else math.inf  # sigma^2 underflowed
+    return order / two_var if two_var else math.inf  # sigma = 0 or underflow
 
 
 def subsampled_gaussian_rdp(order: int, sigma: float, q: float) -> float:
@@ -108,8 +108,8 @@ def subsampled_gaussian_rdp(order: int, sigma: float, q: float) -> float:
     """
     if not (0 < q <= 1):
         raise ConfigurationError("q must be in (0, 1]")
-    if not sigma > 0:  # NaN fails too
-        raise ConfigurationError("sigma must be > 0")
+    if not sigma >= 0:  # NaN fails too
+        raise ConfigurationError("sigma must be >= 0")
     if not float(order).is_integer():
         raise ConfigurationError(f"RDP order {order} is not an integer")
     order = int(order)
@@ -118,8 +118,8 @@ def subsampled_gaussian_rdp(order: int, sigma: float, q: float) -> float:
     if q == 1.0:
         return gaussian_rdp(order, sigma)
     two_var = 2.0 * sigma * sigma
-    # No finite bound if sigma^2 underflows to 0 or the largest exponent
-    # j(j-1)/(2 sigma^2) overflows; checked in Python floats, which do not warn.
+    # No finite bound if 2 sigma^2 is 0 (sigma = 0 or underflow) or the largest
+    # exponent j(j-1)/(2 sigma^2) overflows; Python floats do not warn.
     if not two_var or order * (order - 1) / two_var == math.inf:
         return math.inf
     lf = _log_factorials(max(order, 512) + 1)  # one table serves the grid

@@ -9,10 +9,10 @@ import argparse
 import sys
 from dataclasses import fields
 
-from .accounting import PrivacyLedger
+from .accounting import PrivacyLedger, compose_and_convert
 from .blocks import ConfigurationError
 from .optimizer import DivergenceError
-from .runner import (RunConfig, account_round, compare, config_from_strings,
+from .runner import (RunConfig, compare, config_from_strings,
                      parse_config_file)
 
 
@@ -75,7 +75,9 @@ def main(argv=None) -> int:
             ledger = PrivacyLedger()
             rows = ["round,eps_rdp"]
             for t in range(1, cfg.rounds + 1):
-                eps = account_round(cfg, ledger)
+                ledger.add_event(cfg.noise_multiplier, cfg.sample_rate,
+                                 cfg.local_steps)  # as run() charges a round
+                eps = compose_and_convert(ledger, cfg.delta).epsilon
                 if t % args.every == 0 or t == cfg.rounds:
                     rows.append(f"{t},{eps:.12g}")
             print("\n".join(rows))

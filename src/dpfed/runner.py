@@ -99,8 +99,6 @@ class RunConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigurationError(f"unknown variant {self.variant!r}")
-        if self.model not in ("quadratic", "logistic", "mlp2"):
-            raise ConfigurationError(f"unknown model {self.model!r}")
         if (self.model == "quadratic") != (self.dataset == "quadratics"):
             raise ConfigurationError("dataset=quadratics goes with "
                                      "model=quadratic, and only with it")
@@ -113,6 +111,8 @@ class RunConfig:
                 raise ConfigurationError(f"{key} must be >= 1")
         if self.num_classes < 2:
             raise ConfigurationError("num_classes must be >= 2")
+        build_model(self.model, dim=self.dim, num_features=self.num_features,
+                    num_classes=self.num_classes, hidden=self.hidden)
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0")
         for key in ("heterogeneity", "jitter"):  # spreads of the quadratics
@@ -236,16 +236,6 @@ def _build_problem(config: RunConfig, stream: NoiseStream):
     return model, fed, dp_cfg
 
 
-def account_round(config: RunConfig, ledger: PrivacyLedger) -> float:
-    """Charge one round's K steps to the ledger; eps_rdp after it. A round
-    released without noise (sigma = 0) has no finite guarantee."""
-    if config.noise_multiplier == 0:
-        return math.inf
-    ledger.add_event(config.noise_multiplier, config.sample_rate,
-                     config.local_steps)
-    return compose_and_convert(ledger, config.delta).epsilon
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a blow-up is DivergenceError
 def run(config: RunConfig) -> RunSummary:
     """Execute T rounds, writing metrics.csv and summary.json; a run that
@@ -278,7 +268,9 @@ def run(config: RunConfig) -> RunSummary:
             state, report = run_round(
                 state, model, fed, dp_cfg, opt, config.variant,
                 config.local_steps, selected, stream)
-            eps_rdp = account_round(config, ledger)
+            ledger.add_event(config.noise_multiplier, config.sample_rate,
+                             config.local_steps)  # sigma = 0 charges inf
+            eps_rdp = compose_and_convert(ledger, config.delta).epsilon
             loss, acc = model.evaluate(state.theta, fed.X, fed.y)
             S = len(report.client_ids)
             spread = ((cross_client_var_v(report.v), client_drift(report.theta))
@@ -353,7 +345,10 @@ def compare(configs: list[RunConfig], seeds: list[int],
         losses, accs = [], []
         for seed in seeds:
             run_dir = os.path.join(output_dir, f"c{ci}_s{seed}")
-            summary = run(replace(cfg, seed=seed, output_dir=run_dir))
+            try:
+                summary = run(replace(cfg, seed=seed, output_dir=run_dir))
+            except (ConfigurationError, DivergenceError) as exc:
+                raise type(exc)(f"{run_dir}: {exc}") from exc
             losses.append(summary.final_loss)
             accs.append(summary.final_accuracy)
             rows.append({"config": ci, "config_hash": summary.config_hash,

@@ -64,8 +64,10 @@ def test_gaussian_rdp_scaling_law():
 def test_gaussian_rdp_domain():
     with pytest.raises(ConfigurationError):
         gaussian_rdp(1.0, 1.0)
-    with pytest.raises(ConfigurationError):
-        gaussian_rdp(2.0, 0.0)
+    # A noiseless step is priced, at inf; a negative sigma is rejected.
+    assert gaussian_rdp(2.0, 0.0) == math.inf
+    with pytest.raises(ConfigurationError, match="sigma"):
+        gaussian_rdp(2.0, -1.0)
 
 
 def test_nan_sigma_rejected():
@@ -268,9 +270,13 @@ def test_order_grid_span():
 
 def test_ledger_event_validation():
     ledger = PrivacyLedger()
-    for sigma in (0.0, -1.0, math.nan):
+    for sigma in (-1.0, math.nan):
         with pytest.raises(ConfigurationError, match="sigma"):
             ledger.add_event(sigma, 0.1, 10)
+    noiseless = PrivacyLedger()  # sigma = 0 is charged, at inf
+    noiseless.add_event(0.0, 0.1, 10)
+    assert noiseless.steps == {(0.0, 0.1): 10}
+    assert compose_and_convert(noiseless, 1e-5).epsilon == math.inf
     with pytest.raises(ConfigurationError):
         ledger.add_event(1.0, 1.5, 10)
     ledger.add_event(1.0, 0.1, 0)  # no-op
@@ -329,7 +335,7 @@ def test_budget_validation():
         Budget(1.0, 0.0)
 
 
-@pytest.mark.parametrize("sigma", [1e-160, 1e-200])
+@pytest.mark.parametrize("sigma", [1e-160, 1e-200, 0.0])
 def test_tiny_sigma_has_no_finite_bound(sigma):
     # At 1e-160 the j(j-1)/(2 sigma^2) terms overflow; at 1e-200 2 sigma^2
     # itself underflows to 0. Either way the bound is inf, as at sigma = 0,
@@ -344,7 +350,7 @@ def test_tiny_sigma_has_no_finite_bound(sigma):
         Budget(math.nan, 1e-5)
 
 
-@pytest.mark.parametrize("sigma", [1e-152, 1e-154, 1e-160, 1e-200])
+@pytest.mark.parametrize("sigma", [1e-152, 1e-154, 1e-160, 1e-200, 0.0])
 def test_tiny_sigma_accounts_without_warnings(sigma):
     # Exponents or step totals past the float range give inf without a
     # RuntimeWarning. Down to 1e-154 the low orders stay finite, and every
@@ -367,3 +373,19 @@ def test_tiny_sigma_accounts_without_warnings(sigma):
         assert np.array_equal(curve, expected)
     else:
         assert np.all(curve == math.inf)
+
+
+def test_noiseless_event_makes_a_mixed_ledger_unbounded():
+    # One round released without noise voids the guarantee of every other
+    # round: the composed RDP is inf at every order, without a warning.
+    ledger = PrivacyLedger()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ledger.add_event(1.0, 0.2, 10)
+        assert math.isfinite(compose_and_convert(ledger, 1e-5).epsilon)
+        ledger.add_event(0.0, 0.2, 1)
+        ledger.add_event(1.0, 0.2, 10)
+        assert np.all(accounting._rdp_curve(0.0, 0.2) == math.inf)
+        assert gaussian_rdp(2, 0.0) == math.inf
+        assert subsampled_gaussian_rdp(2, 0.0, 0.2) == math.inf
+        assert compose_and_convert(ledger, 1e-5).epsilon == math.inf

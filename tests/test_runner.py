@@ -541,6 +541,73 @@ def test_compare_rejects_no_configs(tmp_path):
         compare([], [0], output_dir=str(tmp_path / "cmp"))
 
 
+QUADRATIC_CFG = ("model = quadratic\ndataset = quadratics\ndim = 3\n"
+                 "num_clients = 3\nrounds = 2\nlocal_steps = 2\n"
+                 "sample_rate = 0.5\nsamples_per_client = 10\ngamma = 0\n")
+LOGISTIC_CFG = ("num_samples = 200\nnum_clients = 3\nrounds = 1\n"
+                "local_steps = 1\nsample_rate = 0.5\nhidden = 0\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_compare_failure_names_the_run(tmp_path, capsys):
+    # A sweep that stops on one run's error says which run, with the class
+    # (and so the exit code) the run raised; the runs before it keep their
+    # directories, and no comparison.csv is written for an unfinished sweep.
+    (tmp_path / "a.cfg").write_text(QUADRATIC_CFG)
+    (tmp_path / "b.cfg").write_text(QUADRATIC_CFG + "lr = 1e160\n")
+    out = tmp_path / "sweep"
+    rc = cli_main(["compare", "--config", str(tmp_path / "a.cfg"),
+                   "--config", str(tmp_path / "b.cfg"), "--axes", "lr",
+                   "--seeds", "0,1", "--output_dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {out / 'c1_s0'}: non-finite metrics in round 1\n")
+    assert sorted(os.listdir(out)) == ["c0_s0", "c0_s1", "c1_s0"]
+    # A run's data check (a client without one batch) is named the same way.
+    with pytest.raises(ConfigurationError) as info:
+        compare([small_config(tmp_path, samples_per_client=1)], [3],
+                output_dir=str(tmp_path / "small"))
+    assert str(info.value) == (f"{tmp_path / 'small' / 'c0_s3'}: "
+                               "floor(sample_rate * 1 rows) must be >= 1")
+
+
+@pytest.mark.filterwarnings("error")
+def test_mlp2_hidden_checked_when_config_is_built(tmp_path, capsys):
+    # mlp2's hidden rule needs no data: the config is rejected when it is
+    # built, so a sweep that names it runs nothing and leaves nothing.
+    with pytest.raises(ConfigurationError, match="hidden"):
+        RunConfig(model="mlp2", hidden=0)
+    (tmp_path / "logistic.cfg").write_text(LOGISTIC_CFG)
+    (tmp_path / "mlp2.cfg").write_text(LOGISTIC_CFG + "model = mlp2\n")
+    rc = cli_main(["compare", "--config", str(tmp_path / "logistic.cfg"),
+                   "--config", str(tmp_path / "mlp2.cfg"), "--axes", "model",
+                   "--seeds", "0,1", "--output_dir", str(tmp_path / "sweep")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "hidden" in err and err.count("\n") == 1
+    assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("sigma", ["1", "0"])
+def test_cli_account_rows_equal_the_run_eps(tmp_path, capsys, sigma):
+    # dpfed account and a run charge rounds through the same two accountant
+    # calls: the table's rows are the run's eps_rdp column, round for round,
+    # each printed as the table prints it.
+    shared = ["--noise_multiplier", sigma, "--sample_rate", "0.5",
+              "--local_steps", "2", "--rounds", "3", "--delta", "1e-3"]
+    assert cli_main(["account", *shared, "--every", "1"]) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert cli_main(["run", *shared, "--model", "quadratic", "--dataset",
+                     "quadratics", "--dim", "3", "--num_clients", "3",
+                     "--samples_per_client", "10",
+                     "--output_dir", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "metrics.csv").read_text().splitlines()[1:]
+    eps = [format(float(row.split(",")[-1]), ".12g") for row in rows]
+    assert table == ["round,eps_rdp", *(f"{t},{e}" for t, e in
+                                        enumerate(eps, 1))]
+    assert (eps == ["inf"] * 3) == (sigma == "0")
+
+
 def test_cli_run_with_config_and_flags(tmp_path, capsys):
     path = tmp_path / "exp.cfg"
     path.write_text("model = quadratic\ndataset = quadratics\n"
