@@ -14,7 +14,7 @@ import numpy as np
 
 
 class ConfigurationError(ValueError):
-    """Raised for inconsistent dimensions or invalid layouts."""
+    """Any malformed input, from a config key to a dataset; exit code 2."""
 
 
 @dataclass(frozen=True)

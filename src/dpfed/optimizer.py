@@ -100,12 +100,11 @@ def corrected_preconditioner(v_hat: np.ndarray, noise_std: float,
 
 
 def local_step(theta: np.ndarray, m_hat: np.ndarray,
-               precond: np.ndarray | float, delta_g: np.ndarray | None,
+               precond: np.ndarray | float, delta_g: np.ndarray,
                params: AdamWParams) -> np.ndarray:
-    """One AdamW step with decoupled weight decay; it adds
-    gamma * delta_g only when a direction is given."""
+    """One AdamW step with decoupled weight decay, plus gamma * delta_g."""
     update = m_hat * precond
-    if delta_g is not None and params.gamma != 0.0:
+    if params.gamma != 0.0:
         update = update + params.gamma * delta_g
     new_theta = theta - params.lr * update
     if params.weight_decay != 0.0:

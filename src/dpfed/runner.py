@@ -214,22 +214,24 @@ class RunSummary:
 
 
 def _build_problem(config: RunConfig, stream: NoiseStream):
-    """Model, per-client datasets and the run's DP mechanism."""
+    """Model, per-client datasets and the run's DP mechanism; the model is
+    the config's, but a CSV supplies its own feature and class counts."""
+    num_features, num_classes = config.num_features, config.num_classes
     if config.model == "quadratic":
         centers = make_client_quadratics(config.dim, config.num_clients,
                                          config.heterogeneity, stream)
         fed = quadratic_client_data(centers, config.samples_per_client,
                                     stream, config.jitter)
-        model = build_model("quadratic", dim=config.dim)
     else:
         if config.dataset == "blobs":
             X, y = make_blobs(config.num_classes, config.num_features,
                               config.num_samples, stream)
         else:
             X, y = load_csv(config.dataset)
+            num_features, num_classes = X.shape[1], int(y.max()) + 1
         fed = dirichlet_partition(X, y, config.num_clients, config.alpha, stream)
-        model = build_model(config.model, num_features=X.shape[1],
-                            num_classes=int(y.max()) + 1, hidden=config.hidden)
+    model = build_model(config.model, dim=config.dim, num_features=num_features,
+                        num_classes=num_classes, hidden=config.hidden)
     dp_cfg = config._settings(DPConfig)
     for lo, hi in zip(fed.bounds, fed.bounds[1:]):
         dp_cfg.batch_size(hi - lo)  # a client without one full batch fails
@@ -281,7 +283,8 @@ def run(config: RunConfig) -> RunSummary:
                 state.t, loss, acc, *(spread or (math.nan, math.nan)),
                 per_client_payload[0] * S, per_client_payload[1] * S, eps_rdp))
     finally:  # a finished, diverged or interrupted run alike
-        _write_csv(config.output_dir, "metrics.csv", METRICS_COLUMNS, records)
+        _write_text(config.output_dir, "metrics.csv",
+                    csv_text(METRICS_COLUMNS, records))
         stale = os.path.join(config.output_dir, "summary.json")
         if len(records) < config.rounds and os.path.exists(stale):
             os.remove(stale)  # a stopped run keeps no earlier run's summary
@@ -308,12 +311,12 @@ def _write_text(out_dir: str, name: str, text: str) -> None:
         fh.write(text)
 
 
-def _write_csv(out_dir: str, name: str, columns, rows) -> None:
+def csv_text(columns, rows) -> str:
     """Header plus one line per row; floats keep 17 significant digits."""
     lines = [",".join(columns)]
     lines += [",".join(format(float(x), ".17g") if isinstance(x, float)
                        else str(x) for x in row) for row in rows]
-    _write_text(out_dir, name, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def compare(configs: list[RunConfig], seeds: list[int],
@@ -363,6 +366,6 @@ def compare(configs: list[RunConfig], seeds: list[int],
                      "accuracy_std": float(np.std(accs))})
     cols = ("config", "config_hash", "seed", "kind", "final_loss",
             "final_accuracy", "loss_std", "accuracy_std")
-    _write_csv(output_dir, "comparison.csv", cols,
-               ([row.get(c, "") for c in cols] for row in rows))
+    _write_text(output_dir, "comparison.csv", csv_text(
+        cols, ([row.get(c, "") for c in cols] for row in rows)))
     return rows

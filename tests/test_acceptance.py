@@ -220,6 +220,24 @@ def test_alignment_alone_leaves_drift_unchanged(tmp_path):
         assert np.all(np.abs(drift[0.5] - drift[0.0]) <= 1e-12 * drift[0.0])
 
 
+def test_fedavg_converges_to_the_pooled_mean(tmp_path):
+    # Without noise or clipping, FedAvg's fixed point on heterogeneous
+    # quadratics is the minimiser of the pooled loss, the mean of every
+    # client's rows: the final loss sits within 1e-4 of the loss there.
+    base = replace(DRIFT_BASE, variant="dp_fedavg_sgd", noise_multiplier=0.0,
+                   clip_norm=1e6, heterogeneity=4.0, num_clients=8,
+                   output_dir=str(tmp_path))
+    for seed in range(3):
+        stream = NoiseStream(seed)  # the run's draws, in the run's order
+        centers = make_client_quadratics(base.dim, base.num_clients,
+                                         base.heterogeneity, stream)
+        X = quadratic_client_data(centers, base.samples_per_client, stream,
+                                  base.jitter).X
+        floor, _ = QuadraticModel(base.dim).evaluate(X.mean(axis=0), X, None)
+        gap = run(replace(base, seed=seed)).final_loss - floor
+        assert 0 <= gap < 1e-4, (seed, gap)
+
+
 VAR_BASE = RunConfig(
     variant="dp_fedadamw", model="mlp2", dataset="blobs", num_clients=10,
     rounds=20, local_steps=5, sample_rate=0.2, clip_norm=1.0,

@@ -90,19 +90,18 @@ def test_local_step_reduces_to_adamw_without_extras():
     theta = np.array([1.0, -2.0])
     m_hat = np.array([0.3, 0.1])
     precond = np.array([2.0, 4.0])
-    out = local_step(theta, m_hat, precond, None, p)
+    out = local_step(theta, m_hat, precond, np.zeros(2), p)
     assert np.array_equal(out, theta - p.lr * m_hat * precond)
 
 
 def test_local_step_aligns_only_with_a_direction():
     theta = np.array([1.0, -2.0])
     m_hat = np.array([0.3, 0.1])
-    plain = local_step(theta, m_hat, 2.0, None, params())
-    assert np.array_equal(
-        local_step(theta, m_hat, 2.0, None, params(gamma=0.5)), plain)
     delta_g = np.array([1.0, 1.0])
     aligned = local_step(theta, m_hat, 2.0, delta_g, params(gamma=0.5))
     assert np.array_equal(aligned, theta - 0.1 * (m_hat * 2.0 + 0.5 * delta_g))
+    assert np.array_equal(local_step(theta, m_hat, 2.0, delta_g, params()),
+                          theta - 0.1 * m_hat * 2.0)  # gamma = 0 skips it
 
 
 def test_local_step_pure_decay():
@@ -142,26 +141,26 @@ def test_local_step_accepts_finite_params_whose_sum_overflows():
     theta = np.array([1.5e308, 1.5e308, -1.0])
     p = params(lr=0.5)
     with np.errstate(over="ignore"):  # the one-reduction check overflows
-        out = local_step(theta, np.zeros(3), 1.0, None, p)
+        out = local_step(theta, np.zeros(3), 1.0, np.zeros(3), p)
     assert np.array_equal(out, theta)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_local_step_rejects_each_nonfinite_value(bad):
     with pytest.raises(DivergenceError):
-        local_step(np.array([0.5, bad, 1.0]), np.zeros(3), 1.0, None,
+        local_step(np.array([0.5, bad, 1.0]), np.zeros(3), 1.0, np.zeros(3),
                    params())
     # The finite part's sum overflows (and meets -inf as inf - inf).
     with (np.errstate(over="ignore", invalid="ignore"),
           pytest.raises(DivergenceError)):
         local_step(np.array([1.5e308, 1.5e308, bad]), np.zeros(3), 1.0,
-                   None, params())
+                   np.zeros(3), params())
 
 
 def test_local_step_divergence_detected():
     with np.errstate(over="ignore"), pytest.raises(DivergenceError):
         local_step(np.array([1e308]), np.array([-1e308]),
-                   np.array([1e8]), None, params(lr=1e8))
+                   np.array([1e8]), np.zeros(1), params(lr=1e8))
 
 
 # The FedAvg baseline's SGD step: local_step with m_hat = g and a
@@ -169,10 +168,10 @@ def test_local_step_divergence_detected():
 def test_sgd_step_basics():
     theta = np.array([1.0, 2.0])
     p = params(lr=0.1, weight_decay=0.01)
-    assert np.array_equal(local_step(theta, np.zeros(2), 1.0, None,
+    assert np.array_equal(local_step(theta, np.zeros(2), 1.0, np.zeros(2),
                                      params(lr=0.1)), theta)
     g = np.array([0.3, -0.7])
-    assert np.array_equal(local_step(theta, g, 1.0, None, p),
+    assert np.array_equal(local_step(theta, g, 1.0, np.zeros(2), p),
                           theta - p.lr * g - p.lr * p.weight_decay * theta)
 
 
@@ -184,4 +183,5 @@ def test_sgd_quadratic_loss_nonincreasing():
         loss = 0.5 * np.sum((theta - center) ** 2)
         assert loss <= prev
         prev = loss
-        theta = local_step(theta, theta - center, 1.0, None, params(lr=0.1))
+        theta = local_step(theta, theta - center, 1.0, np.zeros(2),
+                           params(lr=0.1))

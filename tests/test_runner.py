@@ -15,7 +15,10 @@ from hypothesis import strategies as st
 from dpfed import runner
 from dpfed.blocks import ConfigurationError
 from dpfed.cli import main as cli_main
-from dpfed.federation import VARIANTS
+from dpfed.data import make_blobs
+from dpfed.dp import NoiseStream
+from dpfed.federation import VARIANTS, payload_count
+from dpfed.models import build_model
 from dpfed.optimizer import DivergenceError
 from dpfed.runner import (METRICS_COLUMNS, RunConfig, compare,
                           config_from_strings, parse_config_file, run)
@@ -149,6 +152,46 @@ def test_csv_schema_and_float_roundtrip(tmp_path):
     assert body == [",".join(str(x) if isinstance(x, int) else
                              format(x, ".17g") for x in record)
                     for record in summary.metrics]
+
+
+def payload_columns(cfg, num_features, num_classes):
+    """The uplink and downlink cells of every row, for a model of these sizes."""
+    model = build_model(cfg.model, dim=cfg.dim, num_features=num_features,
+                        num_classes=num_classes, hidden=cfg.hidden)
+    up, down = payload_count(cfg.variant, model.d, model.layout.num_blocks)
+    S = cfg.selected_clients
+    return [[str(up * S), str(down * S)]] * cfg.rounds
+
+
+@pytest.mark.parametrize("sizes, seed, payload", [
+    (dict(num_classes=2, num_features=3, num_samples=4, sample_rate=1.0),
+     0, ["20", "36"]),
+    (dict(num_classes=10, num_samples=20, sample_rate=0.5), 8, ["424", "844"])])
+def test_blobs_run_trains_the_configs_model(tmp_path, sizes, seed, payload):
+    # These draws lack their top class, yet the run's model is the config's,
+    # the one config_hash and the benchmark's checker describe.
+    cfg = RunConfig(**sizes, num_clients=2, rounds=2, local_steps=2,
+                    seed=seed, output_dir=str(tmp_path / "out"))
+    _, y = make_blobs(cfg.num_classes, cfg.num_features, cfg.num_samples,
+                      NoiseStream(seed))  # the run's first draw
+    assert y.max() + 1 < cfg.num_classes
+    summary = run(cfg)
+    rows = (tmp_path / "out" / "metrics.csv").read_text().splitlines()[1:]
+    assert ([row.split(",")[5:7] for row in rows]
+            == payload_columns(cfg, cfg.num_features, cfg.num_classes)
+            == [payload] * 2)
+    assert summary.final_loss > 0  # a one-class softmax gave -0.0
+
+
+def test_csv_run_sizes_its_model_from_the_file(tmp_path):
+    path = tmp_path / "three.csv"
+    path.write_text("f1,f2,f3,label\n" + "".join(
+        f"{i % 7 / 7},{-i / 90},{i % 3 - 1},{i % 3}\n" for i in range(90)))
+    cfg = RunConfig(dataset=str(path), num_clients=3, rounds=2, local_steps=2,
+                    sample_rate=0.5, output_dir=str(tmp_path / "out"))
+    run(cfg)
+    rows = (tmp_path / "out" / "metrics.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[5:7] for row in rows] == payload_columns(cfg, 3, 3)
 
 
 def test_readme_lists_the_metrics_columns():
@@ -591,8 +634,8 @@ def test_mlp2_hidden_checked_when_config_is_built(tmp_path, capsys):
 @pytest.mark.parametrize("sigma", ["1", "0"])
 def test_cli_account_rows_equal_the_run_eps(tmp_path, capsys, sigma):
     # dpfed account and a run charge rounds through the same two accountant
-    # calls: the table's rows are the run's eps_rdp column, round for round,
-    # each printed as the table prints it.
+    # calls and print each eps alike: the table's rows are the run's eps_rdp
+    # column, round for round, byte for byte.
     shared = ["--noise_multiplier", sigma, "--sample_rate", "0.5",
               "--local_steps", "2", "--rounds", "3", "--delta", "1e-3"]
     assert cli_main(["account", *shared, "--every", "1"]) == 0
@@ -602,7 +645,7 @@ def test_cli_account_rows_equal_the_run_eps(tmp_path, capsys, sigma):
                      "--samples_per_client", "10",
                      "--output_dir", str(tmp_path / "out")]) == 0
     rows = (tmp_path / "out" / "metrics.csv").read_text().splitlines()[1:]
-    eps = [format(float(row.split(",")[-1]), ".12g") for row in rows]
+    eps = [row.split(",")[-1] for row in rows]
     assert table == ["round,eps_rdp", *(f"{t},{e}" for t, e in
                                         enumerate(eps, 1))]
     assert (eps == ["inf"] * 3) == (sigma == "0")
