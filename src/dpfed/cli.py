@@ -22,12 +22,11 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> RunConfig:
-    names = {f.name for f in fields(RunConfig)}
-    overrides = {k: v for k, v in vars(args).items()
-                 if k in names and v is not None}
+    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+                 if getattr(args, f.name, None) is not None}
     if getattr(args, "config", None):
         return parse_config_file(args.config, overrides)
-    return config_from_strings({k: str(v) for k, v in overrides.items()})
+    return config_from_strings(overrides)
 
 
 def main(argv=None) -> int:
@@ -61,8 +60,7 @@ def main(argv=None) -> int:
                   f"eps_rdp={summary.eps_rdp:.6g} "
                   f"wall_time_s={summary.wall_time_s:.3f}")
         elif args.command == "compare":
-            seeds = [config_from_strings({"seed": s}).seed  # checked as a run's
-                     for s in args.seeds.split(",") if s]
+            seeds = [s for s in args.seeds.split(",") if s]
             configs = [parse_config_file(path) for path in args.configs]
             axes = tuple(a for a in args.axes.split(",") if a)
             compare(configs, seeds, axes=axes, output_dir=args.output_dir)

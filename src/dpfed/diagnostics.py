@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import ConfigurationError
-from .dp import DPConfig, NoiseStream
+from .dp import DOMAIN_PROBE, DPConfig, NoiseStream
 from .optimizer import AdamWParams, init_round, moment_update
 
 
@@ -61,7 +61,7 @@ def bias_probe(cfg: DPConfig, batch_size: int, g: np.ndarray, k_steps: int,
     if tau > 0.0 and not n_mc >= 2:  # one run has no standard error
         raise ConfigurationError("bias probe needs n_mc >= 2 when sigma > 0")
     runs = 1 if tau == 0.0 else int(n_mc)
-    rng = stream.rng((97,))
+    rng = stream.rng((DOMAIN_PROBE,))
     # One row per run, driven by the update the clients run.
     state = init_round((runs, len(g)), AdamWParams(beta2=beta2))
     for _ in range(k_steps):

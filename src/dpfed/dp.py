@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -49,6 +50,7 @@ DOMAIN_BATCH = 1
 DOMAIN_CLIENTS = 2
 DOMAIN_INIT = 3
 DOMAIN_DATA = 4
+DOMAIN_PROBE = 97  # diagnostics.bias_probe's generator
 
 # Factored batches clip their carrier at C times this (module docstring).
 _CARRIER_CLIP = 1.0 - 2.0 ** -40
@@ -99,11 +101,15 @@ class NoiseStream:
     """
 
     def __init__(self, run_seed: int):
-        self.run_seed = int(run_seed)
+        self.run_seed = run_seed  # checked with every key
 
     def rng(self, key: tuple[int, ...]) -> np.random.Generator:
-        return np.random.default_rng(
-            np.random.SeedSequence([self.run_seed, *(int(k) for k in key)]))
+        try:  # operator.index takes NumPy integers and rejects 1.5
+            entropy = [operator.index(k) for k in (self.run_seed, *key)]
+            return np.random.default_rng(np.random.SeedSequence(entropy))
+        except (TypeError, ValueError):  # SeedSequence rejects -1
+            raise ConfigurationError("seed and key entries must be integers "
+                                     f">= 0: {(self.run_seed, *key)}") from None
 
 
 def _row_norms(g: np.ndarray) -> np.ndarray:

@@ -55,11 +55,12 @@ _QUADRATIC_FIELDS = ("dim", "heterogeneity", "jitter", "samples_per_client")
 _BLOBS_FIELDS = ("num_features", "num_classes", "num_samples")
 _CLASSIFIER_FIELDS = (*_BLOBS_FIELDS, "hidden", "alpha")
 
-_SIZE_FIELDS = ("local_steps", "num_clients", "dim", "num_features",
-                "num_samples", "samples_per_client")  # each must be >= 1
+_LEAST = {"rounds": 0, "seed": 0, "local_steps": 1, "num_clients": 1, "dim": 1,
+          "num_features": 1, "num_samples": 1, "samples_per_client": 1,
+          "num_classes": 2}  # smallest values (mlp2's hidden: build_model)
 _BOOLS = {"true": True, "1": True, "false": False, "0": False}
-_PARSERS = {"int": int, "float": float, "str": str,  # by string annotation
-            "bool": lambda val: _BOOLS[val.lower()]}  # else KeyError
+_PARSERS = {"int": int, "float": lambda text: float(text) + 0.0,  # -0 is 0.0
+            "str": str, "bool": lambda text: _BOOLS[text.lower()]}  # by annotation
 
 
 @dataclass(frozen=True)
@@ -97,6 +98,16 @@ class RunConfig:
     output_dir: str = "runs/out"
 
     def __post_init__(self):
+        for f in fields(self):  # a value from Python, a file or a flag alike
+            value = getattr(self, f.name)
+            text = type(value)  # what an error shows while value has no text
+            try:  # a str field takes text or a path: str(None) is no path
+                if f.type == "str" and not isinstance(value, (str, os.PathLike)):
+                    raise ValueError
+                text = str(value)  # an int past 4300 digits has none
+                object.__setattr__(self, f.name, _PARSERS[f.type](text))
+            except (KeyError, ValueError):
+                raise ConfigurationError(f"{f.name}: cannot parse {text!r}") from None
         if self.variant not in VARIANTS:
             raise ConfigurationError(f"unknown variant {self.variant!r}")
         if (self.model == "quadratic") != (self.dataset == "quadratics"):
@@ -104,17 +115,15 @@ class RunConfig:
                                      "model=quadratic, and only with it")
         if not (0 < self.participation <= 1):
             raise ConfigurationError("participation must be in (0, 1]")
-        if self.rounds < 0:
-            raise ConfigurationError("rounds must be >= 0")
-        for key in _SIZE_FIELDS:
-            if getattr(self, key) < 1:
-                raise ConfigurationError(f"{key} must be >= 1")
-        if self.num_classes < 2:
-            raise ConfigurationError("num_classes must be >= 2")
+        for key, least in _LEAST.items():
+            if getattr(self, key) < least:
+                raise ConfigurationError(f"{key} must be >= {least}")
+        if self.model != "quadratic" and self.num_clients < 2:  # a partition
+            raise ConfigurationError("num_clients must be >= 2")
+        if self.dataset == "blobs" and self.num_clients > self.num_samples:
+            raise ConfigurationError("num_clients must be <= num_samples")
         build_model(self.model, dim=self.dim, num_features=self.num_features,
                     num_classes=self.num_classes, hidden=self.hidden)
-        if self.seed < 0:
-            raise ConfigurationError("seed must be >= 0")
         for key in ("heterogeneity", "jitter"):  # spreads of the quadratics
             value = getattr(self, key)
             if not (math.isfinite(value) and value >= 0):
@@ -126,7 +135,9 @@ class RunConfig:
         # The optimizer's and the DP mechanism's checks, for every variant:
         # a bad value fails here, before any data is built.
         self._settings(AdamWParams)
-        self._settings(DPConfig)
+        dp_cfg = self._settings(DPConfig)
+        if self.model == "quadratic":  # every client holds R rows
+            dp_cfg.batch_size(self.samples_per_client)
 
     def _settings(self, cls):
         """An AdamWParams or DPConfig of this config's same-named fields."""
@@ -161,7 +172,7 @@ class RunConfig:
 
 def parse_config_file(path, overrides: dict | None = None) -> RunConfig:
     """UTF-8 key = value file, BOM optional, one key a line, # comments."""
-    values: dict[str, str] = {}
+    values: dict = {}
     linenos: dict[str, int] = {}
     try:
         with open(path, encoding="utf-8-sig") as fh:
@@ -181,24 +192,16 @@ def parse_config_file(path, overrides: dict | None = None) -> RunConfig:
                                      f" (first on line {linenos[key]})")
         values[key], linenos[key] = val, lineno
     if overrides:
-        values.update({k: str(v) for k, v in overrides.items() if v is not None})
+        values.update({k: v for k, v in overrides.items() if v is not None})
     return config_from_strings(values)
 
 
-def config_from_strings(values: dict[str, str]) -> RunConfig:
-    kwargs = {}
-    field_types = {f.name: f.type for f in fields(RunConfig)}
-    for key, val in values.items():
-        if key not in field_types:
+def config_from_strings(values: dict) -> RunConfig:
+    names = {f.name for f in fields(RunConfig)}
+    for key in values:
+        if key not in names:
             raise ConfigurationError(f"unknown config key {key!r}")
-        parse = _PARSERS[field_types[key]]
-        try:
-            kwargs[key] = parse(val)
-        except KeyError:
-            raise ConfigurationError(f"{key} must be true/false") from None
-        except ValueError:
-            raise ConfigurationError(f"{key}: cannot parse {val!r}") from None
-    return RunConfig(**kwargs)
+    return RunConfig(**values)
 
 
 @dataclass
@@ -217,6 +220,7 @@ def _build_problem(config: RunConfig, stream: NoiseStream):
     """Model, per-client datasets and the run's DP mechanism; the model is
     the config's, but a CSV supplies its own feature and class counts."""
     num_features, num_classes = config.num_features, config.num_classes
+    dp_cfg = config._settings(DPConfig)
     if config.model == "quadratic":
         centers = make_client_quadratics(config.dim, config.num_clients,
                                          config.heterogeneity, stream)
@@ -230,11 +234,10 @@ def _build_problem(config: RunConfig, stream: NoiseStream):
             X, y = load_csv(config.dataset)
             num_features, num_classes = X.shape[1], int(y.max()) + 1
         fed = dirichlet_partition(X, y, config.num_clients, config.alpha, stream)
+        for lo, hi in zip(fed.bounds, fed.bounds[1:]):
+            dp_cfg.batch_size(hi - lo)  # a client without one full batch fails
     model = build_model(config.model, dim=config.dim, num_features=num_features,
                         num_classes=num_classes, hidden=config.hidden)
-    dp_cfg = config._settings(DPConfig)
-    for lo, hi in zip(fed.bounds, fed.bounds[1:]):
-        dp_cfg.batch_size(hi - lo)  # a client without one full batch fails
     return model, fed, dp_cfg
 
 
@@ -330,6 +333,7 @@ def compare(configs: list[RunConfig], seeds: list[int],
     """
     if not configs or not seeds:
         raise ConfigurationError("compare needs configs and seeds")
+    seeds = [replace(configs[0], seed=s).seed for s in seeds]  # as a run's
     if len(set(seeds)) != len(seeds):  # a repeat would rerun one directory
         raise ConfigurationError(f"compare seeds must be distinct: {seeds}")
     unknown = sorted(set(axes) - {f.name for f in fields(RunConfig)})

@@ -234,6 +234,16 @@ def test_determinism_and_key_separation():
     assert not np.array_equal(a, c)
 
 
+def test_stream_seed_and_key_are_integers_never_truncated():
+    # NumPy integers key the stream Python's do; 1.5 or -1 keys none.
+    draw = NoiseStream(1).rng((1, 2)).random()
+    assert NoiseStream(np.int64(1)).rng((np.uint8(1), np.int64(2))).random() == draw
+    for seed, key in ((1.5, (1, 2)), (1, (1, 2.7)), (1, (np.float64(2.0),)),
+                      (-1, (1,)), (1, (1, -2))):
+        with pytest.raises(ConfigurationError, match="integers >= 0"):
+            NoiseStream(seed).rng(key)
+
+
 def test_noisy_batch_mean_clips_its_batch():
     # Raw per-sample gradients, most rows far above C: the mechanism must
     # clip them itself, giving bitwise what a pre-clipped batch gives.

@@ -372,8 +372,8 @@ INVALID_CONFIG = {
 
 @pytest.mark.parametrize("kw", INVALID_CONFIG.values(), ids=INVALID_CONFIG)
 def test_mismatched_model_dataset_writes_nothing(tmp_path, kw):
-    # Rejected by RunConfig (model and dataset, optimizer settings) or by
-    # run() (a client without one batch): either way no output directory
+    # Rejected when the RunConfig is built (model and dataset, optimizer
+    # settings, a quadratic client without one batch): no output directory
     # may appear.
     with pytest.raises(ConfigurationError):
         run(small_config(tmp_path, **kw))
@@ -443,6 +443,83 @@ def test_config_from_strings_returns_config_or_configuration_error(values):
     except ConfigurationError:
         return
     assert isinstance(cfg, RunConfig)
+
+
+# Each group is one written value in several Python spellings.
+EQUIVALENT = [("noise_multiplier", (1, 1.0, "1")), ("gamma", (-0.0, 0.0, "-0")),
+              ("gamma", (np.float64(0.5), 0.5)), ("seed", (np.int64(3), 3, "3")),
+              ("warm_start", ("false", False, np.False_)),
+              ("dataset", (Path("d.csv"), "d.csv"))]
+
+
+@pytest.mark.parametrize("key,values", EQUIVALENT,
+                         ids=[f"{k}={v[-1]}" for k, v in EQUIVALENT])
+def test_a_value_is_parsed_from_its_written_form(key, values):
+    # A value from Python, a file line or a flag is parsed from str(value),
+    # so one written value is one config, of the annotated type, one hash.
+    configs = [RunConfig(**{key: value}) for value in values]
+    assert all(cfg == configs[0] for cfg in configs)
+    assert len({cfg.config_hash() for cfg in configs}) == 1
+    assert {type(getattr(cfg, key)) for cfg in configs} == {
+        type(getattr(RunConfig(), key))}
+
+
+REJECTED = {"rounds=2.5": ("rounds", 2.5), "seed=1.5": ("seed", 1.5),
+            "dim=True": ("dim", True), "gamma=True": ("gamma", True),
+            "warm_start=2": ("warm_start", 2),
+            "output_dir=None": ("output_dir", None),
+            "lr=10**400": ("lr", 10**400),
+            "rounds=10**5000": ("rounds", 10**5000)}  # no str(): no text
+
+
+@pytest.mark.parametrize("key,value", REJECTED.values(), ids=REJECTED)
+def test_a_value_that_is_not_its_type_is_rejected_naming_the_key(key, value):
+    # Not truncated (1.5 is no seed 1), not read by truthiness ("2" is no
+    # bool), not a directory named None, not an int past the float range
+    # nor one too long to write.
+    with pytest.raises(ConfigurationError, match=key):
+        RunConfig(**{key: value})
+
+
+RAW_VALUES = st.one_of(
+    st.integers(), st.floats(), st.sampled_from([math.nan, math.inf, -math.inf,
+                                                 -0.0]),
+    st.booleans(), st.none(), st.text(max_size=12),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.floats().map(np.float64),
+    st.booleans().map(np.bool_))
+
+
+@given(st.dictionaries(st.sampled_from([f.name for f in fields(RunConfig)]),
+                       RAW_VALUES))
+@settings(max_examples=300, deadline=None)
+def test_run_config_from_python_values_returns_config_or_configuration_error(
+        values):
+    try:
+        cfg = RunConfig(**values)
+    except ConfigurationError:
+        return
+    assert all(type(getattr(cfg, f.name)).__name__ == f.type
+               for f in fields(cfg))
+
+
+def test_numpy_seeds_run_and_compare(tmp_path):
+    # A NumPy seed is the seed it writes: summary.json and comparison.csv
+    # hold plain integers.
+    run(small_config(tmp_path, seed=np.int64(0)))
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["seed"] == 0
+    rows = compare([small_config(tmp_path)], list(np.arange(2)),
+                   output_dir=str(tmp_path / "cmp"))
+    assert [row["seed"] for row in rows] == [0, 1, -1]
+    assert (tmp_path / "cmp" / "comparison.csv").exists()
+
+
+def test_compare_rejects_a_seed_written_twice(tmp_path):
+    # 0 and "0" are one seed: a sweep over both would run c0_s0 twice.
+    with pytest.raises(ConfigurationError, match="distinct"):
+        compare([small_config(tmp_path)], [0, "0"],
+                output_dir=str(tmp_path / "cmp"))
+    assert not (tmp_path / "cmp").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])
@@ -606,12 +683,47 @@ def test_compare_failure_names_the_run(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {out / 'c1_s0'}: non-finite metrics in round 1\n")
     assert sorted(os.listdir(out)) == ["c0_s0", "c0_s1", "c1_s0"]
-    # A run's data check (a client without one batch) is named the same way.
+    # A run's data check is named the same way: at seed 67, Dir(0.1) leaves
+    # a client with one row, and so without one batch.
+    blobs = RunConfig(num_samples=200, sample_rate=0.2, rounds=1)
     with pytest.raises(ConfigurationError) as info:
-        compare([small_config(tmp_path, samples_per_client=1)], [3],
-                output_dir=str(tmp_path / "small"))
-    assert str(info.value) == (f"{tmp_path / 'small' / 'c0_s3'}: "
+        compare([blobs], [67], output_dir=str(tmp_path / "small"))
+    assert str(info.value) == (f"{tmp_path / 'small' / 'c0_s67'}: "
                                "floor(sample_rate * 1 rows) must be >= 1")
+
+
+BLOBS_SWEEP = dict(num_samples=200, num_clients=3, rounds=1, local_steps=1,
+                   sample_rate=0.5)
+QUADRATIC_SWEEP = dict(BLOBS_SWEEP, model="quadratic", dataset="quadratics",
+                       dim=3, samples_per_client=10)
+DATA_FREE = {  # a sweep's first config, and its second, which breaks a rule
+    "one_client": (BLOBS_SWEEP, dict(num_clients=1), "num_clients"),
+    "clients_past_rows": (BLOBS_SWEEP, dict(num_samples=4, num_clients=5),
+                          "num_clients"),
+    "no_quadratic_batch": (QUADRATIC_SWEEP,
+                           dict(samples_per_client=4, sample_rate=0.2),
+                           "floor(sample_rate * 4 rows)"),
+}
+
+
+@pytest.mark.parametrize("base,change,named", DATA_FREE.values(),
+                         ids=DATA_FREE)
+def test_data_free_rules_checked_when_config_is_built(tmp_path, capsys, base,
+                                                      change, named):
+    # A rule that needs no data rejects the config when it is built, so a
+    # sweep that names it runs nothing, not its first config's c0_s0.
+    with pytest.raises(ConfigurationError) as info:
+        RunConfig(**{**base, **change})
+    assert named in str(info.value)
+    for name, values in (("a", base), ("b", {**base, **change})):
+        (tmp_path / f"{name}.cfg").write_text(
+            "".join(f"{k} = {v}\n" for k, v in values.items()))
+    rc = cli_main(["compare", "--config", str(tmp_path / "a.cfg"),
+                   "--config", str(tmp_path / "b.cfg"),
+                   "--axes", ",".join(change), "--seeds", "0",
+                   "--output_dir", str(tmp_path / "sweep")])
+    assert rc == 2 and named in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
 
 
 @pytest.mark.filterwarnings("error")
