@@ -216,29 +216,59 @@ class RunSummary:
     metrics: list[MetricRecord]
 
 
-def _build_problem(config: RunConfig, stream: NoiseStream):
-    """Model, per-client datasets and the run's DP mechanism; the model is
-    the config's, but a CSV supplies its own feature and class counts."""
-    num_features, num_classes = config.num_features, config.num_classes
-    dp_cfg = config._settings(DPConfig)
-    if config.model == "quadratic":
-        centers = make_client_quadratics(config.dim, config.num_clients,
-                                         config.heterogeneity, stream)
-        fed = quadratic_client_data(centers, config.samples_per_client,
-                                    stream, config.jitter)
-    else:
-        if config.dataset == "blobs":
-            X, y = make_blobs(config.num_classes, config.num_features,
-                              config.num_samples, stream)
+class Rounds:
+    """A run's rounds: construction makes every draw and data check and no
+    file; iterating runs the rounds, once, yielding each MetricRecord."""
+
+    def __init__(self, config: RunConfig):
+        stream = NoiseStream(config.seed)
+        num_features, num_classes = config.num_features, config.num_classes
+        dp_cfg = config._settings(DPConfig)
+        if config.model == "quadratic":
+            centers = make_client_quadratics(config.dim, config.num_clients,
+                                             config.heterogeneity, stream)
+            fed = quadratic_client_data(centers, config.samples_per_client,
+                                        stream, config.jitter)
         else:
-            X, y = load_csv(config.dataset)
-            num_features, num_classes = X.shape[1], int(y.max()) + 1
-        fed = dirichlet_partition(X, y, config.num_clients, config.alpha, stream)
-        for lo, hi in zip(fed.bounds, fed.bounds[1:]):
-            dp_cfg.batch_size(hi - lo)  # a client without one full batch fails
-    model = build_model(config.model, dim=config.dim, num_features=num_features,
-                        num_classes=num_classes, hidden=config.hidden)
-    return model, fed, dp_cfg
+            if config.dataset == "blobs":
+                X, y = make_blobs(config.num_classes, config.num_features,
+                                  config.num_samples, stream)
+            else:  # the model is the config's, but a CSV sizes its own
+                X, y = load_csv(config.dataset)
+                num_features, num_classes = X.shape[1], int(y.max()) + 1
+            fed = dirichlet_partition(X, y, config.num_clients, config.alpha, stream)
+            for lo, hi in zip(fed.bounds, fed.bounds[1:]):
+                dp_cfg.batch_size(hi - lo)  # a client without one full batch fails
+        model = build_model(config.model, dim=config.dim, num_features=num_features,
+                            num_classes=num_classes, hidden=config.hidden)
+        self.fed, self.model = fed, model
+        self.state = RoundState.initial(
+            model.init_params(stream.rng((DOMAIN_INIT,))), model.layout)
+        self._records = self._play(config, stream, dp_cfg, fed, model)
+
+    def __iter__(self):
+        return self._records  # one pass: a second iteration yields nothing
+
+    def _play(self, config, stream, dp_cfg, fed, model):
+        opt, ledger = config._settings(AdamWParams), PrivacyLedger()
+        up, down = payload_count(config.variant, model.d, model.layout.num_blocks)
+        selected = config.selected_clients  # Fraction arithmetic: once a run
+        for _ in range(config.rounds):  # run_round is looked up every round
+            self.state, report = run_round(
+                self.state, model, fed, dp_cfg, opt, config.variant,
+                config.local_steps, selected, stream)
+            ledger.add_event(config.noise_multiplier, config.sample_rate,
+                             config.local_steps)  # sigma = 0 charges inf
+            eps_rdp = compose_and_convert(ledger, config.delta).epsilon
+            loss, acc = model.evaluate(self.state.theta, fed.X, fed.y)
+            S = len(report.client_ids)
+            spread = ((cross_client_var_v(report.v), client_drift(report.theta))
+                      if S >= 2 else ())  # var_v and drift; NaN for S = 1
+            if not np.isfinite((loss, *spread)).all():
+                raise DivergenceError(f"non-finite metrics in round {self.state.t}")
+            yield MetricRecord(self.state.t, loss, acc,
+                               *(spread or (math.nan, math.nan)),
+                               up * S, down * S, eps_rdp)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a blow-up is DivergenceError
@@ -246,9 +276,7 @@ def run(config: RunConfig) -> RunSummary:
     """Execute T rounds, writing metrics.csv and summary.json; a run that
     stops early, for any reason, writes only its completed rows."""
     start = time.perf_counter()
-
-    stream = NoiseStream(config.seed)
-    model, fed, dp_cfg = _build_problem(config, stream)
+    rounds = Rounds(config)
     try:  # once the config is known to be valid, before any round runs
         os.makedirs(config.output_dir, exist_ok=True)
     except OSError as exc:
@@ -258,33 +286,10 @@ def run(config: RunConfig) -> RunSummary:
         if os.path.isdir(os.path.join(config.output_dir, name)):
             raise ConfigurationError(f"output_dir {config.output_dir!r} holds "
                                      f"a directory named {name}")
-    theta0 = model.init_params(stream.rng((DOMAIN_INIT,)))
-    state = RoundState.initial(theta0, model.layout)
-    opt = config._settings(AdamWParams)
-    ledger = PrivacyLedger()
-    per_client_payload = payload_count(config.variant, model.d,
-                                       model.layout.num_blocks)
-
     records: list[MetricRecord] = []
-    eps_rdp = 0.0
-    selected = config.selected_clients  # Fraction arithmetic: once a run
     try:
-        for _ in range(config.rounds):
-            state, report = run_round(
-                state, model, fed, dp_cfg, opt, config.variant,
-                config.local_steps, selected, stream)
-            ledger.add_event(config.noise_multiplier, config.sample_rate,
-                             config.local_steps)  # sigma = 0 charges inf
-            eps_rdp = compose_and_convert(ledger, config.delta).epsilon
-            loss, acc = model.evaluate(state.theta, fed.X, fed.y)
-            S = len(report.client_ids)
-            spread = ((cross_client_var_v(report.v), client_drift(report.theta))
-                      if S >= 2 else ())  # var_v and drift; NaN for S = 1
-            if not np.isfinite((loss, *spread)).all():
-                raise DivergenceError(f"non-finite metrics in round {state.t}")
-            records.append(MetricRecord(
-                state.t, loss, acc, *(spread or (math.nan, math.nan)),
-                per_client_payload[0] * S, per_client_payload[1] * S, eps_rdp))
+        for record in rounds:  # iterated under this function's errstate
+            records.append(record)
     finally:  # a finished, diverged or interrupted run alike
         _write_text(config.output_dir, "metrics.csv",
                     csv_text(METRICS_COLUMNS, records))
@@ -293,10 +298,10 @@ def run(config: RunConfig) -> RunSummary:
             os.remove(stale)  # a stopped run keeps no earlier run's summary
 
     if records:  # theta has not moved since the last round's evaluation
-        last = records[-1]
-        final_loss, final_acc = last.global_loss, last.global_accuracy
-    else:
-        final_loss, final_acc = model.evaluate(state.theta, fed.X, fed.y)
+        _, final_loss, final_acc, *_, eps_rdp = records[-1]
+    else:  # no round ran: theta0's loss
+        (final_loss, final_acc), eps_rdp = rounds.model.evaluate(
+            rounds.state.theta, rounds.fed.X, rounds.fed.y), 0.0
     summary = RunSummary(final_loss=final_loss, final_accuracy=final_acc,
                          eps_rdp=eps_rdp, wall_time_s=time.perf_counter() - start,
                          config_hash=config.config_hash(), metrics=records)

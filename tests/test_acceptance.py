@@ -22,7 +22,7 @@ from dpfed.federation import (RoundState, payload_count, run_client,
                               run_round)
 from dpfed.models import QuadraticModel, build_model
 from dpfed.optimizer import AdamWParams, corrected_preconditioner
-from dpfed.runner import RunConfig, run
+from dpfed.runner import Rounds, RunConfig, run
 
 BETA2 = 0.999
 PROBE_CFG = DPConfig(clip_norm=0.1, noise_multiplier=1.0, sample_rate=1.0)
@@ -220,6 +220,13 @@ def test_alignment_alone_leaves_drift_unchanged(tmp_path):
         assert np.all(np.abs(drift[0.5] - drift[0.0]) <= 1e-12 * drift[0.0])
 
 
+def pooled_mean_loss(rounds):
+    """The loss at the mean of every client's rows, a quadratic run's
+    exact minimiser, on the run's own data."""
+    X = rounds.fed.X
+    return rounds.model.evaluate(X.mean(axis=0), X, None)[0]
+
+
 def test_fedavg_converges_to_the_pooled_mean(tmp_path):
     # Without noise or clipping, FedAvg's fixed point on heterogeneous
     # quadratics is the minimiser of the pooled loss, the mean of every
@@ -228,14 +235,29 @@ def test_fedavg_converges_to_the_pooled_mean(tmp_path):
                    clip_norm=1e6, heterogeneity=4.0, num_clients=8,
                    output_dir=str(tmp_path))
     for seed in range(3):
-        stream = NoiseStream(seed)  # the run's draws, in the run's order
-        centers = make_client_quadratics(base.dim, base.num_clients,
-                                         base.heterogeneity, stream)
-        X = quadratic_client_data(centers, base.samples_per_client, stream,
-                                  base.jitter).X
-        floor, _ = QuadraticModel(base.dim).evaluate(X.mean(axis=0), X, None)
-        gap = run(replace(base, seed=seed)).final_loss - floor
+        config = replace(base, seed=seed)
+        floor = pooled_mean_loss(Rounds(config))
+        gap = run(config).final_loss - floor
         assert 0 <= gap < 1e-4, (seed, gap)
+
+
+def test_linear_speedup_on_iid_clients():
+    # The paper's linearly accelerated rate: on iid clients (heterogeneity
+    # 0), with noise and clipping, FedAvg's steady-state gap to the pooled
+    # optimum shrinks in proportion to the number of clients. 16x the
+    # clients should give a 16x smaller gap; a factor of 2 either way passes.
+    base = replace(DRIFT_BASE, variant="dp_fedavg_sgd", heterogeneity=0.0,
+                   noise_multiplier=1.0, clip_norm=1.0, participation=1.0,
+                   rounds=60)
+
+    def gap(config):  # the last 20 rounds' mean loss above the optimum
+        rounds = Rounds(config)
+        losses = [record.global_loss for record in rounds]
+        return np.mean(losses[-20:]) - pooled_mean_loss(rounds)
+
+    gaps = {n: np.mean([gap(replace(base, num_clients=n, seed=seed))
+                        for seed in range(4)]) for n in (2, 32)}
+    assert 8 <= gaps[2] / gaps[32] <= 32, gaps
 
 
 VAR_BASE = RunConfig(

@@ -1,15 +1,17 @@
-"""The byte-identity tool (tools/artifact_hashes.py) still builds its matrix.
+"""The byte-identity tool (tools/artifact_hashes.py) still builds its matrix,
+and the benchmark's workloads are still the acceptance configs.
 
-Its full run takes tens of seconds, so this suite only loads the script
-and the benchmark's workloads by path, counts the sets it would run and
-reads each set's config back from text.
+The tool's full run takes tens of seconds, so this suite only loads the
+script and the benchmark's workloads by path, counts the sets it would run,
+reads each set's config back from text and compares the workloads' hashes.
 """
 import importlib.util
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from dpfed.runner import parse_config_file
+from test_acceptance import DRIFT_BASE, SUPERIORITY_BASE, VAR_BASE
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -46,3 +48,16 @@ def test_matrix_configs_round_trip_through_text(monkeypatch, tmp_path):
         back = parse_config_file(path)
         assert back == config, label
         assert back.config_hash() == config.config_hash(), label
+
+
+def test_workloads_are_the_acceptance_configs(monkeypatch):
+    # bench/workloads.py copies each acceptance config's values on purpose,
+    # so a test edit cannot move the benchmark; the copies differ only in
+    # their rounds and must compute what their source computes.
+    workloads = load(ROOT / "bench" / "workloads.py", "bench_workloads",
+                     monkeypatch).WORKLOADS
+    for name, base in (("logistic_blobs", SUPERIORITY_BASE),
+                       ("mlp2_blobs", VAR_BASE),
+                       ("quadratic_drift", DRIFT_BASE)):
+        config = replace(workloads[name].config, rounds=base.rounds)
+        assert config.config_hash() == base.config_hash(), name

@@ -15,13 +15,12 @@ from hypothesis import strategies as st
 from dpfed import runner
 from dpfed.blocks import ConfigurationError
 from dpfed.cli import main as cli_main
-from dpfed.data import make_blobs
-from dpfed.dp import NoiseStream
 from dpfed.federation import VARIANTS, payload_count
 from dpfed.models import build_model
 from dpfed.optimizer import DivergenceError
-from dpfed.runner import (METRICS_COLUMNS, RunConfig, compare,
-                          config_from_strings, parse_config_file, run)
+from dpfed.runner import (METRICS_COLUMNS, Rounds, RunConfig, compare,
+                          config_from_strings, csv_text, parse_config_file,
+                          run)
 
 
 def small_config(tmp_path, **kw):
@@ -115,6 +114,38 @@ def test_stopped_run_keeps_its_rows_and_no_stale_summary(tmp_path,
     assert not (out / "summary.json").exists()
 
 
+def test_rounds_are_built_before_any_round_and_write_nothing(tmp_path,
+                                                           monkeypatch):
+    # Every draw and data check is made when Rounds is built, so a bad
+    # input fails there; the rounds run only when it is iterated, once.
+    calls = []
+    real_run_round = runner.run_round
+    monkeypatch.setattr(runner, "run_round", lambda *args: calls.append(1)
+                        or real_run_round(*args))
+    monkeypatch.chdir(tmp_path)
+    cfg = small_config(tmp_path, rounds=3)
+    rounds = Rounds(cfg)
+    assert not calls and not list(tmp_path.iterdir())
+    with pytest.raises(ConfigurationError, match="missing.csv"):
+        Rounds(RunConfig(dataset=str(tmp_path / "missing.csv")))
+    assert len(list(rounds)) == len(calls) == 3
+    assert list(rounds) == [] and len(calls) == 3  # no second pass
+
+
+@pytest.mark.parametrize("participation", [1.0, 0.3])  # S = 3 and S = 1
+def test_rounds_yield_the_records_run_writes(tmp_path, participation):
+    cfg = small_config(tmp_path, rounds=3, participation=participation)
+    records = list(Rounds(cfg))
+    summary = run(cfg)
+    assert len(records) == len(summary.metrics) == 3
+    for ours, its in zip(records, summary.metrics):  # S = 1 has NaN spread
+        assert all(type(a) is type(b)
+                   and (a == b or (math.isnan(a) and math.isnan(b)))
+                   for a, b in zip(ours, its))
+    assert (csv_text(METRICS_COLUMNS, records).encode()
+            == (tmp_path / "out" / "metrics.csv").read_bytes())
+
+
 def test_rerun_byte_identical(tmp_path):
     cfg = small_config(tmp_path)
     run(cfg)
@@ -172,9 +203,10 @@ def test_blobs_run_trains_the_configs_model(tmp_path, sizes, seed, payload):
     # the one config_hash and the benchmark's checker describe.
     cfg = RunConfig(**sizes, num_clients=2, rounds=2, local_steps=2,
                     seed=seed, output_dir=str(tmp_path / "out"))
-    _, y = make_blobs(cfg.num_classes, cfg.num_features, cfg.num_samples,
-                      NoiseStream(seed))  # the run's first draw
-    assert y.max() + 1 < cfg.num_classes
+    rounds = Rounds(cfg)
+    assert rounds.fed.y.max() + 1 < cfg.num_classes
+    assert (rounds.model.num_features, rounds.model.num_classes) == (
+        cfg.num_features, cfg.num_classes)
     summary = run(cfg)
     rows = (tmp_path / "out" / "metrics.csv").read_text().splitlines()[1:]
     assert ([row.split(",")[5:7] for row in rows]
