@@ -3,10 +3,11 @@
 Per-order RDP values compose additively over steps; conversion to
 (epsilon, delta) minimizes over a fixed order grid. A noiseless step
 (sigma = 0) has RDP inf at every order, so its ledger's epsilon is inf.
-Fixed-size batches are accounted with the Poisson-subsampling bound at
-q = s, the usual DP-SGD approximation. The source analysis's closed forms
-(third-party and server-side budgets) are asymptotic references, not
-guarantees; no run reports them. Log-factorials use ``decimal``, not SciPy.
+The adjacency is add/remove of one row, priced by the Poisson bound at q = s.
+A fixed-size batch's noise std sigma*C/floor(s*R) moves with R, so there a
+run's epsilon understates the loss (exact 45.86 against a reported 31.45 on
+the drift acceptance config; the xfail scale-pair test). The source's closed
+forms are references, not bounds. Log-factorials use ``decimal``, not SciPy.
 """
 from __future__ import annotations
 

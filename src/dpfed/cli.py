@@ -9,7 +9,6 @@ import argparse
 import sys
 from dataclasses import fields
 
-from .accounting import PrivacyLedger, compose_and_convert
 from .blocks import ConfigurationError
 from .optimizer import DivergenceError
 from .runner import (RunConfig, compare, config_from_strings, csv_text,
@@ -70,13 +69,8 @@ def main(argv=None) -> int:
                 raise ConfigurationError("--every must be >= 1")
             # Its flags are config keys, parsed and checked as a run's are.
             cfg = _config_from_args(args)
-            ledger, rows = PrivacyLedger(), []
-            for t in range(1, cfg.rounds + 1):
-                ledger.add_event(cfg.noise_multiplier, cfg.sample_rate,
-                                 cfg.local_steps)  # as run() charges a round
-                eps = compose_and_convert(ledger, cfg.delta).epsilon
-                if t % args.every == 0 or t == cfg.rounds:
-                    rows.append((t, eps))  # as metrics.csv prints it
+            rows = [(t, eps) for t, eps in enumerate(cfg.epsilons(), 1)
+                    if t % args.every == 0 or t == cfg.rounds]  # a run's eps
             print(csv_text(("round", "eps_rdp"), rows), end="")
     except (ConfigurationError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

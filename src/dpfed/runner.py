@@ -143,6 +143,13 @@ class RunConfig:
         """An AdamWParams or DPConfig of this config's same-named fields."""
         return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
 
+    def epsilons(self):
+        """eps_rdp after each round, a round charged (sigma, s, K) on one ledger."""
+        ledger = PrivacyLedger()
+        for _ in range(self.rounds):  # sigma = 0 charges inf
+            ledger.add_event(self.noise_multiplier, self.sample_rate, self.local_steps)
+            yield compose_and_convert(ledger, self.delta).epsilon
+
     @property
     def selected_clients(self) -> int:
         # ceil of the written decimal: in floats 0.55 * 100 is 55.00000000000001
@@ -250,16 +257,14 @@ class Rounds:
         return self._records  # one pass: a second iteration yields nothing
 
     def _play(self, config, stream, dp_cfg, fed, model):
-        opt, ledger = config._settings(AdamWParams), PrivacyLedger()
+        opt, epsilons = config._settings(AdamWParams), config.epsilons()
         up, down = payload_count(config.variant, model.d, model.layout.num_blocks)
         selected = config.selected_clients  # Fraction arithmetic: once a run
         for _ in range(config.rounds):  # run_round is looked up every round
             self.state, report = run_round(
                 self.state, model, fed, dp_cfg, opt, config.variant,
                 config.local_steps, selected, stream)
-            ledger.add_event(config.noise_multiplier, config.sample_rate,
-                             config.local_steps)  # sigma = 0 charges inf
-            eps_rdp = compose_and_convert(ledger, config.delta).epsilon
+            eps_rdp = next(epsilons)  # a round that raises is never charged
             loss, acc = model.evaluate(self.state.theta, fed.X, fed.y)
             S = len(report.client_ids)
             spread = ((cross_client_var_v(report.v), client_drift(report.theta))

@@ -2,12 +2,15 @@ import decimal
 import functools
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import gammaln, logsumexp
-from scipy.stats import norm
+from scipy.optimize import brentq
+from scipy.special import gammaln, log_ndtr, logsumexp
+from scipy.stats import chi2, norm
+from test_acceptance import DRIFT_BASE
 
 from dpfed import accounting
 from dpfed.accounting import (DEFAULT_ORDER_GRID, Budget, PrivacyLedger,
@@ -15,6 +18,7 @@ from dpfed.accounting import (DEFAULT_ORDER_GRID, Budget, PrivacyLedger,
                               server_budget, subsampled_gaussian_rdp,
                               third_party_epsilon)
 from dpfed.blocks import ConfigurationError
+from dpfed.dp import DPConfig
 
 
 @functools.cache
@@ -389,3 +393,101 @@ def test_noiseless_event_makes_a_mixed_ledger_unbounded():
         assert gaussian_rdp(2, 0.0) == math.inf
         assert subsampled_gaussian_rdp(2, 0.0, 0.2) == math.inf
         assert compose_and_convert(ledger, 1e-5).epsilon == math.inf
+
+
+# Exact (epsilon, delta) of known worst-case pairs of Gaussian outputs: each
+# is a lower bound on the mechanism's epsilon, so the ledger must not fall
+# below it. delta(eps) = P[L > eps] - e^eps Q[L > eps] for the privacy loss L.
+
+def log_hockey_stick(log_p_tail, log_q_tail, eps):
+    """log delta(eps) from log P[L > eps] and log Q[L > eps]."""
+    return log_p_tail + math.log1p(-math.exp(eps + log_q_tail - log_p_tail))
+
+
+def least_epsilon(log_delta_at, delta):
+    """The eps >= 0 at which a falling log delta(eps) meets log delta."""
+    def gap(eps):
+        return log_delta_at(eps) - math.log(delta)
+
+    if gap(0.0) <= 0:
+        return 0.0
+    hi = 1.0
+    while gap(hi) > 0:
+        hi *= 2.0
+    return brentq(gap, 0.0, hi, xtol=1e-12)
+
+
+def gaussian_exact_epsilon(sigma, steps, delta):
+    """steps full-batch Gaussian steps compose to mu = sqrt(steps)/sigma
+    GDP, whose delta(eps) is Phi(-eps/mu + mu/2) - e^eps Phi(-eps/mu - mu/2)
+    (the analytic Gaussian, Balle & Wang 2018)."""
+    mu = math.sqrt(steps) / sigma
+    return least_epsilon(lambda eps: log_hockey_stick(
+        log_ndtr(-eps / mu + mu / 2), log_ndtr(-eps / mu - mu / 2), eps), delta)
+
+
+def scale_pair_epsilon(tau, tau_neighbour, m, delta):
+    """Exact eps of N(0, tau^2)^m against N(0, tau_neighbour^2)^m, the
+    larger of both directions. The loss is c - k |x|^2 for the narrower
+    std lo, so its tails are chi-square tails of |x|^2 / std^2."""
+    lo, hi = sorted((tau, tau_neighbour))
+    if lo == hi:
+        return 0.0
+    c, k = m * math.log(hi / lo), (1 / lo**2 - 1 / hi**2) / 2
+
+    def narrow_first(eps):  # L > eps iff |x|^2 < (c - eps) / k
+        r = (c - eps) / k
+        if r <= 0:
+            return -math.inf
+        return log_hockey_stick(chi2.logcdf(r / lo**2, m),
+                                chi2.logcdf(r / hi**2, m), eps)
+
+    def wide_first(eps):  # -L > eps iff |x|^2 > (c + eps) / k
+        r = (c + eps) / k
+        return log_hockey_stick(chi2.logsf(r / hi**2, m),
+                                chi2.logsf(r / lo**2, m), eps)
+
+    return max(least_epsilon(narrow_first, delta),
+               least_epsilon(wide_first, delta))
+
+
+@pytest.mark.parametrize("sigma, steps, exact, ledger_eps", [
+    (1.0, 100, 91.82, 98.03), (2.0, 300, 73.62, 79.28),
+    (22.01, 500, 4.46, 5.40), (5.0, 10, 2.59, 3.24)])
+def test_ledger_bounds_the_exact_gaussian_epsilon(sigma, steps, exact,
+                                                  ledger_eps):
+    # At q = 1 the mean-shift pair is the Gaussian mechanism's worst case.
+    ledger = PrivacyLedger()
+    ledger.add_event(sigma, 1.0, steps)
+    eps = compose_and_convert(ledger, 1e-5).epsilon
+    reference = gaussian_exact_epsilon(sigma, steps, 1e-5)
+    assert (reference, eps) == pytest.approx((exact, ledger_eps), abs=5e-3)
+    assert reference <= eps
+
+
+def test_scale_pair_reference_values():
+    # DRIFT_BASE's stds 1/10 and 1/9 over one round's and thirty rounds'
+    # released coordinates; equal stds cannot be told apart.
+    assert scale_pair_epsilon(0.1, 1 / 9, 50, 1e-5) == pytest.approx(
+        6.48, abs=5e-3)
+    assert scale_pair_epsilon(1 / 9, 0.1, 1500, 1e-5) == pytest.approx(
+        45.86, abs=5e-3)
+    assert scale_pair_epsilon(0.1, 0.1, 50, 1e-5) == 0.0
+
+
+@pytest.mark.parametrize("rounds", [1, pytest.param(30, marks=pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 3: the noise std sigma*C/floor(s*R) moves with a "
+        "client's row count R, so removing one row changes the noise scale: "
+        "exact 45.86 > reported eps_rdp 31.45 over thirty rounds")))])
+def test_ledger_bounds_the_scale_pair(rounds):
+    # A client of R rows and its neighbour with one row removed release
+    # N(0, tau^2) and N(0, tau'^2) on zero gradients, d*K coordinates a round.
+    config = replace(DRIFT_BASE, rounds=rounds)
+    dp_cfg, R = config._settings(DPConfig), config.samples_per_client
+    tau, tau_neighbour = (dp_cfg.noise_std(dp_cfg.batch_size(rows))
+                          for rows in (R, R - 1))
+    m = config.dim * config.local_steps * rounds
+    exact = scale_pair_epsilon(tau, tau_neighbour, m, config.delta)
+    *_, eps_rdp = config.epsilons()  # the run's reported eps after round T
+    assert exact <= eps_rdp, f"exact {exact:.2f} > eps_rdp {eps_rdp:.2f}"

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpfed import runner
+from dpfed.accounting import PrivacyLedger, compose_and_convert
 from dpfed.blocks import ConfigurationError
 from dpfed.cli import main as cli_main
 from dpfed.federation import VARIANTS, payload_count
@@ -118,18 +119,22 @@ def test_rounds_are_built_before_any_round_and_write_nothing(tmp_path,
                                                            monkeypatch):
     # Every draw and data check is made when Rounds is built, so a bad
     # input fails there; the rounds run only when it is iterated, once.
+    # Each round is charged after its run_round returns, so nothing is
+    # composed before round 1 and a round that raises is never charged.
     calls = []
-    real_run_round = runner.run_round
-    monkeypatch.setattr(runner, "run_round", lambda *args: calls.append(1)
-                        or real_run_round(*args))
+    for name in ("run_round", "compose_and_convert"):
+        real = getattr(runner, name)
+        monkeypatch.setattr(runner, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
     monkeypatch.chdir(tmp_path)
     cfg = small_config(tmp_path, rounds=3)
     rounds = Rounds(cfg)
     assert not calls and not list(tmp_path.iterdir())
     with pytest.raises(ConfigurationError, match="missing.csv"):
         Rounds(RunConfig(dataset=str(tmp_path / "missing.csv")))
-    assert len(list(rounds)) == len(calls) == 3
-    assert list(rounds) == [] and len(calls) == 3  # no second pass
+    assert len(list(rounds)) == 3
+    assert calls == ["run_round", "compose_and_convert"] * 3
+    assert list(rounds) == [] and len(calls) == 6  # no second pass
 
 
 @pytest.mark.parametrize("participation", [1.0, 0.3])  # S = 3 and S = 1
@@ -144,6 +149,21 @@ def test_rounds_yield_the_records_run_writes(tmp_path, participation):
                    for a, b in zip(ours, its))
     assert (csv_text(METRICS_COLUMNS, records).encode()
             == (tmp_path / "out" / "metrics.csv").read_bytes())
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0])  # sigma = 0 charges inf
+@pytest.mark.parametrize("rate", [0.2, 1.0])
+def test_epsilons_equal_a_ledger_charged_round_by_round(sigma, rate):
+    # A run's eps_rdp column and dpfed account both read this sequence.
+    cfg = RunConfig(noise_multiplier=sigma, sample_rate=rate, local_steps=3,
+                    rounds=4, delta=1e-3)
+    ledger, expected = PrivacyLedger(), []
+    for _ in range(cfg.rounds):
+        ledger.add_event(sigma, rate, 3)
+        expected.append(compose_and_convert(ledger, 1e-3).epsilon)
+    eps = list(cfg.epsilons())
+    assert all(type(e) is float for e in eps) and eps == expected  # bitwise
+    assert all(e == math.inf for e in eps) == (sigma == 0)
 
 
 def test_rerun_byte_identical(tmp_path):
@@ -775,14 +795,16 @@ def test_mlp2_hidden_checked_when_config_is_built(tmp_path, capsys):
     assert not (tmp_path / "sweep").exists()
 
 
-@pytest.mark.parametrize("sigma", ["1", "0"])
-def test_cli_account_rows_equal_the_run_eps(tmp_path, capsys, sigma):
-    # dpfed account and a run charge rounds through the same two accountant
-    # calls and print each eps alike: the table's rows are the run's eps_rdp
-    # column, round for round, byte for byte.
+@pytest.mark.parametrize("sigma, every", [
+    pytest.param("1", 1, id="1"), pytest.param("0", 1, id="0"),
+    pytest.param("1", 2, id="1-every2")])
+def test_cli_account_rows_equal_the_run_eps(tmp_path, capsys, sigma, every):
+    # dpfed account and a run read one per-round eps sequence and print each
+    # eps alike: the table's rows are the run's eps_rdp column, every
+    # every-th round and the last, byte for byte.
     shared = ["--noise_multiplier", sigma, "--sample_rate", "0.5",
               "--local_steps", "2", "--rounds", "3", "--delta", "1e-3"]
-    assert cli_main(["account", *shared, "--every", "1"]) == 0
+    assert cli_main(["account", *shared, "--every", str(every)]) == 0
     table = capsys.readouterr().out.splitlines()
     assert cli_main(["run", *shared, "--model", "quadratic", "--dataset",
                      "quadratics", "--dim", "3", "--num_clients", "3",
@@ -791,7 +813,8 @@ def test_cli_account_rows_equal_the_run_eps(tmp_path, capsys, sigma):
     rows = (tmp_path / "out" / "metrics.csv").read_text().splitlines()[1:]
     eps = [row.split(",")[-1] for row in rows]
     assert table == ["round,eps_rdp", *(f"{t},{e}" for t, e in
-                                        enumerate(eps, 1))]
+                                        enumerate(eps, 1)
+                                        if t % every == 0 or t == 3)]
     assert (eps == ["inf"] * 3) == (sigma == "0")
 
 
