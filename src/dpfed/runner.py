@@ -7,6 +7,7 @@ deliberately kept out of the JSON so the artifact stays deterministic.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -282,46 +283,56 @@ def run(config: RunConfig) -> RunSummary:
     stops early, for any reason, writes only its completed rows."""
     start = time.perf_counter()
     rounds = Rounds(config)
-    try:  # once the config is known to be valid, before any round runs
-        os.makedirs(config.output_dir, exist_ok=True)
-    except OSError as exc:
-        raise ConfigurationError(f"output_dir {config.output_dir!r} cannot be "
-                                 f"a directory ({type(exc).__name__})") from None
-    for name in ("metrics.csv", "summary.json"):
-        if os.path.isdir(os.path.join(config.output_dir, name)):
-            raise ConfigurationError(f"output_dir {config.output_dir!r} holds "
-                                     f"a directory named {name}")
     records: list[MetricRecord] = []
-    try:
-        for record in rounds:  # iterated under this function's errstate
-            records.append(record)
-    finally:  # a finished, diverged or interrupted run alike
-        _write_text(config.output_dir, "metrics.csv",
-                    csv_text(METRICS_COLUMNS, records))
-        stale = os.path.join(config.output_dir, "summary.json")
-        if len(records) < config.rounds and os.path.exists(stale):
-            os.remove(stale)  # a stopped run keeps no earlier run's summary
-
-    if records:  # theta has not moved since the last round's evaluation
-        _, final_loss, final_acc, *_, eps_rdp = records[-1]
-    else:  # no round ran: theta0's loss
-        (final_loss, final_acc), eps_rdp = rounds.model.evaluate(
-            rounds.state.theta, rounds.fed.X, rounds.fed.y), 0.0
-    summary = RunSummary(final_loss=final_loss, final_accuracy=final_acc,
-                         eps_rdp=eps_rdp, wall_time_s=time.perf_counter() - start,
-                         config_hash=config.config_hash(), metrics=records)
-    _write_text(config.output_dir, "summary.json", json.dumps({
-        "config_hash": summary.config_hash, "variant": config.variant,
-        "model": config.model, "seed": config.seed, "rounds": config.rounds,
-        "final_loss": final_loss, "final_accuracy": final_acc,
-        "eps_rdp": eps_rdp}, indent=2, allow_nan=True) + "\n")
+    with _artifacts(config.output_dir, "metrics.csv", "summary.json") as write:
+        try:
+            for record in rounds:  # iterated under this function's errstate
+                records.append(record)
+        finally:  # a finished, diverged or interrupted run alike
+            write("metrics.csv", csv_text(METRICS_COLUMNS, records))
+        if records:  # theta has not moved since the last round's evaluation
+            _, final_loss, final_acc, *_, eps_rdp = records[-1]
+        else:  # no round ran: theta0's loss
+            (final_loss, final_acc), eps_rdp = rounds.model.evaluate(
+                rounds.state.theta, rounds.fed.X, rounds.fed.y), 0.0
+        summary = RunSummary(final_loss=final_loss, final_accuracy=final_acc,
+                             eps_rdp=eps_rdp, wall_time_s=time.perf_counter() - start,
+                             config_hash=config.config_hash(), metrics=records)
+        write("summary.json", json.dumps({
+            "config_hash": summary.config_hash, "variant": config.variant,
+            "model": config.model, "seed": config.seed, "rounds": config.rounds,
+            "final_loss": final_loss, "final_accuracy": final_acc,
+            "eps_rdp": eps_rdp}, indent=2, allow_nan=True) + "\n")
     return summary
 
 
-def _write_text(out_dir: str, name: str, text: str) -> None:
-    with open(os.path.join(out_dir, name), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write(text)
+@contextlib.contextmanager
+def _artifacts(out_dir: str, *names: str):
+    """The one output contract: before any work, make out_dir and reject a
+    directory in a named file's place; yield write(name, text), UTF-8 with LF
+    ends; on leaving, for any reason, remove each named file not written."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"output_dir {out_dir!r} cannot be "
+                                 f"a directory ({type(exc).__name__})") from None
+    for name in names:
+        if os.path.isdir(os.path.join(out_dir, name)):
+            raise ConfigurationError(f"output_dir {out_dir!r} holds "
+                                     f"a directory named {name}")
+    written = set()
+
+    def write(name: str, text: str) -> None:
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8",
+                  newline="\n") as fh:
+            fh.write(text)
+        written.add(name)  # a write that fails leaves its file unwritten
+    try:
+        yield write
+    finally:
+        for stale in (os.path.join(out_dir, n) for n in names if n not in written):
+            if os.path.exists(stale):  # an earlier call's, or a failed write's
+                os.remove(stale)
 
 
 def csv_text(columns, rows) -> str:
@@ -358,28 +369,29 @@ def compare(configs: list[RunConfig], seeds: list[int],
             raise ConfigurationError(
                 f"configs differ outside declared axes: {diff}")
     rows = []
-    for ci, cfg in enumerate(configs):
-        losses, accs = [], []
-        for seed in seeds:
-            run_dir = os.path.join(output_dir, f"c{ci}_s{seed}")
-            try:
-                summary = run(replace(cfg, seed=seed, output_dir=run_dir))
-            except (ConfigurationError, DivergenceError) as exc:
-                raise type(exc)(f"{run_dir}: {exc}") from exc
-            losses.append(summary.final_loss)
-            accs.append(summary.final_accuracy)
-            rows.append({"config": ci, "config_hash": summary.config_hash,
-                         "seed": seed, "kind": "run",
-                         "final_loss": summary.final_loss,
-                         "final_accuracy": summary.final_accuracy})
-        rows.append({"config": ci, "config_hash": cfg.config_hash(),
-                     "seed": -1, "kind": "aggregate",
-                     "final_loss": float(np.mean(losses)),
-                     "final_accuracy": float(np.mean(accs)),
-                     "loss_std": float(np.std(losses)),
-                     "accuracy_std": float(np.std(accs))})
-    cols = ("config", "config_hash", "seed", "kind", "final_loss",
-            "final_accuracy", "loss_std", "accuracy_std")
-    _write_text(output_dir, "comparison.csv", csv_text(
-        cols, ([row.get(c, "") for c in cols] for row in rows)))
+    with _artifacts(output_dir, "comparison.csv") as write:
+        for ci, cfg in enumerate(configs):
+            losses, accs = [], []
+            for seed in seeds:
+                run_dir = os.path.join(output_dir, f"c{ci}_s{seed}")
+                try:
+                    summary = run(replace(cfg, seed=seed, output_dir=run_dir))
+                except (ConfigurationError, DivergenceError) as exc:
+                    raise type(exc)(f"{run_dir}: {exc}") from exc
+                losses.append(summary.final_loss)
+                accs.append(summary.final_accuracy)
+                rows.append({"config": ci, "config_hash": summary.config_hash,
+                             "seed": seed, "kind": "run",
+                             "final_loss": summary.final_loss,
+                             "final_accuracy": summary.final_accuracy})
+            rows.append({"config": ci, "config_hash": cfg.config_hash(),
+                         "seed": -1, "kind": "aggregate",
+                         "final_loss": float(np.mean(losses)),
+                         "final_accuracy": float(np.mean(accs)),
+                         "loss_std": float(np.std(losses)),
+                         "accuracy_std": float(np.std(accs))})
+        cols = ("config", "config_hash", "seed", "kind", "final_loss",
+                "final_accuracy", "loss_std", "accuracy_std")
+        write("comparison.csv", csv_text(
+            cols, ([row.get(c, "") for c in cols] for row in rows)))
     return rows

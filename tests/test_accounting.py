@@ -91,6 +91,13 @@ def test_subsampled_rejects_fractional_order():
         3, 1.0, 0.1)
     assert subsampled_gaussian_rdp(np.int64(3), 1.0, 0.1) == (
         subsampled_gaussian_rdp(3, 1.0, 0.1))
+    # An integral order below 2 and a rate outside (0, 1] have no bound.
+    for order in (1, 0.0):
+        with pytest.raises(ConfigurationError, match="order must be >= 2"):
+            subsampled_gaussian_rdp(order, 1.0, 0.1)
+    for q in (0.0, -0.1, 1.5, math.nan):
+        with pytest.raises(ConfigurationError, match="q must"):
+            subsampled_gaussian_rdp(2, 1.0, q)
 
 
 @pytest.mark.parametrize("sigma", [0.3, 0.5, 1.0, 1.5, 4.0, 30.0])
@@ -227,6 +234,9 @@ def test_rdp_curve_computed_once_per_key(monkeypatch):
 
 def test_empty_ledger_zero_epsilon():
     assert compose_and_convert(PrivacyLedger(), 1e-5).epsilon == 0.0
+    for delta in (0.0, 1.0, math.nan):  # checked before the empty ledger
+        with pytest.raises(ConfigurationError, match="delta"):
+            compose_and_convert(PrivacyLedger(), delta)
 
 
 def test_full_batch_conversion_matches_analytic_min():
@@ -319,6 +329,15 @@ def test_third_party_epsilon_structure():
     # T -> 4T grows by a bit more than 2 (sqrt(T) times sqrt(log T) growth)
     grown = third_party_epsilon(0.01, 400, 20, 1e-5, 1.0)
     assert 2.0 < grown / base < 2.5
+    # No step spends nothing; no noise and an out-of-range delta are errors.
+    assert third_party_epsilon(0.01, 0, 20, 1e-5, 1.0) == 0.0
+    assert third_party_epsilon(0.01, 100, 0, 1e-5, 1.0) == 0.0
+    for sigma in (0.0, -1.0):
+        with pytest.raises(ConfigurationError, match="sigma"):
+            third_party_epsilon(0.01, 100, 20, 1e-5, sigma)
+    for delta in (0.0, 1.0):
+        with pytest.raises(ConfigurationError, match="delta"):
+            third_party_epsilon(0.01, 100, 20, delta, 1.0)
 
 
 def test_server_budget_instantiation():

@@ -31,6 +31,8 @@ def test_var_matches_two_pass_oracle():
 def test_var_needs_two_clients():
     with pytest.raises(ConfigurationError):
         cross_client_var_v([np.zeros(3)])
+    with pytest.raises(ConfigurationError, match="drift"):
+        client_drift(np.zeros((1, 3)))
 
 
 def test_drift_identical_endpoints_zero():
@@ -79,6 +81,10 @@ def test_bias_probe_rejects_active_clipping():
     cfg = DPConfig(0.1, 1.0, 1.0)
     with pytest.raises(ConfigurationError):
         bias_probe(cfg, 10, np.array([0.2, 0.2]), 10, 1000, BETA2,
+                   NoiseStream(0))
+    # Zero steps leave v at its zero start: there is no bias to probe.
+    with pytest.raises(ConfigurationError, match="k_steps"):
+        bias_probe(cfg, 10, np.array([0.05, 0.05]), 0, 1000, BETA2,
                    NoiseStream(0))
 
 

@@ -89,6 +89,9 @@ def test_aggregate_overflow_is_divergence():
     with np.errstate(over="ignore"), pytest.raises(DivergenceError,
                                                    match="non-finite"):
         aggregate(state, delta_report(np.full((2, 3), 1e308)), 1, 0.1)
+    # A round without clients has no mean to take.
+    with pytest.raises(ConfigurationError, match="empty round"):
+        aggregate(state, delta_report(np.zeros((0, 3))), 1, 0.1)
 
 
 def test_aggregate_folds_block_means_row_by_row():

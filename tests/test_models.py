@@ -8,8 +8,8 @@ from conftest import dense_grads
 from dpfed.blocks import ConfigurationError
 from dpfed.data import make_blobs
 from dpfed.dp import NoiseStream
-from dpfed.models import (QuadraticModel, _log_softmax_at, _row_max, _softmax,
-                          build_model)
+from dpfed.models import (QuadraticModel, SoftmaxModel, _log_softmax_at,
+                          _row_max, _softmax, build_model)
 
 RNG = np.random.default_rng(12345)
 
@@ -174,6 +174,8 @@ def test_mlp2_needs_a_hidden_unit():
     for hidden in (0, -1):
         with pytest.raises(ConfigurationError, match="hidden"):
             build_model("mlp2", num_features=5, num_classes=3, hidden=hidden)
+    with pytest.raises(ConfigurationError, match="hidden must be >= 0"):
+        SoftmaxModel(3, 2, hidden=-1)  # below build_model's own check
     assert [m.layout.sizes.tolist() for m in map(make, ("logistic", "mlp2"))
             ] == [[15, 3], [20, 4, 12, 3]]
 
@@ -324,3 +326,9 @@ def test_dimension_mismatch_rejected():
             m.batch_loss(np.zeros(m.d + 1), X, y)
         with pytest.raises(ConfigurationError):
             m.per_sample_grads(np.zeros(m.d + 1), X, y)
+        # A stack of S thetas needs rows of width d and S + 1 row bounds.
+        for theta, rows in ((np.zeros((2, m.d)), None),
+                            (np.zeros((2, m.d)), [0, len(X)]),
+                            (np.zeros((1, m.d + 1)), [0, len(X)])):
+            with pytest.raises(ConfigurationError, match="does not match"):
+                m.per_sample_grads(theta, X, y, rows)

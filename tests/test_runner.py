@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpfed import runner
+from dpfed import cli, runner
 from dpfed.accounting import PrivacyLedger, compose_and_convert
 from dpfed.blocks import ConfigurationError
 from dpfed.cli import main as cli_main
@@ -744,6 +744,61 @@ def test_compare_failure_names_the_run(tmp_path, capsys):
                                "floor(sample_rate * 1 rows) must be >= 1")
 
 
+def test_cli_compare_writes_the_rows_it_returns(tmp_path, capsys,
+                                                monkeypatch):
+    # A finished sweep prints where its table is, and the table is the rows
+    # compare() returns, one line each, in csv_text's format.
+    returned = []
+    monkeypatch.setattr(cli, "compare", lambda *args, **kw: returned.append(
+        compare(*args, **kw)) or returned[-1])
+    (tmp_path / "a.cfg").write_text(QUADRATIC_CFG)
+    (tmp_path / "b.cfg").write_text(QUADRATIC_CFG + "lr = 0.02\n")
+    out = tmp_path / "sweep"
+    rc = cli_main(["compare", "--config", str(tmp_path / "a.cfg"),
+                   "--config", str(tmp_path / "b.cfg"), "--axes", "lr",
+                   "--seeds", "0,1", "--output_dir", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().out == f"wrote {out}/comparison.csv\n"
+    cols = ("config", "config_hash", "seed", "kind", "final_loss",
+            "final_accuracy", "loss_std", "accuracy_std")
+    [rows] = returned
+    assert len(rows) == 6
+    assert (out / "comparison.csv").read_bytes() == csv_text(
+        cols, ([row.get(c, "") for c in cols] for row in rows)).encode()
+
+
+@pytest.mark.parametrize("stop", [DivergenceError, KeyboardInterrupt])
+def test_stopped_sweep_keeps_its_runs_and_no_stale_table(tmp_path,
+                                                         monkeypatch, stop):
+    # A sweep stopped at c1_s0, by a divergence or by an interrupt, leaves
+    # no comparison.csv, not even the one an earlier finished sweep wrote in
+    # the same directory. The runs before c1_s0 keep their directories, and
+    # the earlier sweep's c1_s1 is left as it was.
+    out = tmp_path / "sweep"
+    cfgs = [small_config(tmp_path, lr=lr) for lr in (0.01, 0.02)]
+    compare(cfgs, [0, 1], axes=("lr",), output_dir=str(out))
+    assert (out / "comparison.csv").exists()
+    if stop is DivergenceError:
+        cfgs[1] = small_config(tmp_path, lr=1e160)
+    else:
+        calls = []
+        real_run_round = runner.run_round
+
+        def stop_in_c1_s0(*args):
+            calls.append(1)
+            if len(calls) == 5:  # c0_s0 and c0_s1 ran two rounds each
+                raise stop()
+            return real_run_round(*args)
+
+        monkeypatch.setattr(runner, "run_round", stop_in_c1_s0)
+    with pytest.raises(stop):
+        compare(cfgs, [0, 1], axes=("lr",), output_dir=str(out))
+    assert sorted(os.listdir(out)) == ["c0_s0", "c0_s1", "c1_s0", "c1_s1"]
+    assert (out / "c1_s0" / "metrics.csv").read_text() == (
+        ",".join(METRICS_COLUMNS) + "\n")
+    assert not (out / "c1_s0" / "summary.json").exists()
+
+
 BLOBS_SWEEP = dict(num_samples=200, num_clients=3, rounds=1, local_steps=1,
                    sample_rate=0.5)
 QUADRATIC_SWEEP = dict(BLOBS_SWEEP, model="quadratic", dataset="quadratics",
@@ -900,8 +955,11 @@ MALFORMED = [(QUICK_RUN, k, v) for k, v in [
         ("num_samples", "0"), ("alpha", "inf"), ("dataset", "missing.csv"),
         ("dataset", "bad_header.csv"), ("dataset", "one_class.csv"),
         ("dataset", "huge_feature.csv"), ("num_clients", "1"),
-        ("num_clients", "300")]
-] + [([*QUICK_LOGISTIC, "--model", "mlp2"], "hidden", "0")]
+        ("num_clients", "300"), ("model", "cnn")]
+] + [([*QUICK_LOGISTIC, "--model", "mlp2"], "hidden", "0"),
+     # Two classes under Dir(1e-300): each class goes to one client, so a
+     # third client is empty in every draw. Ten classes fill all three.
+     ([*QUICK_LOGISTIC, "--num_classes", "2"], "alpha", "1e-300")]
 CSV_FILES = {
     "bad_header.csv": "x1,x2,label\n0.1,0.2,0\n0.3,0.4,1\n",
     "one_class.csv": "f1,f2,label\n" + "".join(f"{i / 10},{-i / 7},0\n"
@@ -980,15 +1038,21 @@ def test_tiny_sigma_is_unbounded(tmp_path, capsys, sigma):
     assert summary.eps_rdp == math.inf
 
 
-@pytest.mark.parametrize("where", ["file", "under_file", "artifact_is_dir"])
+@pytest.mark.parametrize("command,where", [
+    pytest.param(command, where, id=where if command == "run" else
+                 f"{where}-{command}") for command in ("run", "compare")
+    for where in ("file", "under_file", "artifact_is_dir")])
 def test_cli_unusable_output_dir_exits_2_before_any_round(tmp_path, capsys,
-                                                          monkeypatch, where):
+                                                          monkeypatch, command,
+                                                          where):
     # An output_dir that is a file, lies under one, or holds a directory
     # named like an artifact is rejected with its path before round 1, not
-    # with a traceback after the last round.
+    # with a traceback after the last round. A sweep checks its table's
+    # path before its first run, so no c0_s0 appears.
     out = tmp_path / "taken"
+    artifact = "metrics.csv" if command == "run" else "comparison.csv"
     if where == "artifact_is_dir":
-        (out / "metrics.csv").mkdir(parents=True)
+        (out / artifact).mkdir(parents=True)
     else:
         out.write_text("")
         out = out / ("x" if where == "under_file" else "")
@@ -996,11 +1060,17 @@ def test_cli_unusable_output_dir_exits_2_before_any_round(tmp_path, capsys,
     real_run_round = runner.run_round
     monkeypatch.setattr(runner, "run_round", lambda *args: rounds.append(1)
                         or real_run_round(*args))
-    rc = cli_main(["run", *QUICK_RUN, "--output_dir", str(out)])
+    if command == "run":
+        args = ["run", *QUICK_RUN]
+    else:
+        (tmp_path / "a.cfg").write_text(QUADRATIC_CFG)
+        args = ["compare", "--config", str(tmp_path / "a.cfg"), "--seeds", "0"]
+    rc = cli_main([*args, "--output_dir", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: output_dir") and str(out) in err
-    assert not rounds
+    assert where != "artifact_is_dir" or f"a directory named {artifact}" in err
+    assert not rounds and not (out / "c0_s0").exists()
     assert where == "artifact_is_dir" or (tmp_path / "taken").read_text() == ""
 
 

@@ -24,6 +24,11 @@ each, plus the shipped ``configs/default.cfg`` (10 quadratic clients, so
 the server folds more than two clients' rows) read through
 ``parse_config_file`` at seeds 0-1: 156 sets. A config the tree rejects
 prints its error in place of the hashes.
+
+One more line follows the matrix: the sha256 of the ``comparison.csv`` that
+``compare`` writes for a finished sweep of ``configs/default.cfg`` at
+rounds = 5, gamma in {0, 0.5} and seeds 0-1. That sweep is kept out of
+``matrix()``, which stays the 156 single runs.
 """
 from __future__ import annotations
 
@@ -58,6 +63,7 @@ SWITCHES = {
 }
 SWITCH_WORKLOADS = ("logistic_blobs", "quadratic_drift")
 DEFAULT_CFG = "configs/default.cfg"
+SWEEP_GAMMAS, SWEEP_SEEDS = (0.0, 0.5), (0, 1)
 
 
 def write_blobs_csv(path: str) -> None:
@@ -108,7 +114,7 @@ def main() -> int:
     import workloads
     from dpfed.blocks import ConfigurationError
     from dpfed.optimizer import DivergenceError
-    from dpfed.runner import run
+    from dpfed.runner import compare, parse_config_file, run
     print(f"dpfed from {Path(sys.modules['dpfed'].__file__).parent}",
           file=sys.stderr)
     cwd = os.getcwd()
@@ -126,6 +132,17 @@ def main() -> int:
                 hashes = [hashlib.sha256(Path(out, name).read_bytes()).hexdigest()
                           for name in ("metrics.csv", "summary.json")]
                 print(label, *hashes, flush=True)
+            label = f"{DEFAULT_CFG} rounds=5 compare gamma=0,0.5 seeds=0-1"
+            base = parse_config_file(ROOT / DEFAULT_CFG, {"rounds": 5})
+            out = os.path.join(tmp, "sweep")
+            try:
+                compare([replace(base, gamma=g) for g in SWEEP_GAMMAS],
+                        list(SWEEP_SEEDS), axes=("gamma",), output_dir=out)
+            except (ConfigurationError, DivergenceError) as exc:
+                print(f"{label} error: {exc}", flush=True)
+            else:
+                print(label, hashlib.sha256(Path(
+                    out, "comparison.csv").read_bytes()).hexdigest(), flush=True)
         finally:
             os.chdir(cwd)
     return 0
